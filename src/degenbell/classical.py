@@ -13,16 +13,17 @@ from math import comb, factorial
 from .algebra import Poly, Var, X
 
 
-@cache
+_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
 def _stirling_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        # S(n, k) = S(n-1, k-1) + k * S(n-1, k)
-        row[k] = prev[k - 1] + (k * prev[k] if k <= n - 1 else 0)
-    return tuple(row)
+    """Row n of S(n, k); memoized rows are extended in a loop, never by recursion."""
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        prev, m = rows[-1], len(rows)
+        # S(m, k) = S(m-1, k-1) + k * S(m-1, k); S(m, 0) = 0 and S(m, m) = 1
+        rows.append((0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, m)) + (1,))
+    return rows[n]
 
 
 def stirling2(n: int, k: int) -> int:

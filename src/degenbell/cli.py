@@ -9,10 +9,11 @@ Subcommands:
   limit    pair each degenerate family with its l = 0 classical limit
 
 All numbers are exact rationals; the deformation parameter is spelled
-``l`` on the command line.  Exit codes: 0 success / all cells pass,
-1 identity or limit violation, 2 usage error.  Identical invocations
-produce identical bytes.  The only environment knob is DEGENBELL_WIDTH,
-a width hint for wrapping long polynomials in text output.
+``l`` on the command line, and ``verify --bind`` applies in either mode.
+Exit codes: 0 success / all cells pass, 1 identity or limit violation,
+2 usage error or failed ``--output`` write.  Identical invocations produce
+identical bytes.  The only environment knob is DEGENBELL_WIDTH, a width
+hint for wrapping long polynomials in text output.
 """
 
 from __future__ import annotations
@@ -112,8 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"degenbell: error: cannot write {output}: {exc.strerror or exc}\n")
+            sys.exit(2)
     else:
         sys.stdout.write(text)
 
@@ -245,13 +250,7 @@ def _report_text(report) -> str:
 def _cmd_verify(args) -> int:
     identities = list(Identity) if args.all else [Identity(args.identity)]
     reports = [
-        run_identity(
-            ident,
-            n_max=args.n_max,
-            m_max=args.m_max,
-            mode=args.mode,
-            bindings=dict(args.bind) or None,
-        )
+        run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
         for ident in identities
     ]
     if args.format == "json":

@@ -41,37 +41,30 @@ from .algebra import LAM, ONE, Poly, Var, X, var_from_symbol
 Scalar = int | Fraction
 
 
-def falling_factorial_deg(base: Poly | Scalar, n: int) -> Poly:
-    """(base)_{n,l} = prod_{i<n} (base - i*l)."""
+def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
+    """prod_{i<n} (base + i*step), the product behind every factorial here."""
     if n < 0:
         raise ValueError("count must be nonnegative")
     base = base if isinstance(base, Poly) else Poly.const(base)
     out = Poly.one()
     for i in range(n):
-        out = out * (base - i * LAM)
+        out = out * (base + i * step)
     return out
+
+
+def falling_factorial_deg(base: Poly | Scalar, n: int) -> Poly:
+    """(base)_{n,l} = prod_{i<n} (base - i*l)."""
+    return _product(base, n, -LAM)
 
 
 def falling_factorial(base: Poly | Scalar, n: int) -> Poly:
     """(base)_n = prod_{i<n} (base - i)."""
-    if n < 0:
-        raise ValueError("count must be nonnegative")
-    base = base if isinstance(base, Poly) else Poly.const(base)
-    out = Poly.one()
-    for i in range(n):
-        out = out * (base - i)
-    return out
+    return _product(base, n, -1)
 
 
 def rising_factorial(base: Poly | Scalar, n: int) -> Poly:
     """<base>_n = prod_{i<n} (base + i)."""
-    if n < 0:
-        raise ValueError("count must be nonnegative")
-    base = base if isinstance(base, Poly) else Poly.const(base)
-    out = Poly.one()
-    for i in range(n):
-        out = out * (base + i)
-    return out
+    return _product(base, n, 1)
 
 
 @cache
@@ -163,8 +156,6 @@ def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:
         var = var_from_symbol(name)
         if isinstance(value, Poly):
             polynomial.append((var, value))
-        elif isinstance(value, str):
-            rational[var] = Fraction(value)
         else:
             rational[var] = Fraction(value)
     out = p.eval(rational)
@@ -269,7 +260,6 @@ def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1)
     """
     from . import classical  # local import keeps oracle module standalone
 
-    y = Poly.variable(Var.Y)
     linear = {
         "deg-bell": bell_deg,
         "fully-deg-bell": bell_fully_deg,

@@ -23,14 +23,22 @@ The checked identities, with S2_l / phi / Bel / F as in `sequences`:
   fubini-x-zero         F^(a)_{n,l}(0, y) = (y)_{n,l}  and
                         F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
 
+Each identity has one entry in a registry: its grid cells, its side
+builder, the free variables of its rational spot grid and its named
+mutations.  `run_identity` is the single entry point.  Bindings given to
+it are evaluated in either mode; without them, ``rational`` mode sweeps
+`spot_grid` and ``symbolic`` mode compares exact polynomials.
+
 A failing cell is reported, never raised: the harness must also be able
-to demonstrate that a wrong identity fails (see the ``corrupt`` hooks).
+to demonstrate that a wrong identity fails, which ``run_identity(...,
+corrupt=<mutation>)`` does.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -98,51 +106,6 @@ class VerifyReport:
 
 
 Bindings = dict[Var, Fraction]
-
-
-def _normalize_bindings(bindings) -> Bindings:
-    out: Bindings = {}
-    for key, value in (bindings or {}).items():
-        var = key if isinstance(key, Var) else var_from_symbol(key)
-        out[var] = Fraction(value)
-    return out
-
-
-def _run_grid(identity, cells, sides, bindings_list=None) -> VerifyReport:
-    """Evaluate sides(cell) over every cell x binding combination.
-
-    Iteration order is fixed (bindings outer, cells in the given order)
-    so the first counterexample is deterministic.
-    """
-    grid = []
-    passes = fails = 0
-    first = None
-    for bound in bindings_list or [None]:
-        for cell in cells:
-            lhs, rhs = sides(**cell)
-            record = dict(cell)
-            if bound:
-                lhs, rhs = lhs.eval(bound), rhs.eval(bound)
-                record.update({v.symbol: str(c) for v, c in bound.items()})
-            grid.append(record)
-            if lhs == rhs:
-                passes += 1
-            else:
-                fails += 1
-                if first is None:
-                    first = Counterexample(bindings=record, lhs=lhs, rhs=rhs)
-    return VerifyReport(
-        identity=identity,
-        grid=tuple(grid),
-        pass_count=passes,
-        fail_count=fails,
-        first_counterexample=first,
-    )
-
-
-def _nm_cells(n_max: int, m_max: int):
-    # m outer, n inner: the documented counterexample ordering
-    return [{"n": n, "m": m} for m in range(m_max + 1) for n in range(n_max + 1)]
 
 
 # -- cell builders, one per identity ------------------------------------------
@@ -315,144 +278,73 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
     return p.eval({Var.Y: 0}), rhs
 
 
-# -- public checkers -----------------------------------------------------------
+# -- registry and runner -------------------------------------------------------
 
 
-def check_spivey_bell(n_max: int = 6, m_max: int = 6, bindings=None) -> VerifyReport:
-    return _run_grid(
-        Identity.SPIVEY_BELL,
-        _nm_cells(n_max, m_max),
-        _spivey_bell_sides,
-        _binding_passes(bindings),
-    )
+@dataclass(frozen=True)
+class _Spec:
+    """One identity's check: each cell of ``cells(n_max, m_max)`` is checked as
+    ``sides(**cell, **context)``, with the grid bounds passed under the names
+    in ``orders`` and a requested mutation as ``corrupt``.
+    """
+
+    cells: Callable[[int, int], list[dict]]
+    sides: Callable[..., tuple[Poly, Poly]]
+    spot_vars: tuple[Var, ...]  # swept by the rational spot grid
+    mutations: tuple[str, ...] = ()
+    orders: tuple[str, ...] = ()
 
 
-def check_spivey_bell_poly(n_max: int = 6, m_max: int = 6, bindings=None) -> VerifyReport:
-    return _run_grid(
-        Identity.SPIVEY_BELL_POLY,
-        _nm_cells(n_max, m_max),
-        _spivey_bell_poly_sides,
-        _binding_passes(bindings),
-    )
+def _nm_cells(n_max: int, m_max: int):
+    # m outer, n inner: the documented counterexample ordering
+    return [{"n": n, "m": m} for m in range(m_max + 1) for n in range(n_max + 1)]
 
 
-def check_deg_bell_spivey(n_max: int = 6, m_max: int = 6, bindings=None) -> VerifyReport:
-    return _run_grid(
-        Identity.DEG_BELL_SPIVEY,
-        _nm_cells(n_max, m_max),
-        _deg_bell_spivey_sides,
-        _binding_passes(bindings),
-    )
+def _n_cells(n_max: int, m_max: int):
+    return [{"n": n} for n in range(n_max + 1)]
 
 
-def check_fully_deg_bell(
-    n_max: int = 6, m_max: int = 6, bindings=None, corrupt: str | None = None
-) -> VerifyReport:
-    def sides(n, m):
-        return _fully_deg_bell_sides(n, m, corrupt)
-
-    return _run_grid(
-        Identity.FULLY_DEG_BELL, _nm_cells(n_max, m_max), sides, _binding_passes(bindings)
-    )
+def _jk_cells(j_order: int, k_order: int):
+    return [{"j": j, "k": k} for k in range(k_order + 1) for j in range(j_order + 1)]
 
 
-def check_fully_deg_bell_poly(n_max: int = 6, m_max: int = 6, bindings=None) -> VerifyReport:
-    return _run_grid(
-        Identity.FULLY_DEG_BELL_POLY,
-        _nm_cells(n_max, m_max),
-        _fully_deg_bell_poly_sides,
-        _binding_passes(bindings),
-    )
-
-
-def check_deg_fubini_spivey(
-    n_max: int = 6, m_max: int = 6, bindings=None, corrupt: str | None = None
-) -> VerifyReport:
-    def sides(n, m):
-        return _deg_fubini_spivey_sides(n, m, corrupt)
-
-    return _run_grid(
-        Identity.DEG_FUBINI_SPIVEY, _nm_cells(n_max, m_max), sides, _binding_passes(bindings)
-    )
-
-
-def check_fubini_spivey(n_max: int = 6, m_max: int = 6, bindings=None) -> VerifyReport:
-    return _run_grid(
-        Identity.FUBINI_SPIVEY,
-        _nm_cells(n_max, m_max),
-        _fubini_spivey_sides,
-        _binding_passes(bindings),
-    )
-
-
-def check_deg_vandermonde(n_max: int = 8, bindings=None) -> VerifyReport:
-    cells = [{"n": n} for n in range(n_max + 1)]
-    return _run_grid(
-        Identity.DEG_VANDERMONDE, cells, _deg_vandermonde_sides, _binding_passes(bindings)
-    )
-
-
-def check_exp_splitting(j_order: int = 6, k_order: int = 6, bindings=None) -> VerifyReport:
-    cells = [{"j": j, "k": k} for k in range(k_order + 1) for j in range(j_order + 1)]
-
-    def sides(j, k):
-        return _exp_splitting_sides(j, k, j_order, k_order)
-
-    return _run_grid(Identity.EXP_SPLITTING, cells, sides, _binding_passes(bindings))
-
-
-def check_fubini_x_zero(n_max: int = 8, alpha_max: int = 4, bindings=None) -> VerifyReport:
-    cells = [
+def _fubini_x_zero_cells(n_max: int, alpha_max: int):
+    return [
         {"n": n, "alpha": a, "side": side}
         for a in range(alpha_max + 1)
         for n in range(n_max + 1)
         for side in ("x=0", "y=0")
     ]
-    return _run_grid(
-        Identity.FUBINI_X_ZERO, cells, _fubini_x_zero_sides, _binding_passes(bindings)
-    )
 
 
-def _binding_passes(bindings):
-    if not bindings:
-        return None
-    return [_normalize_bindings(bindings)]
-
-
-# -- dispatch and rational spot grids ------------------------------------------
+_SPECS = {
+    Identity.SPIVEY_BELL: _Spec(_nm_cells, _spivey_bell_sides, ()),
+    Identity.SPIVEY_BELL_POLY: _Spec(_nm_cells, _spivey_bell_poly_sides, (Var.X,)),
+    Identity.DEG_BELL_SPIVEY: _Spec(_nm_cells, _deg_bell_spivey_sides, (Var.LAMBDA, Var.X)),
+    Identity.FULLY_DEG_BELL: _Spec(
+        _nm_cells, _fully_deg_bell_sides, (Var.LAMBDA,), mutations=("drop-unit-weight",)
+    ),
+    Identity.FULLY_DEG_BELL_POLY: _Spec(
+        _nm_cells, _fully_deg_bell_poly_sides, (Var.LAMBDA, Var.T)
+    ),
+    Identity.DEG_FUBINI_SPIVEY: _Spec(
+        _nm_cells, _deg_fubini_spivey_sides, (Var.LAMBDA, Var.T), mutations=("unshifted-y-arg",)
+    ),
+    Identity.FUBINI_SPIVEY: _Spec(_nm_cells, _fubini_spivey_sides, (Var.T,)),
+    Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
+    Identity.EXP_SPLITTING: _Spec(
+        _jk_cells, _exp_splitting_sides, (Var.LAMBDA,), orders=("j_order", "k_order")
+    ),
+    Identity.FUBINI_X_ZERO: _Spec(_fubini_x_zero_cells, _fubini_x_zero_sides, (Var.LAMBDA, Var.Y)),
+}
 
 LAMBDA_SPOT = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2))
 ARG_SPOT = (Fraction(1), Fraction(2), Fraction(-1, 2))
 
-_SPOT_VARS = {
-    Identity.SPIVEY_BELL: (),
-    Identity.SPIVEY_BELL_POLY: (Var.X,),
-    Identity.DEG_BELL_SPIVEY: (Var.LAMBDA, Var.X),
-    Identity.FULLY_DEG_BELL: (Var.LAMBDA,),
-    Identity.FULLY_DEG_BELL_POLY: (Var.LAMBDA, Var.T),
-    Identity.DEG_FUBINI_SPIVEY: (Var.LAMBDA, Var.T),
-    Identity.FUBINI_SPIVEY: (Var.T,),
-    Identity.DEG_VANDERMONDE: (Var.LAMBDA, Var.X, Var.Y),
-    Identity.EXP_SPLITTING: (Var.LAMBDA,),
-    Identity.FUBINI_X_ZERO: (Var.LAMBDA, Var.Y),
-}
-
-_NM_SIDE_FNS = {
-    Identity.SPIVEY_BELL: _spivey_bell_sides,
-    Identity.SPIVEY_BELL_POLY: _spivey_bell_poly_sides,
-    Identity.DEG_BELL_SPIVEY: _deg_bell_spivey_sides,
-    Identity.FULLY_DEG_BELL: _fully_deg_bell_sides,
-    Identity.FULLY_DEG_BELL_POLY: _fully_deg_bell_poly_sides,
-    Identity.DEG_FUBINI_SPIVEY: _deg_fubini_spivey_sides,
-    Identity.FUBINI_SPIVEY: _fubini_spivey_sides,
-}
-
 
 def spot_grid(identity: Identity) -> list[Bindings]:
     """The default rational smoke grid for an identity's free parameters."""
-    vars_ = _SPOT_VARS[identity]
-    if not vars_:
-        return [{}]
+    vars_ = _SPECS[identity].spot_vars
     pools = [LAMBDA_SPOT if v is Var.LAMBDA else ARG_SPOT for v in vars_]
     return [dict(zip(vars_, combo)) for combo in itertools.product(*pools)]
 
@@ -463,41 +355,59 @@ def run_identity(
     m_max: int = 6,
     mode: str = "symbolic",
     bindings=None,
+    corrupt: str | None = None,
 ) -> VerifyReport:
-    """Uniform front door used by the CLI.
+    """Check one identity over its grid; the single entry point.
 
-    In rational mode with no explicit bindings the identity is checked
-    over its default spot grid.  The second bound doubles as the order
-    bound K for exp-splitting and as alpha_max for fubini-x-zero.
+    Given bindings are evaluated in either mode.  Without them, rational
+    mode sweeps the identity's `spot_grid` and symbolic mode compares the
+    exact polynomials.  The second bound doubles as the order bound K for
+    exp-splitting and as alpha_max for fubini-x-zero.  ``corrupt`` names
+    one of the identity's mutations, which must make the check fail.
+    Cells run in a fixed order (bindings outer, then the grid), so the
+    first counterexample is deterministic.
     """
     if mode not in ("symbolic", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "symbolic":
-        passes = None
-    elif bindings:
-        passes = [_normalize_bindings(bindings)]
-    else:
+    spec = _SPECS[identity]
+    context = dict(zip(spec.orders, (n_max, m_max)))
+    if corrupt is not None:
+        if corrupt not in spec.mutations:
+            known = ", ".join(spec.mutations) or "none"
+            raise ValueError(f"unknown mutation {corrupt!r} for {identity.value} (known: {known})")
+        context["corrupt"] = corrupt
+    if bindings:
+        given = {}
+        for key, value in bindings.items():
+            given[key if isinstance(key, Var) else var_from_symbol(key)] = Fraction(value)
+        passes = [given]
+    elif mode == "rational":
         passes = spot_grid(identity)
+    else:
+        passes = [{}]
 
-    if identity in _NM_SIDE_FNS:
-        return _run_grid(identity, _nm_cells(n_max, m_max), _NM_SIDE_FNS[identity], passes)
-    if identity is Identity.DEG_VANDERMONDE:
-        cells = [{"n": n} for n in range(n_max + 1)]
-        return _run_grid(identity, cells, _deg_vandermonde_sides, passes)
-    if identity is Identity.EXP_SPLITTING:
-        cells = [{"j": j, "k": k} for k in range(m_max + 1) for j in range(n_max + 1)]
-
-        def sides(j, k):
-            return _exp_splitting_sides(j, k, n_max, m_max)
-
-        return _run_grid(identity, cells, sides, passes)
-    if identity is Identity.FUBINI_X_ZERO:
-        cells = [
-            {"n": n, "alpha": a, "side": side}
-            for a in range(m_max + 1)
-            for n in range(n_max + 1)
-            for side in ("x=0", "y=0")
-        ]
-        return _run_grid(identity, cells, _fubini_x_zero_sides, passes)
-    raise ValueError(f"unhandled identity {identity}")
-
+    cells = spec.cells(n_max, m_max)
+    grid = []
+    pass_count = fail_count = 0
+    first = None
+    for bound in passes:
+        for cell in cells:
+            lhs, rhs = spec.sides(**cell, **context)
+            record = dict(cell)
+            if bound:
+                lhs, rhs = lhs.eval(bound), rhs.eval(bound)
+                record.update({v.symbol: str(c) for v, c in bound.items()})
+            grid.append(record)
+            if lhs == rhs:
+                pass_count += 1
+            else:
+                fail_count += 1
+                if first is None:
+                    first = Counterexample(bindings=record, lhs=lhs, rhs=rhs)
+    return VerifyReport(
+        identity=identity,
+        grid=tuple(grid),
+        pass_count=pass_count,
+        fail_count=fail_count,
+        first_counterexample=first,
+    )

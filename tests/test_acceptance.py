@@ -19,17 +19,7 @@ from degenbell.sequences import (
     stirling2_deg_basis_table,
 )
 from degenbell.series import Series, deg_exp_of
-from degenbell.verify import (
-    check_deg_bell_spivey,
-    check_deg_fubini_spivey,
-    check_deg_vandermonde,
-    check_exp_splitting,
-    check_fubini_x_zero,
-    check_fully_deg_bell,
-    check_fully_deg_bell_poly,
-    check_spivey_bell,
-    _deg_bell_spivey_sides,
-)
+from degenbell.verify import Identity, _deg_bell_spivey_sides, run_identity
 
 CLASSICAL_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -41,7 +31,7 @@ def _report(criterion: str, ok: bool) -> bool:
 
 def test_criterion_1_fully_deg_bell_numbers_symbolic():
     start = time.monotonic()
-    report = check_fully_deg_bell(8, 8)
+    report = run_identity(Identity.FULLY_DEG_BELL, 8, 8)
     elapsed = time.monotonic() - start
     ok = report.ok and len(report.grid) == 81 and elapsed < 60
     assert _report(f"1 fully-deg-bell numbers, grid 9x9 symbolic ({elapsed:.1f}s)", ok)
@@ -49,7 +39,7 @@ def test_criterion_1_fully_deg_bell_numbers_symbolic():
 
 def test_criterion_2_fully_deg_bell_polynomials_symbolic():
     start = time.monotonic()
-    report = check_fully_deg_bell_poly(6, 6)
+    report = run_identity(Identity.FULLY_DEG_BELL_POLY, 6, 6)
     elapsed = time.monotonic() - start
     ok = report.ok and len(report.grid) == 49 and elapsed < 120
     assert _report(f"2 fully-deg-bell polynomials, grid 7x7 symbolic ({elapsed:.1f}s)", ok)
@@ -57,14 +47,14 @@ def test_criterion_2_fully_deg_bell_polynomials_symbolic():
 
 def test_criterion_3_deg_fubini_symbolic():
     start = time.monotonic()
-    report = check_deg_fubini_spivey(6, 6)
+    report = run_identity(Identity.DEG_FUBINI_SPIVEY, 6, 6)
     elapsed = time.monotonic() - start
     ok = report.ok and len(report.grid) == 49 and elapsed < 120
     assert _report(f"3 deg-fubini recurrence, grid 7x7 symbolic ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_4_deg_bell_recurrence_and_classical_reduction():
-    symbolic = check_deg_bell_spivey(6, 6)
+    symbolic = run_identity(Identity.DEG_BELL_SPIVEY, 6, 6)
     ok = symbolic.ok and len(symbolic.grid) == 49
 
     # the l = 0, x = 1 specialization must reproduce the classical Bell
@@ -76,7 +66,7 @@ def test_criterion_4_deg_bell_recurrence_and_classical_reduction():
             lhs, rhs = _deg_bell_spivey_sides(n, m)
             expected = Poly.const(CLASSICAL_BELL[n + m])
             ok = ok and lhs.eval(bound) == expected and rhs.eval(bound) == expected
-    ok = ok and check_spivey_bell(4, 4).ok
+    ok = ok and run_identity(Identity.SPIVEY_BELL, 4, 4).ok
     assert _report("4 deg-bell recurrence + classical Bell reduction", ok)
 
 
@@ -137,21 +127,21 @@ def test_criterion_7_limit_suite():
 
 
 def test_criterion_8_two_var_specializations():
-    report = check_fubini_x_zero(10, 4)
+    report = run_identity(Identity.FUBINI_X_ZERO, 10, 4)
     ok = report.ok and len(report.grid) == 11 * 5 * 2
     assert _report("8 two-var Fubini x=0 / y=0 specializations, n <= 10, alpha <= 4", ok)
 
 
 def test_criterion_9_vandermonde_and_splitting():
-    vandermonde = check_deg_vandermonde(10)
-    splitting = check_exp_splitting(6, 6)
+    vandermonde = run_identity(Identity.DEG_VANDERMONDE, 10)
+    splitting = run_identity(Identity.EXP_SPLITTING, 6, 6)
     ok = vandermonde.ok and splitting.ok and len(splitting.grid) == 49
     assert _report("9 degenerate Vandermonde + exponential splitting (6,6)", ok)
 
 
 def test_criterion_10_mutation_sensitivity():
-    dropped = check_fully_deg_bell(3, 3, corrupt="drop-unit-weight")
-    unshifted = check_deg_fubini_spivey(3, 3, corrupt="unshifted-y-arg")
+    dropped = run_identity(Identity.FULLY_DEG_BELL, 3, 3, corrupt="drop-unit-weight")
+    unshifted = run_identity(Identity.DEG_FUBINI_SPIVEY, 3, 3, corrupt="unshifted-y-arg")
     ok = dropped.fail_count > 0 and unshifted.fail_count > 0
     for report in (dropped, unshifted):
         ce = report.first_counterexample

@@ -11,6 +11,12 @@ def test_stirling_triangle():
     assert classical.stirling2(5, -1) == 0
 
 
+def test_stirling_row_past_recursion_limit(monkeypatch):
+    # S(n, 2) = 2^(n-1) - 1; row 1200 is built from a cold memo
+    monkeypatch.setattr(classical, "_STIRLING_ROWS", [(1,)])
+    assert classical.stirling2(1200, 2) == 2**1199 - 1
+
+
 def test_bell_numbers():
     assert [classical.bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 

@@ -104,6 +104,16 @@ class TestTable:
         assert out == ""
         assert json.loads(path.read_text())["kind"] == "deg-bell"
 
+    def test_failed_output_write_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--id", "deg-vandermonde", "--n-max", "2", "--output", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err
+
 
 class TestPoly:
     def test_triangular_kind(self, capsys):

@@ -15,16 +15,6 @@ from degenbell.sequences import (
 from degenbell.verify import (
     Identity,
     VerifyReport,
-    check_deg_bell_spivey,
-    check_deg_fubini_spivey,
-    check_deg_vandermonde,
-    check_exp_splitting,
-    check_fubini_spivey,
-    check_fubini_x_zero,
-    check_fully_deg_bell,
-    check_fully_deg_bell_poly,
-    check_spivey_bell,
-    check_spivey_bell_poly,
     run_identity,
     spot_grid,
     _deg_bell_spivey_sides,
@@ -38,19 +28,19 @@ from math import comb
 
 class TestReportShape:
     def test_counts_add_up(self):
-        report = check_fully_deg_bell(2, 2)
+        report = run_identity(Identity.FULLY_DEG_BELL, 2, 2)
         assert report.pass_count + report.fail_count == len(report.grid)
         assert report.ok
         assert report.first_counterexample is None
 
     def test_grid_order_m_outer(self):
-        report = check_fully_deg_bell(1, 2)
+        report = run_identity(Identity.FULLY_DEG_BELL, 1, 2)
         assert [(c["n"], c["m"]) for c in report.grid] == [
             (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2),
         ]
 
     def test_json_schema(self):
-        report = check_deg_vandermonde(3)
+        report = run_identity(Identity.DEG_VANDERMONDE, 3)
         data = report.to_json()
         assert data == {
             "identity": "deg-vandermonde",
@@ -61,7 +51,7 @@ class TestReportShape:
         }
 
     def test_json_counterexample(self):
-        report = check_fully_deg_bell(3, 3, corrupt="drop-unit-weight")
+        report = run_identity(Identity.FULLY_DEG_BELL, 3, 3, corrupt="drop-unit-weight")
         data = report.to_json()
         ce = data["first_counterexample"]
         assert ce is not None
@@ -72,7 +62,7 @@ class TestReportShape:
 
 class TestSpiveyBellNumbers:
     def test_small_grid(self):
-        assert check_spivey_bell(6, 6).ok
+        assert run_identity(Identity.SPIVEY_BELL, 6, 6).ok
 
     def test_base_cell(self):
         lhs, rhs = _spivey_bell_sides(0, 0)
@@ -84,12 +74,12 @@ class TestSpiveyBellNumbers:
             assert lhs.const_value() == classical.bell_number(n + m)
 
     def test_polynomial_variant(self):
-        assert check_spivey_bell_poly(5, 5).ok
+        assert run_identity(Identity.SPIVEY_BELL_POLY, 5, 5).ok
 
 
 class TestFullyDegBellNumbers:
     def test_symbolic_grid(self):
-        assert check_fully_deg_bell(4, 4).ok
+        assert run_identity(Identity.FULLY_DEG_BELL, 4, 4).ok
 
     def test_hand_cell(self):
         lhs, rhs = _fully_deg_bell_sides(1, 1)
@@ -109,14 +99,19 @@ class TestFullyDegBellNumbers:
                 assert rhs.eval({Var.LAMBDA: 0}) == classical_rhs
 
     def test_rational_binding(self):
-        report = check_fully_deg_bell(3, 3, bindings={"l": Fraction(1, 2)})
+        report = run_identity(Identity.FULLY_DEG_BELL, 3, 3, bindings={"l": Fraction(1, 2)})
         assert report.ok
         assert report.grid[0]["l"] == "1/2"
+
+    def test_binding_applies_in_symbolic_mode(self):
+        report = run_identity(Identity.FULLY_DEG_BELL, 1, 1, bindings={"l": "1/2"})
+        assert report.grid[0] == {"n": 0, "m": 0, "l": "1/2"}
+        assert report.ok
 
 
 class TestFullyDegBellPolynomials:
     def test_symbolic_grid(self):
-        assert check_fully_deg_bell_poly(3, 3).ok
+        assert run_identity(Identity.FULLY_DEG_BELL_POLY, 3, 3).ok
 
     def test_cell_equals_family_polynomial(self):
         lhs, _ = _fully_deg_bell_poly_sides(1, 1)
@@ -141,7 +136,7 @@ class TestFullyDegBellPolynomials:
 
 class TestDegBellSpivey:
     def test_symbolic_grid(self):
-        assert check_deg_bell_spivey(4, 4).ok
+        assert run_identity(Identity.DEG_BELL_SPIVEY, 4, 4).ok
 
     def test_lambda_zero_matches_classical_polynomial_cells(self):
         for m in range(4):
@@ -163,10 +158,10 @@ class TestDegBellSpivey:
 
 class TestDegFubiniSpivey:
     def test_symbolic_grid(self):
-        assert check_deg_fubini_spivey(3, 3).ok
+        assert run_identity(Identity.DEG_FUBINI_SPIVEY, 3, 3).ok
 
     def test_hand_cell(self):
-        report = check_deg_fubini_spivey(0, 1)
+        report = run_identity(Identity.DEG_FUBINI_SPIVEY, 0, 1)
         assert report.ok
         from degenbell.verify import _deg_fubini_spivey_sides
 
@@ -175,7 +170,7 @@ class TestDegFubiniSpivey:
         assert rhs == T
 
     def test_classical_limit_identity(self):
-        assert check_fubini_spivey(4, 4).ok
+        assert run_identity(Identity.FUBINI_SPIVEY, 4, 4).ok
 
     def test_lambda_zero_matches_classical_cells(self):
         from degenbell.verify import _deg_fubini_spivey_sides, _fubini_spivey_sides
@@ -190,7 +185,7 @@ class TestDegFubiniSpivey:
 
 class TestVandermondeAndSplitting:
     def test_vandermonde_symbolic(self):
-        assert check_deg_vandermonde(10).ok
+        assert run_identity(Identity.DEG_VANDERMONDE, 10).ok
 
     def test_vandermonde_n2(self):
         from degenbell.verify import _deg_vandermonde_sides
@@ -209,14 +204,16 @@ class TestVandermondeAndSplitting:
             assert rhs.eval({Var.Y: 0}) == falling_factorial_deg(X, n)
 
     def test_splitting_grid(self):
-        report = check_exp_splitting(6, 6)
+        report = run_identity(Identity.EXP_SPLITTING, 6, 6)
         assert report.ok
         assert len(report.grid) == 49
+        # the truncation orders reach the sides, not the grid records
+        assert report.grid[-1] == {"j": 6, "k": 6}
 
 
 class TestFubiniSpecializations:
     def test_symbolic(self):
-        assert check_fubini_x_zero(8, 4).ok
+        assert run_identity(Identity.FUBINI_X_ZERO, 8, 4).ok
 
     def test_hand_cell(self):
         from degenbell.verify import _fubini_x_zero_sides
@@ -235,7 +232,7 @@ class TestFubiniSpecializations:
 
 class TestMutationDetection:
     def test_dropped_unit_weight_detected(self):
-        report = check_fully_deg_bell(3, 3, corrupt="drop-unit-weight")
+        report = run_identity(Identity.FULLY_DEG_BELL, 3, 3, corrupt="drop-unit-weight")
         assert report.fail_count > 0
         ce = report.first_counterexample
         assert ce is not None
@@ -243,7 +240,7 @@ class TestMutationDetection:
         assert ce.lhs != ce.rhs
 
     def test_unshifted_y_argument_detected(self):
-        report = check_deg_fubini_spivey(3, 3, corrupt="unshifted-y-arg")
+        report = run_identity(Identity.DEG_FUBINI_SPIVEY, 3, 3, corrupt="unshifted-y-arg")
         assert report.fail_count > 0
         ce = report.first_counterexample
         assert ce.bindings["n"] + ce.bindings["m"] <= 3
@@ -251,8 +248,17 @@ class TestMutationDetection:
     def test_mutants_survive_at_lambda_zero(self):
         # both corruptions vanish at l = 0, so the rational smoke layer
         # must pass there while the symbolic layer fails
-        report = check_fully_deg_bell(3, 3, bindings={"l": 0}, corrupt="drop-unit-weight")
+        report = run_identity(
+            Identity.FULLY_DEG_BELL, 3, 3, bindings={"l": 0}, corrupt="drop-unit-weight"
+        )
         assert report.ok
+
+    def test_unknown_mutation_rejected(self):
+        with pytest.raises(ValueError, match="drop-unit-wieght"):
+            run_identity(Identity.FULLY_DEG_BELL, 3, 3, corrupt="drop-unit-wieght")
+        # a mutation belongs to its own identity only
+        with pytest.raises(ValueError):
+            run_identity(Identity.SPIVEY_BELL, 3, 3, corrupt="drop-unit-weight")
 
 
 class TestSpecializationCoherence:

@@ -2,8 +2,13 @@
 
 The ring has four fixed indeterminates: the deformation parameter ``l``
 (printed lambda in the literature), the polynomial arguments ``x`` and
-``y``, and ``t``.  Coefficients are arbitrary-precision rationals
-(`fractions.Fraction`), so every computation downstream is exact.
+``y``, and ``t``.  Coefficients are arbitrary-precision rationals, so
+every computation downstream is exact.  A coefficient is stored as an
+``int`` when it is integral and as a `fractions.Fraction` with
+denominator greater than 1 otherwise: the families here lie in
+``Z[l, x, y, t]``, and only a division (the EGF route) makes a Fraction.
+Both types compare, hash and print alike, so the split is invisible from
+outside.  Floats are refused at every entry (`as_scalar`).
 
 A polynomial is a finite map from monomials to nonzero coefficients.  A
 monomial is the 4-tuple of exponents ``(e_l, e_x, e_y, e_t)``.  Terms are
@@ -51,44 +56,74 @@ def _term_key(mono: tuple[int, int, int, int]):
 Scalar = int | Fraction
 
 
-class Poly:
-    """Immutable sparse polynomial in ``l, x, y, t`` with Fraction coefficients.
+def _canon(c: Scalar) -> Scalar:
+    """The stored form of a coefficient: int when integral, else the Fraction."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
 
-    Supports ``+ - * **`` with automatic promotion of ints and Fractions,
-    partial evaluation at rational points, and substitution of a
-    polynomial for a variable.  Two polynomials are equal iff their term
-    maps are equal.
+
+def as_scalar(value: Scalar | str) -> Scalar:
+    """An exact scalar from outside the kernel, in stored form.
+
+    ints and Fractions pass, strings parse with `parse_rational`; a float
+    raises TypeError, since its binary value is rarely the number meant.
+    """
+    if isinstance(value, (int, Fraction)):
+        return _canon(value)
+    if isinstance(value, str):
+        return _canon(parse_rational(value))
+    raise TypeError(f"not an exact rational: {value!r} ({type(value).__name__})")
+
+
+class Poly:
+    """Immutable sparse polynomial in ``l, x, y, t`` with rational coefficients.
+
+    Coefficients are stored as nonzero ints, or Fractions whose
+    denominator exceeds 1.  Supports ``+ - * **`` with automatic promotion
+    of ints and Fractions, partial evaluation at rational points, and
+    substitution of a polynomial for a variable.  Two polynomials are
+    equal iff their term maps are equal.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: dict[tuple[int, int, int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int, int, int], Fraction] = {}
+    def __init__(self, terms: dict[tuple[int, int, int, int], Scalar | str] | None = None):
+        clean: dict[tuple[int, int, int, int], Scalar] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = as_scalar(c)
                 if c:
                     clean[mono] = c
         self._terms = clean
         self._hash = None
 
     @classmethod
-    def const(cls, c: Scalar) -> "Poly":
-        return cls({_ZERO_MONO: Fraction(c)})
+    def _trusted(cls, terms: dict[tuple[int, int, int, int], Scalar]) -> "Poly":
+        # no checks: every coefficient must already be nonzero and in
+        # _canon form, and the dict is kept, so the caller must not reuse it
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
+
+    @classmethod
+    def const(cls, c: Scalar | str) -> "Poly":
+        return cls({_ZERO_MONO: c})
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls.const(1)
+        return cls._trusted({_ZERO_MONO: 1})
 
     @classmethod
     def variable(cls, var: Var) -> "Poly":
         mono = [0, 0, 0, 0]
         mono[var] = 1
-        return cls({tuple(mono): Fraction(1)})
+        return cls._trusted({tuple(mono): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -103,10 +138,11 @@ class Poly:
     def is_const(self) -> bool:
         return not self._terms or set(self._terms) == {_ZERO_MONO}
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Scalar:
+        """The constant as an int or Fraction; 0 for the zero polynomial."""
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(_ZERO_MONO, Fraction(0))
+        return self._terms.get(_ZERO_MONO, 0)
 
     def degree_in(self, var: Var) -> int:
         """Largest exponent of var; -1 for the zero polynomial."""
@@ -127,7 +163,7 @@ class Poly:
                 rest = list(mono)
                 rest[var] = 0
                 out[tuple(rest)] = c
-        return Poly(out)
+        return Poly._trusted(out)
 
     def variables(self) -> set[Var]:
         return {Var(i) for m in self._terms for i in range(4) if m[i]}
@@ -139,7 +175,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
+            return Poly._trusted({_ZERO_MONO: _canon(other)} if other else {})
         return None
 
     def __add__(self, other) -> "Poly":
@@ -150,15 +186,16 @@ class Poly:
         for mono, c in other._terms.items():
             s = out.get(mono, 0) + c
             if s:
-                out[mono] = s
-            elif mono in out:
+                out[mono] = _canon(s)
+            else:
                 del out[mono]
-        return Poly(out)
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        # negation keeps the stored form, so no coefficient needs _canon
+        return Poly._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._promote(other)
@@ -173,24 +210,20 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, int, int, int], Fraction] = {}
+        out: dict[tuple[int, int, int, int], Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return Poly(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return Poly._trusted({m: _canon(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        inv = Fraction(1, 1) / Fraction(other)
-        return Poly({m: c * inv for m, c in self._terms.items()})
+        inv = Fraction(1) / other
+        return Poly._trusted({m: _canon(c * inv) for m, c in self._terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -217,31 +250,32 @@ class Poly:
 
     # -- evaluation and substitution ------------------------------------
 
-    def eval(self, bindings: dict[Var, Scalar]) -> "Poly":
+    def eval(self, bindings: dict[Var, Scalar | str]) -> "Poly":
         """Substitute rational values for a subset of the variables.
 
         Unbound variables survive; binding everything yields a constant
-        polynomial.
+        polynomial.  Values go through `as_scalar`.
         """
         if not bindings:
             return self
-        vals = {v: Fraction(c) for v, c in bindings.items()}
-        out: dict[tuple[int, int, int, int], Fraction] = {}
+        tables = []  # (var, [value**0, value**1, ...]) up to var's degree
+        for var, value in bindings.items():
+            value = as_scalar(value)
+            powers = [1]
+            for _ in range(self.degree_in(var)):
+                powers.append(powers[-1] * value)
+            tables.append((var, powers))
+        out: dict[tuple[int, int, int, int], Scalar] = {}
         for mono, c in self._terms.items():
             rest = list(mono)
-            for v, val in vals.items():
-                e = mono[v]
+            for var, powers in tables:
+                e = mono[var]
                 if e:
-                    c = c * val**e
-                    rest[v] = 0
-            if c:
-                key = tuple(rest)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Poly(out)
+                    c = c * powers[e]
+                    rest[var] = 0
+            key = tuple(rest)
+            out[key] = out.get(key, 0) + c
+        return Poly._trusted({m: _canon(c) for m, c in out.items() if c})
 
     def substitute(self, var: Var, replacement: "Poly") -> "Poly":
         """Replace var by an arbitrary polynomial and re-expand."""
@@ -252,12 +286,14 @@ class Poly:
                 powers[e] = pw(e - 1) * replacement
             return powers[e]
 
-        total = Poly.zero()
+        groups: dict[int, dict] = {}  # exponent of var -> terms of its cofactor
         for mono, c in self._terms.items():
-            e = mono[var]
             rest = list(mono)
             rest[var] = 0
-            total = total + Poly({tuple(rest): c}) * pw(e)
+            groups.setdefault(mono[var], {})[tuple(rest)] = c
+        total = Poly.zero()
+        for e, terms in groups.items():
+            total = total + Poly._trusted(terms) * pw(e)
         return total
 
     # -- rendering and serialization ------------------------------------

@@ -57,17 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json", "csv")):
+    def add_common(p, formats=("text", "json", "csv"), bind=True):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument(
-            "--bind",
-            action="append",
-            default=[],
-            type=_bind_pair,
-            metavar="VAR=RAT",
-            help="bind a variable (l, x, y, t) to an exact rational, e.g. l=1/2",
-        )
+        if bind:
+            p.add_argument(
+                "--bind",
+                action="append",
+                default=[],
+                type=_bind_pair,
+                metavar="VAR=RAT",
+                help="bind a variable (l, x, y, t) to an exact rational, e.g. l=1/2",
+            )
 
     p_table = sub.add_parser("table", help="render a family table")
     p_table.add_argument("--kind", choices=TABLE_KINDS, required=True)
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--kind", choices=LIMIT_KINDS, required=True)
     p_limit.add_argument("--n-max", type=int, default=8)
     p_limit.add_argument("--alpha", type=int, default=1)
-    add_common(p_limit)
+    add_common(p_limit, bind=False)  # the limit is l = 0; nothing else is bound
 
     return parser
 
@@ -161,8 +162,11 @@ def _table_text(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args) -> int:
-    table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
+def _cmd_table(args, parser) -> int:
+    try:
+        table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
     table = _apply_bindings(table, args.bind)
     if args.format == "json":
         _emit(json.dumps(table.to_json(), indent=2) + "\n", args.output)
@@ -188,6 +192,8 @@ def _cmd_poly(args, parser) -> int:
             else Poly.const(classical.stirling2(n, args.k))
         )
     else:
+        if args.k is not None:
+            parser.error(f"-k applies only to triangular kinds, not {kind}")
         table = build_table(kind, n, alpha=args.alpha)
         poly = table.values[-1][1]
     poly = poly.eval(dict(args.bind))
@@ -314,9 +320,10 @@ def main(argv=None) -> int:
         value = getattr(args, attr, None)
         if value is not None and value < 0:
             parser.error(f"--{attr.replace('_', '-')} must be nonnegative")
-    args.bind = dict(args.bind)
+    if hasattr(args, "bind"):  # limit takes no --bind
+        args.bind = dict(args.bind)
     if args.command == "table":
-        return _cmd_table(args)
+        return _cmd_table(args, parser)
     if args.command == "poly":
         return _cmd_poly(args, parser)
     if args.command == "series":

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .algebra import LAM, ONE, Poly, Var, X, var_from_symbol
+from .algebra import LAM, ONE, Poly, Var, X, as_scalar, var_from_symbol
 
 Scalar = int | Fraction
 
@@ -146,18 +146,19 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
 def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:
     """Bind ring variables by name: rationals evaluate, polynomials substitute.
 
-    Accepts keyword names l, x, y, t; string values parse as exact
-    rationals.  Used for every "at x = 1" / "l -> 0" style specialization
+    Accepts keyword names l, x, y, t.  Scalar values go through
+    `algebra.as_scalar`: strings parse as exact rationals and floats raise
+    TypeError.  Used for every "at x = 1" / "l -> 0" style specialization
     and for polynomial arguments such as x -> -l*t.
     """
-    rational: dict[Var, Fraction] = {}
+    rational: dict[Var, Scalar] = {}
     polynomial: list[tuple[Var, Poly]] = []
     for name, value in bindings.items():
         var = var_from_symbol(name)
         if isinstance(value, Poly):
             polynomial.append((var, value))
         else:
-            rational[var] = Fraction(value)
+            rational[var] = as_scalar(value)
     out = p.eval(rational)
     for var, q in polynomial:
         out = out.substitute(var, q)
@@ -256,7 +257,8 @@ def stirling2_deg_basis_table(n_max: int) -> SeqTable:
 def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1) -> SeqTable:
     """Build the standard table for any family kind, fast-path routes.
 
-    k_max caps the column index of triangular kinds; linear kinds ignore it.
+    k_max caps the column index of triangular kinds; giving it for a
+    linear kind raises ValueError.
     """
     from . import classical  # local import keeps oracle module standalone
 
@@ -292,6 +294,8 @@ def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1)
         )
         provenance = "recurrence"
     elif kind in linear:
+        if k_max is not None:
+            raise ValueError(f"k_max applies only to triangular kinds, not {kind}")
         fn = linear[kind]
         values = tuple(((n,), fn(n)) for n in range(n_max + 1))
         provenance = "closed-form"

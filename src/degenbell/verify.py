@@ -45,7 +45,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import classical
-from .algebra import LAM, ONE, Poly, T, Var, X, Y, var_from_symbol
+from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
     bell_deg,
     bell_fully_deg,
@@ -359,7 +359,8 @@ def run_identity(
 ) -> VerifyReport:
     """Check one identity over its grid; the single entry point.
 
-    Given bindings are evaluated in either mode.  Without them, rational
+    Given bindings are evaluated in either mode; their values go through
+    `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
     mode sweeps the identity's `spot_grid` and symbolic mode compares the
     exact polynomials.  The second bound doubles as the order bound K for
     exp-splitting and as alpha_max for fubini-x-zero.  ``corrupt`` names
@@ -379,7 +380,7 @@ def run_identity(
     if bindings:
         given = {}
         for key, value in bindings.items():
-            given[key if isinstance(key, Var) else var_from_symbol(key)] = Fraction(value)
+            given[key if isinstance(key, Var) else var_from_symbol(key)] = as_scalar(value)
         passes = [given]
     elif mode == "rational":
         passes = spot_grid(identity)

@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, ZERO, parse_rational
-from strategies import full_bindings, polys
+from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, ZERO, as_scalar, parse_rational
+from strategies import full_bindings, polys, rationals
+
+
+def assert_stored_form(p):
+    # every coefficient is a nonzero int, or a Fraction that is not integral
+    for c in p._terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
 
 
 class TestArithmetic:
@@ -62,6 +70,77 @@ class TestArithmetic:
         rebuilt = Poly(dict(p.terms()))
         assert rebuilt == p
         assert list(rebuilt.terms()) == list(p.terms())
+
+
+class TestCoefficientDomain:
+    @given(
+        a=polys(),
+        b=polys(),
+        bindings=full_bindings(),
+        e=st.integers(min_value=0, max_value=3),
+        d=rationals.filter(bool),
+    )
+    @settings(max_examples=60)
+    def test_stored_form_after_every_operation(self, a, b, bindings, e, d):
+        results = [
+            a,
+            a + b,
+            a - b,
+            a * b,
+            -a,
+            a**e,
+            a / d,
+            a * d,
+            a + d,
+            a.eval({Var.X: bindings[Var.X]}),
+            a.eval(bindings),
+            a.substitute(Var.X, b),
+            Poly.from_json(a.to_json()),
+        ]
+        for p in results:
+            assert_stored_form(p)
+
+    def test_integral_fraction_is_stored_as_int(self):
+        m = (1, 0, 2, 0)
+        as_fraction, as_int = Poly({m: Fraction(6, 2)}), Poly({m: 3})
+        assert type(as_fraction._terms[m]) is int
+        assert as_fraction == as_int
+        assert hash(as_fraction) == hash(as_int)
+        assert str(as_fraction) == str(as_int) == "3*l*y^2"
+        assert as_fraction.to_json() == as_int.to_json()
+
+    def test_division_back_to_integers(self):
+        p = (3 * X - LAM) / 2 * 2
+        assert_stored_form(p)
+        assert all(type(c) is int for c in p._terms.values())
+        assert (3 * X) / 4 == Fraction(3, 4) * X
+
+    def test_const_value_types(self):
+        assert type(ZERO.const_value()) is int and ZERO.const_value() == 0
+        assert type(Poly.const(Fraction(4, 2)).const_value()) is int
+        assert Poly.const("2/3").const_value() == Fraction(2, 3)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(3, 3), (Fraction(8, 4), 2), (Fraction(1, 3), Fraction(1, 3)), ("-5/10", Fraction(-1, 2))],
+    )
+    def test_as_scalar_accepts_exact_values(self, value, expected):
+        out = as_scalar(value)
+        assert out == expected
+        assert type(out) is type(expected)
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, None, X])
+    def test_as_scalar_refuses_inexact_values(self, value):
+        with pytest.raises(TypeError):
+            as_scalar(value)
+
+    def test_const_refuses_float(self):
+        with pytest.raises(TypeError):
+            Poly.const(0.1)
+        with pytest.raises(TypeError):
+            Poly({(0, 1, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            X.eval({Var.X: 0.5})
 
 
 class TestEval:

@@ -222,6 +222,10 @@ class TestSpecialize:
         with pytest.raises(ValueError):
             specialize(X, z=1)
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            specialize(bell_fully_deg(2), l=0.1)
+
 
 class TestTables:
     def test_build_triangular(self):
@@ -236,6 +240,11 @@ class TestTables:
         assert table.bounds == {"n_max": 4, "k_max": 1}
         assert all(k <= 1 for (_, k), _ in table.values)
         assert dict(table.values)[(4, 1)] == unit_falling_factorial_deg(4)
+
+    def test_k_max_rejected_for_linear_kinds(self):
+        for kind in ("deg-bell", "two-var-deg-fubini", "classical-bell"):
+            with pytest.raises(ValueError, match="triangular"):
+                build_table(kind, 2, k_max=0)
 
     def test_build_linear_with_alpha(self):
         table = build_table("two-var-deg-fubini", 2, alpha=2)

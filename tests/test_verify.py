@@ -108,6 +108,11 @@ class TestFullyDegBellNumbers:
         assert report.grid[0] == {"n": 0, "m": 0, "l": "1/2"}
         assert report.ok
 
+    def test_float_binding_rejected(self):
+        for mode in ("symbolic", "rational"):
+            with pytest.raises(TypeError):
+                run_identity(Identity.FULLY_DEG_BELL, 1, 1, mode=mode, bindings={"l": 0.1})
+
 
 class TestFullyDegBellPolynomials:
     def test_symbolic_grid(self):

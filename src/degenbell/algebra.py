@@ -329,12 +329,13 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: list) -> "Poly":
+        """Inverse of `to_json`; coefficients go through `as_scalar`."""
         terms = {}
         for item in data:
             mono = [0, 0, 0, 0]
             for sym, e in item["m"].items():
                 mono[var_from_symbol(sym)] = int(e)
-            terms[tuple(mono)] = Fraction(item["c"])
+            terms[tuple(mono)] = item["c"]
         return cls(terms)
 
 

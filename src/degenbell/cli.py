@@ -28,7 +28,14 @@ import textwrap
 from fractions import Fraction
 
 from .algebra import Poly, Var, parse_rational, var_from_symbol
-from .sequences import TABLE_KINDS, build_table, classical_counterpart, stirling2_deg
+from .sequences import (
+    _LINEAR,
+    TABLE_KINDS,
+    TRIANGULAR_KINDS,
+    build_table,
+    classical_counterpart,
+    stirling2_deg,
+)
 from .series import DEFAULT_ORDER, Series, deg_exp_of, exp_of
 from .verify import Identity, run_identity
 
@@ -183,7 +190,7 @@ def _cmd_poly(args, parser) -> int:
     kind, n = args.kind, args.n
     if n < 0:
         parser.error("n must be nonnegative")
-    if kind in ("deg-stirling2", "classical-stirling2"):
+    if kind in TRIANGULAR_KINDS:
         if args.k is None:
             parser.error(f"kind {kind} needs -k")
         poly = (
@@ -194,8 +201,7 @@ def _cmd_poly(args, parser) -> int:
     else:
         if args.k is not None:
             parser.error(f"-k applies only to triangular kinds, not {kind}")
-        table = build_table(kind, n, alpha=args.alpha)
-        poly = table.values[-1][1]
+        poly = _LINEAR[kind](n, args.alpha)
     poly = poly.eval(dict(args.bind))
     if args.format == "json":
         _emit(json.dumps(poly.to_json(), indent=2) + "\n", args.output)

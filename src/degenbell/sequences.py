@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
+from . import classical
 from .algebra import LAM, ONE, Poly, Var, X, as_scalar, var_from_symbol
 
 Scalar = int | Fraction
@@ -168,17 +169,20 @@ def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:
 # -- tables ----------------------------------------------------------------
 
 TRIANGULAR_KINDS = ("deg-stirling2", "classical-stirling2")
-LINEAR_KINDS = (
-    "deg-bell",
-    "fully-deg-bell",
-    "deg-fubini",
-    "two-var-deg-fubini",
-    "deg-falling-factorial",
-    "falling-factorial",
-    "rising-factorial",
-    "classical-bell",
-    "classical-fubini",
-)
+# kind -> builder(n, alpha) of one polynomial; lambdas, so each call looks the
+# family up by its module-global name
+_LINEAR = {
+    "deg-bell": lambda n, alpha: bell_deg(n),
+    "fully-deg-bell": lambda n, alpha: bell_fully_deg(n),
+    "deg-fubini": lambda n, alpha: fubini_deg(n),
+    "two-var-deg-fubini": lambda n, alpha: fubini_two_var_alpha(n, alpha),
+    "deg-falling-factorial": lambda n, alpha: falling_factorial_deg(X, n),
+    "falling-factorial": lambda n, alpha: falling_factorial(X, n),
+    "rising-factorial": lambda n, alpha: rising_factorial(X, n),
+    "classical-bell": lambda n, alpha: classical.bell_poly(n),
+    "classical-fubini": lambda n, alpha: classical.fubini_poly(n),
+}
+LINEAR_KINDS = tuple(_LINEAR)
 TABLE_KINDS = TRIANGULAR_KINDS + LINEAR_KINDS
 
 
@@ -260,19 +264,6 @@ def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1)
     k_max caps the column index of triangular kinds; giving it for a
     linear kind raises ValueError.
     """
-    from . import classical  # local import keeps oracle module standalone
-
-    linear = {
-        "deg-bell": bell_deg,
-        "fully-deg-bell": bell_fully_deg,
-        "deg-fubini": fubini_deg,
-        "two-var-deg-fubini": lambda n: fubini_two_var_alpha(n, alpha),
-        "deg-falling-factorial": lambda n: falling_factorial_deg(X, n),
-        "falling-factorial": lambda n: falling_factorial(X, n),
-        "rising-factorial": lambda n: rising_factorial(X, n),
-        "classical-bell": classical.bell_poly,
-        "classical-fubini": classical.fubini_poly,
-    }
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     bounds: dict = {"n_max": n_max}
@@ -293,11 +284,11 @@ def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1)
             for k in columns(n)
         )
         provenance = "recurrence"
-    elif kind in linear:
+    elif kind in _LINEAR:
         if k_max is not None:
             raise ValueError(f"k_max applies only to triangular kinds, not {kind}")
-        fn = linear[kind]
-        values = tuple(((n,), fn(n)) for n in range(n_max + 1))
+        fn = _LINEAR[kind]
+        values = tuple(((n,), fn(n, alpha)) for n in range(n_max + 1))
         provenance = "closed-form"
         if kind == "two-var-deg-fubini":
             bounds["alpha"] = alpha
@@ -310,8 +301,6 @@ def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1)
 
 def classical_counterpart(kind: str, n_max: int, alpha: int = 1) -> SeqTable:
     """The independently computed classical family matching a degenerate kind."""
-    from . import classical
-
     if kind == "deg-stirling2":
         return build_table("classical-stirling2", n_max)
     if kind in ("deg-bell", "fully-deg-bell"):

@@ -195,30 +195,26 @@ class Series:
         return cls(coeffs)
 
 
-def deg_exp_of(a: Series) -> Series:
-    """e_l(a(s)) = sum_k (1)_{k,l} a^k / k! for a with zero constant term."""
+def _weighted_exp(a: Series, weights) -> Series:
+    """sum_k weights[k] a^k / k! for a with zero constant term."""
     if not a.coeffs[0].is_zero():
         raise ValuationError("series has nonzero constant term")
     total = Series.unit(a.order)
     power = Series.unit(a.order)  # a^k / k!, built incrementally
-    weight = Poly.one()  # (1)_{k,l}
     for k in range(1, a.order + 1):
         power = power * a * Fraction(1, k)
-        weight = weight * (ONE - (k - 1) * LAM)
-        total = total + weight * power
+        total = total + weights[k] * power
     return total
+
+
+def deg_exp_of(a: Series) -> Series:
+    """e_l(a(s)) = sum_k (1)_{k,l} a^k / k! for a with zero constant term."""
+    return _weighted_exp(a, Series.deg_exp(1, a.order).coeffs)
 
 
 def exp_of(a: Series) -> Series:
     """Classical e^(a(s)) = sum_k a^k / k! for a with zero constant term."""
-    if not a.coeffs[0].is_zero():
-        raise ValuationError("series has nonzero constant term")
-    total = Series.unit(a.order)
-    power = Series.unit(a.order)
-    for k in range(1, a.order + 1):
-        power = power * a * Fraction(1, k)
-        total = total + power
-    return total
+    return _weighted_exp(a, [1] * (a.order + 1))
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, Neste
     side needs no composition at all, so it serves as the oracle.
     """
     J, K = j_order, k_order
-    one_ff = _unit_falling_factorials(J + K)
+    one_ff = Series.deg_exp(1, J + K).coeffs  # (1)_{n,l}
 
     # left: ordinary coefficient of u^j v^k in sum_n (1)_{n,l} (u+v)^n / n!
     left = [[Poly.zero()] * (K + 1) for _ in range(J + 1)]
@@ -283,11 +279,3 @@ def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, Neste
         )
 
     return to_egf(left), to_egf(right)
-
-
-def _unit_falling_factorials(n_max: int) -> list[Poly]:
-    """(1)_{n,l} for n = 0 .. n_max."""
-    out = [Poly.one()]
-    for n in range(n_max):
-        out.append(out[-1] * (ONE - n * LAM))
-    return out

@@ -5,29 +5,40 @@ parameter ``l`` (and possibly an argument ``x``/``t``), so the strongest
 check is exact symbolic equality of both sides as `Poly` values; rational
 parameter grids exist as a fast smoke layer over the same cells.
 
-The checked identities, with S2_l / phi / Bel / F as in `sequences`:
+Seven of the checked identities are Spivey-type, and one double sum,
+`_spivey_sides`, builds both sides of each of them:
 
-  spivey-bell           phi_{n+m} = sum_{k<=m, l<=n} S(m,k) C(n,l) k^(n-l) phi_l
-  spivey-bell-poly      the same with x^k weights and Bell polynomials
-  deg-bell-spivey       phi_{n+m,l}(x) = sum S2_l(m,k) C(n,l) x^k
-                            (k - m*l)_{n-l,l} phi_{l,l}(x)
-  fully-deg-bell        Bel_{n+m,l} = sum (1)_{k,l} S2_l(m,k) C(n,l)
-                            Bel_{l,l} F^(k)_{n-l,l}(-l, k - m*l)
-  fully-deg-bell-poly   Bel_{n+m,l}(t) = sum (1)_{k,l} S2_l(m,k) C(n,l) t^k
-                            F^(k)_{n-l,l}(-l*t, k - m*l) Bel_{l,l}(t)
-  deg-fubini-spivey     F_{n+m,l}(t) = sum k! S2_l(m,k) C(n,l) t^k
-                            F^(k)_{n-l,l}(t, k - m*l) F_{l,l}(t)
-  fubini-spivey         the l = 0 form of the previous line
-  deg-vandermonde       (x+y)_{n,l} = sum_j C(n,j) (x)_{j,l} (y)_{n-j,l}
-  exp-splitting         e_l(u+v) = e_l(u) e_l(v / (1 + l*u)) as nested series
-  fubini-x-zero         F^(a)_{n,l}(0, y) = (y)_{n,l}  and
-                        F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
+    B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
+
+An identity is the choice of three parts: the outer family B, the weight
+W and the inner factor G.  With S2_l / phi / Bel / F as in `sequences`
+and S, phi_j, F_j their classical (l = 0) forms from `classical`:
+
+  identity             B_j           W(m, k)                  G(j, k, m)
+  spivey-bell          phi_j(1)      S(m,k)                   k^j
+  spivey-bell-poly     phi_j(x)      S(m,k) x^k               k^j
+  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            (k - m*l)_{j,l}
+  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l, k - m*l)
+  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t, k - m*l)
+  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t, k - m*l)
+  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t, k)
+
+The other three have builders of their own:
+
+  deg-vandermonde  (x+y)_{n,l} = sum_j C(n,j) (x)_{j,l} (y)_{n-j,l}
+  exp-splitting    e_l(u+v) = e_l(u) e_l(v / (1 + l*u)) as nested series
+  fubini-x-zero    F^(a)_{n,l}(0, y) = (y)_{n,l}  and
+                   F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
 
 Each identity has one entry in a registry: its grid cells, its side
 builder, the free variables of its rational spot grid and its named
-mutations.  `run_identity` is the single entry point.  Bindings given to
-it are evaluated in either mode; without them, ``rational`` mode sweeps
-`spot_grid` and ``symbolic`` mode compares exact polynomials.
+mutations.  A mutation is data: it swaps one part of the side builder.
+``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
+``unshifted-y-arg`` replaces G of deg-fubini-spivey by F^(k)_{j,l}(t, k).
+`run_identity` is the single entry point.  It builds each cell's sides
+once.  Bindings given to it are evaluated in either mode; without them,
+``rational`` mode evaluates the sides at every point of `spot_grid` and
+``symbolic`` mode compares the exact polynomials.
 
 A failing cell is reported, never raised: the harness must also be able
 to demonstrate that a wrong identity fails, which ``run_identity(...,
@@ -39,9 +50,9 @@ from __future__ import annotations
 import enum
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 
 from . import classical
@@ -108,146 +119,51 @@ class VerifyReport:
 Bindings = dict[Var, Fraction]
 
 
-# -- cell builders, one per identity ------------------------------------------
+# -- the Spivey-type double sum and its parts ----------------------------------
 
 
-def _spivey_bell_sides(n: int, m: int):
-    lhs = classical.bell_number(n + m)
-    rhs = 0
+def _spivey_sides(n: int, m: int, outer, weight, inner):
+    """Both sides of B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l.
+
+    The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k)
+    and ``inner(j, k, m)`` = G(j, k, m); a k whose weight is zero is skipped.
+    """
+    rhs = 0  # stays an int while every part is one (the classical numbers)
     for k in range(m, -1, -1):
-        s2 = classical.stirling2(m, k)
-        if not s2:
+        w = weight(m, k)
+        if w == 0:
             continue
         for l in range(n, -1, -1):
-            rhs += s2 * comb(n, l) * k ** (n - l) * classical.bell_number(l)
-    return Poly.const(lhs), Poly.const(rhs)
-
-
-def _spivey_bell_poly_sides(n: int, m: int):
-    lhs = classical.bell_poly(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = classical.stirling2(m, k)
-        if not s2:
-            continue
-        xk = s2 * X**k
-        for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * k ** (n - l) * xk * classical.bell_poly(l)
-    return lhs, rhs
+            rhs = rhs + comb(n, l) * w * outer(l) * inner(n - l, k, m)
+    # adding the zero polynomial makes an int side a Poly and copies a Poly side
+    return outer(n + m) + Poly.zero(), rhs + Poly.zero()
 
 
 @cache
-def _deg_bell_spivey_sides(n: int, m: int):
-    lhs = bell_deg(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = stirling2_deg(m, k)
-        if s2.is_zero():
-            continue
-        base = Poly.const(k) - m * LAM
-        xk = s2 * X**k
-        for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * xk * falling_factorial_deg(base, n - l) * bell_deg(l)
-    return lhs, rhs
+def _shift(k: int, m: int) -> Poly:
+    """k - m*l, the shifted argument of the degenerate inner factors (memoized,
+    so the `_two_var_at` keys built from it hash once)."""
+    return Poly.const(k) - m * LAM
 
 
 @cache
-def _bel_number_deg(l: int) -> Poly:
-    return bell_fully_deg(l).eval({Var.X: 1})
+def _family_at(family: Callable[[int], Poly], j: int, x_arg: Poly) -> Poly:
+    """family(j) with x replaced by x_arg (t, or 1 for the number version)."""
+    return family(j).substitute(Var.X, x_arg)
 
 
 @cache
-def _fub_arg_neg_lambda(j: int, k: int, m: int) -> Poly:
-    # F^(k)_{j,l}(-l, k - m*l)
-    p = fubini_two_var_alpha(j, k)
-    return p.substitute(Var.X, -LAM).substitute(Var.Y, Poly.const(k) - m * LAM)
+def _two_var_at(j: int, k: int, x_arg: Poly, y_arg: Poly) -> Poly:
+    """F^(k)_{j,l}(x_arg, y_arg)."""
+    return fubini_two_var_alpha(j, k).substitute(Var.X, x_arg).substitute(Var.Y, y_arg)
 
 
-def _fully_deg_bell_sides(n: int, m: int, corrupt: str | None = None):
-    lhs = _bel_number_deg(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = stirling2_deg(m, k)
-        if s2.is_zero():
-            continue
-        weight = ONE if corrupt == "drop-unit-weight" else unit_falling_factorial_deg(k)
-        ws = weight * s2
-        for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * ws * _bel_number_deg(l) * _fub_arg_neg_lambda(n - l, k, m)
-    return lhs, rhs
+def _two_var_inner(x_arg: Poly, shifted: bool = True):
+    """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), or F^(k)_{j,l}(x_arg, k) unshifted."""
+    return lambda j, k, m: _two_var_at(j, k, x_arg, _shift(k, m if shifted else 0))
 
 
-@cache
-def _bel_poly_t(l: int) -> Poly:
-    return bell_fully_deg(l).substitute(Var.X, T)
-
-
-@cache
-def _fub_arg_neg_lambda_t(j: int, k: int, m: int) -> Poly:
-    # F^(k)_{j,l}(-l*t, k - m*l)
-    p = fubini_two_var_alpha(j, k)
-    return p.substitute(Var.X, -LAM * T).substitute(Var.Y, Poly.const(k) - m * LAM)
-
-
-@cache
-def _fully_deg_bell_poly_sides(n: int, m: int):
-    lhs = _bel_poly_t(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = stirling2_deg(m, k)
-        if s2.is_zero():
-            continue
-        wk = unit_falling_factorial_deg(k) * s2 * T**k
-        for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * wk * _fub_arg_neg_lambda_t(n - l, k, m) * _bel_poly_t(l)
-    return lhs, rhs
-
-
-@cache
-def _fubini_poly_t(l: int) -> Poly:
-    return fubini_deg(l).substitute(Var.X, T)
-
-
-@cache
-def _fub_arg_t(j: int, k: int, m: int, shifted: bool) -> Poly:
-    # F^(k)_{j,l}(t, k - m*l); the unshifted variant drops the -m*l term
-    p = fubini_two_var_alpha(j, k)
-    y_arg = Poly.const(k) - m * LAM if shifted else Poly.const(k)
-    return p.substitute(Var.X, T).substitute(Var.Y, y_arg)
-
-
-def _deg_fubini_spivey_sides(n: int, m: int, corrupt: str | None = None):
-    shifted = corrupt != "unshifted-y-arg"
-    lhs = _fubini_poly_t(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = stirling2_deg(m, k)
-        if s2.is_zero():
-            continue
-        wk = factorial(k) * s2 * T**k
-        for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * wk * _fub_arg_t(n - l, k, m, shifted) * _fubini_poly_t(l)
-    return lhs, rhs
-
-
-@cache
-def _classical_fubini_t(l: int) -> Poly:
-    return classical.fubini_poly(l).substitute(Var.X, T)
-
-
-def _fubini_spivey_sides(n: int, m: int):
-    lhs = _classical_fubini_t(n + m)
-    rhs = Poly.zero()
-    for k in range(m, -1, -1):
-        s2 = classical.stirling2(m, k)
-        if not s2:
-            continue
-        fk = factorial(k) * s2 * T**k
-        for l in range(n, -1, -1):
-            two_var = classical.two_var_fubini_poly(n - l, k)
-            two_var = two_var.substitute(Var.X, T).eval({Var.Y: k})
-            rhs = rhs + comb(n, l) * fk * two_var * _classical_fubini_t(l)
-    return lhs, rhs
+# -- the other identities' builders --------------------------------------------
 
 
 def _deg_vandermonde_sides(n: int):
@@ -285,13 +201,14 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
 class _Spec:
     """One identity's check: each cell of ``cells(n_max, m_max)`` is checked as
     ``sides(**cell, **context)``, with the grid bounds passed under the names
-    in ``orders`` and a requested mutation as ``corrupt``.
+    in ``orders``.  A mutation maps the keyword parts of ``sides`` that it
+    swaps to their replacements.
     """
 
     cells: Callable[[int, int], list[dict]]
     sides: Callable[..., tuple[Poly, Poly]]
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
-    mutations: tuple[str, ...] = ()
+    mutations: dict[str, dict[str, Callable]] = field(default_factory=dict)
     orders: tuple[str, ...] = ()
 
 
@@ -317,20 +234,61 @@ def _fubini_x_zero_cells(n_max: int, alpha_max: int):
     ]
 
 
+def _spivey(spot_vars, outer, weight, inner, mutations=None) -> _Spec:
+    """A Spivey-type identity from its parts B (outer), W (weight) and G (inner)."""
+    sides = partial(_spivey_sides, outer=outer, weight=weight, inner=inner)
+    return _Spec(_nm_cells, sides, spot_vars, mutations or {})
+
+
+# The parts are lambdas, so every call looks the family builders up by their
+# module-global names (which perfbench's tracer patches).
 _SPECS = {
-    Identity.SPIVEY_BELL: _Spec(_nm_cells, _spivey_bell_sides, ()),
-    Identity.SPIVEY_BELL_POLY: _Spec(_nm_cells, _spivey_bell_poly_sides, (Var.X,)),
-    Identity.DEG_BELL_SPIVEY: _Spec(_nm_cells, _deg_bell_spivey_sides, (Var.LAMBDA, Var.X)),
-    Identity.FULLY_DEG_BELL: _Spec(
-        _nm_cells, _fully_deg_bell_sides, (Var.LAMBDA,), mutations=("drop-unit-weight",)
+    Identity.SPIVEY_BELL: _spivey(
+        (),
+        outer=lambda j: classical.bell_number(j),
+        weight=lambda m, k: classical.stirling2(m, k),
+        inner=lambda j, k, m: k**j,
     ),
-    Identity.FULLY_DEG_BELL_POLY: _Spec(
-        _nm_cells, _fully_deg_bell_poly_sides, (Var.LAMBDA, Var.T)
+    Identity.SPIVEY_BELL_POLY: _spivey(
+        (Var.X,),
+        outer=lambda j: classical.bell_poly(j),
+        weight=lambda m, k: classical.stirling2(m, k) * X**k,
+        inner=lambda j, k, m: k**j,
     ),
-    Identity.DEG_FUBINI_SPIVEY: _Spec(
-        _nm_cells, _deg_fubini_spivey_sides, (Var.LAMBDA, Var.T), mutations=("unshifted-y-arg",)
+    Identity.DEG_BELL_SPIVEY: _spivey(
+        (Var.LAMBDA, Var.X),
+        outer=lambda j: bell_deg(j),
+        weight=lambda m, k: stirling2_deg(m, k) * X**k,
+        inner=lambda j, k, m: falling_factorial_deg(_shift(k, m), j),
     ),
-    Identity.FUBINI_SPIVEY: _Spec(_nm_cells, _fubini_spivey_sides, (Var.T,)),
+    Identity.FULLY_DEG_BELL: _spivey(
+        (Var.LAMBDA,),
+        outer=lambda j: _family_at(bell_fully_deg, j, ONE),
+        weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
+        inner=_two_var_inner(-LAM),
+        mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
+    ),
+    Identity.FULLY_DEG_BELL_POLY: _spivey(
+        (Var.LAMBDA, Var.T),
+        outer=lambda j: _family_at(bell_fully_deg, j, T),
+        weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
+        inner=_two_var_inner(-LAM * T),
+    ),
+    Identity.DEG_FUBINI_SPIVEY: _spivey(
+        (Var.LAMBDA, Var.T),
+        outer=lambda j: _family_at(fubini_deg, j, T),
+        weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
+        inner=_two_var_inner(T),
+        mutations={"unshifted-y-arg": {"inner": _two_var_inner(T, shifted=False)}},
+    ),
+    Identity.FUBINI_SPIVEY: _spivey(
+        (Var.T,),
+        outer=lambda j: _family_at(classical.fubini_poly, j, T),
+        weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
+        inner=lambda j, k, m: (
+            classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})
+        ),
+    ),
     Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
     Identity.EXP_SPLITTING: _Spec(
         _jk_cells, _exp_splitting_sides, (Var.LAMBDA,), orders=("j_order", "k_order")
@@ -362,21 +320,22 @@ def run_identity(
     Given bindings are evaluated in either mode; their values go through
     `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
     mode sweeps the identity's `spot_grid` and symbolic mode compares the
-    exact polynomials.  The second bound doubles as the order bound K for
-    exp-splitting and as alpha_max for fubini-x-zero.  ``corrupt`` names
-    one of the identity's mutations, which must make the check fail.
+    exact polynomials; each cell's sides are built once for all passes.
+    The second bound doubles as the order bound K for exp-splitting and as
+    alpha_max for fubini-x-zero.  ``corrupt`` names one of the identity's
+    mutations, which must make the check fail.
     Cells run in a fixed order (bindings outer, then the grid), so the
     first counterexample is deterministic.
     """
     if mode not in ("symbolic", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     spec = _SPECS[identity]
-    context = dict(zip(spec.orders, (n_max, m_max)))
+    sides = spec.sides
     if corrupt is not None:
         if corrupt not in spec.mutations:
             known = ", ".join(spec.mutations) or "none"
             raise ValueError(f"unknown mutation {corrupt!r} for {identity.value} (known: {known})")
-        context["corrupt"] = corrupt
+        sides = partial(sides, **spec.mutations[corrupt])
     if bindings:
         given = {}
         for key, value in bindings.items():
@@ -388,12 +347,13 @@ def run_identity(
         passes = [{}]
 
     cells = spec.cells(n_max, m_max)
+    context = dict(zip(spec.orders, (n_max, m_max)))
+    built = [sides(**cell, **context) for cell in cells]
     grid = []
     pass_count = fail_count = 0
     first = None
     for bound in passes:
-        for cell in cells:
-            lhs, rhs = spec.sides(**cell, **context)
+        for cell, (lhs, rhs) in zip(cells, built):
             record = dict(cell)
             if bound:
                 lhs, rhs = lhs.eval(bound), rhs.eval(bound)

@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies for exact polynomials and series."""
+"""Shared test helpers: hypothesis strategies for exact polynomials and
+series, and the registry accessor for one cell of a Spivey-type identity."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from degenbell.algebra import Poly, Var
+from degenbell.verify import _SPECS
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
@@ -26,3 +28,8 @@ def polys(draw, max_terms=4, max_exp=2, variables=tuple(Var)):
 @st.composite
 def full_bindings(draw):
     return {v: draw(rationals) for v in Var}
+
+
+def sides(identity, n, m):
+    """Both sides of cell (n, m) of a Spivey-type identity, as run_identity builds them."""
+    return _SPECS[identity].sides(n=n, m=m)

@@ -19,7 +19,8 @@ from degenbell.sequences import (
     stirling2_deg_basis_table,
 )
 from degenbell.series import Series, deg_exp_of
-from degenbell.verify import Identity, _deg_bell_spivey_sides, run_identity
+from degenbell.verify import Identity, run_identity
+from strategies import sides
 
 CLASSICAL_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -63,7 +64,7 @@ def test_criterion_4_deg_bell_recurrence_and_classical_reduction():
     bound = {Var.LAMBDA: 0, Var.X: 1}
     for m in range(9):
         for n in range(9 - m):
-            lhs, rhs = _deg_bell_spivey_sides(n, m)
+            lhs, rhs = sides(Identity.DEG_BELL_SPIVEY, n, m)
             expected = Poly.const(CLASSICAL_BELL[n + m])
             ok = ok and lhs.eval(bound) == expected and rhs.eval(bound) == expected
     ok = ok and run_identity(Identity.SPIVEY_BELL, 4, 4).ok

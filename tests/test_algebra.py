@@ -134,6 +134,11 @@ class TestCoefficientDomain:
         with pytest.raises(TypeError):
             as_scalar(value)
 
+    @pytest.mark.parametrize("text", ["1e-3", "0.5", "1/0"])
+    def test_from_json_refuses_inexact_text(self, text):
+        with pytest.raises(ValueError):
+            Poly.from_json([{"m": {}, "c": text}])
+
     def test_const_refuses_float(self):
         with pytest.raises(TypeError):
             Poly.const(0.1)

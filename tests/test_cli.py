@@ -1,16 +1,22 @@
 """CLI contract: subcommands, exit codes, deterministic output, round-trips."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenbell.algebra import Poly
-from degenbell.cli import main
-from degenbell.sequences import SeqTable
+from degenbell.cli import LIMIT_KINDS, main
+from degenbell.sequences import LINEAR_KINDS, TABLE_KINDS, SeqTable
 from degenbell.series import Series
+from degenbell.verify import Identity
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +154,13 @@ class TestPoly:
         from degenbell.sequences import bell_fully_deg
 
         assert poly == bell_fully_deg(2)
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_linear_kind_is_last_table_row(self, capsys, kind):
+        tail = ("--alpha", "2", "--format", "json")
+        _, poly_out = run_cli(capsys, "poly", "--kind", kind, "-n", "4", *tail)
+        _, table_out = run_cli(capsys, "table", "--kind", kind, "--n-max", "4", *tail)
+        assert json.loads(poly_out) == json.loads(table_out)["values"][-1]["poly"]
 
 
 class TestSeries:
@@ -322,6 +335,75 @@ class TestDeterminism:
         code, out = run_cli(capsys, "poly", "--kind", "deg-fubini", "-n", "6")
         assert code == 0
         assert all(len(line) <= 30 for line in out.splitlines())
+
+
+# Option values for the fuzz test: (valid, malformed).  Bounds stay at most 3.
+INTS = (["0", "1", "2", "3"], ["-1", "x", ""])
+BINDS = (["l=1/2", "l=-1/3", "x=2", "y=0", "t=3/2"], ["l=", "q=1", "l=0.5", "l=1/0", "=3", "l"])
+GFS = (
+    ["deg-exp", "deg-bell", "fully-deg-bell", "deg-fubini", "two-var-fubini:2"],
+    ["two-var-fubini:-1", "two-var-fubini:x", "nope"],
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from the documented subcommands and flags, each optional flag
+    drawn or left out.  At most one value is malformed, so that a usage
+    error on one flag never hides the path another value takes."""
+    bad_slot = draw(st.integers(min_value=-1, max_value=7))  # -1: none
+    slots = itertools.count()
+    command = draw(st.sampled_from(["table", "poly", "series", "verify", "limit"]))
+    argv = [command]
+
+    def value(values):
+        valid, bad = values
+        return draw(st.sampled_from(bad if next(slots) == bad_slot else valid))
+
+    def flag(name, values, required=False):
+        if required or draw(st.booleans()):
+            argv.extend([name, value(values)])
+
+    if command in ("table", "poly", "limit"):
+        kinds = LIMIT_KINDS if command == "limit" else TABLE_KINDS
+        flag("--kind", (list(kinds), ["nope"]), required=True)
+        flag("--alpha", INTS)
+    if command in ("table", "verify", "limit"):
+        flag("--n-max", INTS, required=True)  # every default bound is above 3
+    if command == "table":
+        flag("--k-max", INTS)
+    elif command == "poly":
+        flag("-n", INTS, required=True)
+        flag("-k", INTS)
+    elif command == "series":
+        flag("--gf", GFS, required=True)
+        flag("--order", INTS, required=True)
+    elif command == "verify":
+        if draw(st.booleans()):
+            argv.append("--all")
+        else:
+            flag("--id", ([i.value for i in Identity], ["nope"]), required=True)
+        flag("--m-max", INTS, required=True)
+        flag("--mode", (["symbolic", "rational"], ["numeric"]))
+    formats = ["text", "json", "csv"] if command in ("table", "limit") else ["text", "json"]
+    flag("--format", (formats, ["xml"]))
+    if command != "limit":  # limit takes no --bind
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            argv.extend(["--bind", value(BINDS)])
+    return argv
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_any_documented_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
 
 
 class TestEntryPoint:

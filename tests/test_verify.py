@@ -17,13 +17,9 @@ from degenbell.verify import (
     VerifyReport,
     run_identity,
     spot_grid,
-    _deg_bell_spivey_sides,
-    _fully_deg_bell_poly_sides,
-    _fully_deg_bell_sides,
-    _spivey_bell_poly_sides,
-    _spivey_bell_sides,
 )
 from math import comb
+from strategies import sides
 
 
 class TestReportShape:
@@ -65,12 +61,12 @@ class TestSpiveyBellNumbers:
         assert run_identity(Identity.SPIVEY_BELL, 6, 6).ok
 
     def test_base_cell(self):
-        lhs, rhs = _spivey_bell_sides(0, 0)
+        lhs, rhs = sides(Identity.SPIVEY_BELL, 0, 0)
         assert lhs == rhs == ONE
 
     def test_lhs_values_are_bell_numbers(self):
         for n, m in [(0, 0), (2, 1), (4, 4)]:
-            lhs, _ = _spivey_bell_sides(n, m)
+            lhs, _ = sides(Identity.SPIVEY_BELL, n, m)
             assert lhs.const_value() == classical.bell_number(n + m)
 
     def test_polynomial_variant(self):
@@ -82,19 +78,19 @@ class TestFullyDegBellNumbers:
         assert run_identity(Identity.FULLY_DEG_BELL, 4, 4).ok
 
     def test_hand_cell(self):
-        lhs, rhs = _fully_deg_bell_sides(1, 1)
+        lhs, rhs = sides(Identity.FULLY_DEG_BELL, 1, 1)
         assert lhs == 2 - 2 * LAM
         assert rhs == 2 - 2 * LAM
 
     def test_base_cell(self):
-        lhs, rhs = _fully_deg_bell_sides(0, 0)
+        lhs, rhs = sides(Identity.FULLY_DEG_BELL, 0, 0)
         assert lhs == rhs == ONE
 
     def test_lambda_zero_is_classical_spivey(self):
         for m in range(4):
             for n in range(4):
-                lhs, rhs = _fully_deg_bell_sides(n, m)
-                classical_lhs, classical_rhs = _spivey_bell_sides(n, m)
+                lhs, rhs = sides(Identity.FULLY_DEG_BELL, n, m)
+                classical_lhs, classical_rhs = sides(Identity.SPIVEY_BELL, n, m)
                 assert lhs.eval({Var.LAMBDA: 0}) == classical_lhs
                 assert rhs.eval({Var.LAMBDA: 0}) == classical_rhs
 
@@ -119,22 +115,22 @@ class TestFullyDegBellPolynomials:
         assert run_identity(Identity.FULLY_DEG_BELL_POLY, 3, 3).ok
 
     def test_cell_equals_family_polynomial(self):
-        lhs, _ = _fully_deg_bell_poly_sides(1, 1)
+        lhs, _ = sides(Identity.FULLY_DEG_BELL_POLY, 1, 1)
         assert lhs == bell_fully_deg(2).substitute(Var.X, T)
 
     def test_t_equals_one_reduces_to_number_version(self):
         for m in range(4):
             for n in range(4):
-                poly_lhs, poly_rhs = _fully_deg_bell_poly_sides(n, m)
-                num_lhs, num_rhs = _fully_deg_bell_sides(n, m)
+                poly_lhs, poly_rhs = sides(Identity.FULLY_DEG_BELL_POLY, n, m)
+                num_lhs, num_rhs = sides(Identity.FULLY_DEG_BELL, n, m)
                 assert poly_lhs.eval({Var.T: 1}) == num_lhs
                 assert poly_rhs.eval({Var.T: 1}) == num_rhs
 
     def test_lambda_zero_is_classical_polynomial_spivey(self):
         for m in range(4):
             for n in range(4):
-                lhs, rhs = _fully_deg_bell_poly_sides(n, m)
-                cl_lhs, cl_rhs = _spivey_bell_poly_sides(n, m)
+                lhs, rhs = sides(Identity.FULLY_DEG_BELL_POLY, n, m)
+                cl_lhs, cl_rhs = sides(Identity.SPIVEY_BELL_POLY, n, m)
                 assert lhs.eval({Var.LAMBDA: 0}) == cl_lhs.substitute(Var.X, T)
                 assert rhs.eval({Var.LAMBDA: 0}) == cl_rhs.substitute(Var.X, T)
 
@@ -146,15 +142,15 @@ class TestDegBellSpivey:
     def test_lambda_zero_matches_classical_polynomial_cells(self):
         for m in range(4):
             for n in range(4):
-                lhs, rhs = _deg_bell_spivey_sides(n, m)
-                cl_lhs, cl_rhs = _spivey_bell_poly_sides(n, m)
+                lhs, rhs = sides(Identity.DEG_BELL_SPIVEY, n, m)
+                cl_lhs, cl_rhs = sides(Identity.SPIVEY_BELL_POLY, n, m)
                 assert lhs.eval({Var.LAMBDA: 0}) == cl_lhs
                 assert rhs.eval({Var.LAMBDA: 0}) == cl_rhs
 
     def test_lambda_zero_x_one_gives_bell_numbers(self):
         for m in range(4):
             for n in range(4):
-                lhs, rhs = _deg_bell_spivey_sides(n, m)
+                lhs, rhs = sides(Identity.DEG_BELL_SPIVEY, n, m)
                 bound = {Var.LAMBDA: 0, Var.X: 1}
                 expected = Poly.const(classical.bell_number(n + m))
                 assert lhs.eval(bound) == expected
@@ -168,9 +164,7 @@ class TestDegFubiniSpivey:
     def test_hand_cell(self):
         report = run_identity(Identity.DEG_FUBINI_SPIVEY, 0, 1)
         assert report.ok
-        from degenbell.verify import _deg_fubini_spivey_sides
-
-        lhs, rhs = _deg_fubini_spivey_sides(0, 1)
+        lhs, rhs = sides(Identity.DEG_FUBINI_SPIVEY, 0, 1)
         assert lhs == T
         assert rhs == T
 
@@ -178,12 +172,10 @@ class TestDegFubiniSpivey:
         assert run_identity(Identity.FUBINI_SPIVEY, 4, 4).ok
 
     def test_lambda_zero_matches_classical_cells(self):
-        from degenbell.verify import _deg_fubini_spivey_sides, _fubini_spivey_sides
-
         for m in range(4):
             for n in range(4):
-                lhs, rhs = _deg_fubini_spivey_sides(n, m)
-                cl_lhs, cl_rhs = _fubini_spivey_sides(n, m)
+                lhs, rhs = sides(Identity.DEG_FUBINI_SPIVEY, n, m)
+                cl_lhs, cl_rhs = sides(Identity.FUBINI_SPIVEY, n, m)
                 assert lhs.eval({Var.LAMBDA: 0}) == cl_lhs
                 assert rhs.eval({Var.LAMBDA: 0}) == cl_rhs
 
@@ -270,7 +262,7 @@ class TestSpecializationCoherence:
     def test_verify_then_bind_equals_bind_then_verify(self):
         lam0 = Fraction(1, 3)
         for n, m in [(1, 2), (2, 2), (3, 1)]:
-            lhs, rhs = _fully_deg_bell_sides(n, m)
+            lhs, rhs = sides(Identity.FULLY_DEG_BELL, n, m)
             sym_lhs = lhs.eval({Var.LAMBDA: lam0}).const_value()
             sym_rhs = rhs.eval({Var.LAMBDA: lam0}).const_value()
 

@@ -43,12 +43,17 @@ def bell_number(n: int) -> int:
     return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
-@cache
+_ORDERED_BELL: list[int] = [1]
+
+
 def ordered_bell_number(n: int) -> int:
-    """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1."""
-    if n == 0:
-        return 1
-    return sum(comb(n, k) * ordered_bell_number(n - k) for k in range(1, n + 1))
+    """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1; memoized values
+    are extended in a loop, never by recursion."""
+    a = _ORDERED_BELL
+    while len(a) <= n:
+        m = len(a)
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
 
 
 @cache

@@ -29,24 +29,15 @@ from fractions import Fraction
 
 from .algebra import Poly, Var, parse_rational, var_from_symbol
 from .sequences import (
-    _LINEAR,
+    KINDS,
+    LIMIT_KINDS,
     TABLE_KINDS,
-    TRIANGULAR_KINDS,
     build_table,
     classical_counterpart,
-    stirling2_deg,
+    index_names,
 )
 from .series import DEFAULT_ORDER, Series, deg_exp_of, exp_of
 from .verify import Identity, run_identity
-
-LIMIT_KINDS = (
-    "deg-stirling2",
-    "deg-bell",
-    "fully-deg-bell",
-    "deg-fubini",
-    "two-var-deg-fubini",
-    "deg-falling-factorial",
-)
 
 
 def _bind_pair(text: str) -> tuple[Var, Fraction]:
@@ -81,14 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kind", choices=TABLE_KINDS, required=True)
     p_table.add_argument("--n-max", type=int, required=True)
     p_table.add_argument("--k-max", type=int, help="cap the column index of triangular kinds")
-    p_table.add_argument("--alpha", type=int, default=1, help="order for two-var-deg-fubini")
+    p_table.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
     add_common(p_table)
 
     p_poly = sub.add_parser("poly", help="print one family polynomial")
     p_poly.add_argument("--kind", choices=TABLE_KINDS, required=True)
     p_poly.add_argument("-n", type=int, required=True)
     p_poly.add_argument("-k", type=int, help="second index for triangular kinds")
-    p_poly.add_argument("--alpha", type=int, default=1)
+    p_poly.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
     add_common(p_poly, formats=("text", "json"))
 
     p_series = sub.add_parser("series", help="dump EGF coefficients")
@@ -113,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit = sub.add_parser("limit", help="compare l = 0 limits against classical families")
     p_limit.add_argument("--kind", choices=LIMIT_KINDS, required=True)
     p_limit.add_argument("--n-max", type=int, default=8)
-    p_limit.add_argument("--alpha", type=int, default=1)
+    p_limit.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
     add_common(p_limit, bind=False)  # the limit is l = 0; nothing else is bound
 
     return parser
@@ -161,11 +152,12 @@ def _apply_bindings(table, bindings):
     return type(table)(table.kind, table.bounds, table.provenance, values)
 
 
+def _label(index) -> str:
+    return " ".join(f"{name}={i}" for name, i in index_names(index).items())
+
+
 def _table_text(table) -> str:
-    lines = []
-    for index, poly in table.values:
-        label = f"n={index[0]}" + (f" k={index[1]}" if len(index) > 1 else "")
-        lines.append(_wrap_line(f"{label}: {poly}"))
+    lines = [_wrap_line(f"{_label(index)}: {poly}") for index, poly in table.values]
     return "\n".join(lines) + "\n"
 
 
@@ -185,24 +177,18 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_poly(args, parser) -> int:
-    from . import classical
-
-    kind, n = args.kind, args.n
+    kind, n, k = KINDS[args.kind], args.n, args.k
     if n < 0:
         parser.error("n must be nonnegative")
-    if kind in TRIANGULAR_KINDS:
-        if args.k is None:
-            parser.error(f"kind {kind} needs -k")
-        poly = (
-            stirling2_deg(n, args.k)
-            if kind == "deg-stirling2"
-            else Poly.const(classical.stirling2(n, args.k))
-        )
-    else:
-        if args.k is not None:
-            parser.error(f"-k applies only to triangular kinds, not {kind}")
-        poly = _LINEAR[kind](n, args.alpha)
-    poly = poly.eval(dict(args.bind))
+    if kind.triangular and k is None:
+        parser.error(f"kind {kind.name} needs -k")
+    if k is not None and not kind.triangular:
+        parser.error(f"-k applies only to triangular kinds, not {kind.name}")
+    try:
+        alpha = kind.order(args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
+    poly = kind.build(n, k if kind.triangular else alpha).eval(dict(args.bind))
     if args.format == "json":
         _emit(json.dumps(poly.to_json(), indent=2) + "\n", args.output)
     else:
@@ -259,7 +245,7 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
     identities = list(Identity) if args.all else [Identity(args.identity)]
     reports = [
         run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
@@ -273,30 +259,26 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _cmd_limit(args) -> int:
-    degenerate = build_table(args.kind, args.n_max, alpha=args.alpha)
+def _cmd_limit(args, parser) -> int:
+    try:
+        degenerate = build_table(args.kind, args.n_max, alpha=args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
+    at_zero = _apply_bindings(degenerate, {Var.LAMBDA: 0})
     reference = classical_counterpart(args.kind, args.n_max, alpha=args.alpha)
-    rows = []
-    all_match = True
-    for (index, poly), (_, ref) in zip(degenerate.values, reference.values):
-        at_zero = poly.eval({Var.LAMBDA: 0})
-        match = at_zero == ref
-        all_match = all_match and match
-        rows.append((index, at_zero, ref, match))
+    rows = [
+        (index, limit, ref, limit == ref)
+        for (index, limit), (_, ref) in zip(at_zero.values, reference.values)
+    ]
+    all_match = all(match for *_, match in rows)
     if args.format == "json":
         payload = {
             "kind": args.kind,
             "n_max": args.n_max,
             "all_match": all_match,
             "rows": [
-                {
-                    "n": index[0],
-                    **({"k": index[1]} if len(index) > 1 else {}),
-                    "limit": str(at_zero),
-                    "classical": str(ref),
-                    "match": match,
-                }
-                for index, at_zero, ref, match in rows
+                {**index_names(index), "limit": str(limit), "classical": str(ref), "match": match}
+                for index, limit, ref, match in rows
             ],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -304,16 +286,15 @@ def _cmd_limit(args) -> int:
         triangular = any(len(index) > 1 for index, *_ in rows)
         header = (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]
         body = [
-            [str(i) for i in index] + [str(at_zero), str(ref), str(match).lower()]
-            for index, at_zero, ref, match in rows
+            [str(i) for i in index] + [str(limit), str(ref), str(match).lower()]
+            for index, limit, ref, match in rows
         ]
         _emit(_csv_text([header] + body), args.output)
     else:
-        lines = []
-        for index, at_zero, ref, match in rows:
-            label = f"n={index[0]}" + (f" k={index[1]}" if len(index) > 1 else "")
-            status = "ok" if match else "MISMATCH"
-            lines.append(_wrap_line(f"{label}: {at_zero} | classical: {ref} | {status}"))
+        lines = [
+            _wrap_line(f"{_label(i)}: {limit} | classical: {ref} | {'ok' if ok else 'MISMATCH'}")
+            for i, limit, ref, ok in rows
+        ]
         lines.append("all rows match" if all_match else "LIMIT MISMATCH")
         _emit("\n".join(lines) + "\n", args.output)
     return 0 if all_match else 1
@@ -328,18 +309,14 @@ def main(argv=None) -> int:
             parser.error(f"--{attr.replace('_', '-')} must be nonnegative")
     if hasattr(args, "bind"):  # limit takes no --bind
         args.bind = dict(args.bind)
-    if args.command == "table":
-        return _cmd_table(args, parser)
-    if args.command == "poly":
-        return _cmd_poly(args, parser)
-    if args.command == "series":
-        return _cmd_series(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "limit":
-        return _cmd_limit(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    commands = {
+        "table": _cmd_table,
+        "poly": _cmd_poly,
+        "series": _cmd_series,
+        "verify": _cmd_verify,
+        "limit": _cmd_limit,
+    }
+    return commands[args.command](args, parser)
 
 
 if __name__ == "__main__":

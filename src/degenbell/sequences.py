@@ -14,7 +14,10 @@ parameter stays symbolic as the variable ``l``.  Definitions:
     F^(a)_{n,l}(x,y) = sum_j C(n,j) [sum_k <a>_k S2_l(j,k) x^k] (y)_{n-j,l}
                                                  two-variable, order a
 
-S2_l is computed by the triangular recurrence
+Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
+w(k) = 1, (1)_{k,l}, k! and (inside the sum over j) <a>_k, and one helper,
+`_stirling_sum`, builds all four.  S2_l is computed by the triangular
+recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
 
@@ -27,14 +30,22 @@ The closed form for F^(a) above is the Cauchy product of the two factors
 of its generating function (1 - x(e_l(s)-1))^(-a) e_l^y(s); it is not a
 quoted formula, so the test suite validates it against the series route
 before anything else relies on it.
+
+Every table kind has one entry in the registry `KINDS`: the builder of an
+entry, (n, k) for a triangular kind and n for a linear one (with an order
+alpha for two-var-deg-fubini), and its classical l = 0 counterpart.
+`build_table`, `classical_counterpart`, the kind tuples and the CLI all
+read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import classical
 from .algebra import LAM, ONE, Poly, Var, X, as_scalar, var_from_symbol
@@ -74,57 +85,50 @@ def unit_falling_factorial_deg(n: int) -> Poly:
     return falling_factorial_deg(ONE, n)
 
 
-@cache
-def _stirling_deg_row(n: int) -> tuple[Poly, ...]:
-    if n == 0:
-        return (Poly.one(),)
-    prev = _stirling_deg_row(n - 1)
-    zero = Poly.zero()
-    row = []
-    for k in range(n + 1):
-        above_left = prev[k - 1] if 1 <= k else zero
-        above = prev[k] if k <= n - 1 else zero
-        row.append(above_left + (Poly.const(k) - (n - 1) * LAM) * above)
-    return tuple(row)
+_STIRLING_DEG_ROWS: list[tuple[Poly, ...]] = [(Poly.one(),)]
 
 
 def stirling2_deg(n: int, k: int) -> Poly:
     """Degenerate Stirling number of the second kind, via the recurrence.
 
     Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
+    The memoized rows are extended in a loop, never by recursion.
     """
-    if n == 0 and k == 0:
-        return Poly.one()
-    if n < 0 or k < 0 or k > n:
-        return Poly.zero()
-    return _stirling_deg_row(n)[k]
+    rows = _STIRLING_DEG_ROWS
+    while len(rows) <= n:
+        prev, m = rows[-1], len(rows)
+        # S2_l(m, k) = S2_l(m-1, k-1) + (k - (m-1) l) S2_l(m-1, k); S2_l(m, 0) = 0, S2_l(m, m) = 1
+        inner = (prev[k - 1] + (k - (m - 1) * LAM) * prev[k] for k in range(1, m))
+        rows.append((Poly.zero(), *inner, Poly.one()))
+    return rows[n][k] if 0 <= k <= n else Poly.zero()
+
+
+def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar]) -> Poly:
+    """sum_k weight(k) S2_l(n,k) x^k, the shape of every family here; zero weights are skipped."""
+    total = Poly.zero()
+    for k in range(n + 1):
+        w = weight(k)
+        if w != 0:
+            total = total + w * stirling2_deg(n, k) * X**k
+    return total
 
 
 @cache
 def bell_deg(n: int) -> Poly:
     """Degenerate Bell polynomial phi_{n,l}(x)."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + stirling2_deg(n, k) * X**k
-    return total
+    return _stirling_sum(n, lambda k: 1)
 
 
 @cache
 def bell_fully_deg(n: int) -> Poly:
     """Fully degenerate Bell polynomial Bel_{n,l}(x)."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + stirling2_deg(n, k) * unit_falling_factorial_deg(k) * X**k
-    return total
+    return _stirling_sum(n, unit_falling_factorial_deg)
 
 
 @cache
 def fubini_deg(n: int) -> Poly:
     """Degenerate Fubini polynomial F_{n,l}(x)."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + factorial(k) * stirling2_deg(n, k) * X**k
-    return total
+    return _stirling_sum(n, factorial)
 
 
 @cache
@@ -135,11 +139,7 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     y = Poly.variable(Var.Y)
     total = Poly.zero()
     for j in range(n + 1):
-        inner = Poly.zero()
-        for k in range(j + 1):
-            weight = rising_factorial(alpha, k).const_value()
-            if weight:
-                inner = inner + weight * stirling2_deg(j, k) * X**k
+        inner = _stirling_sum(j, lambda k: rising_factorial(alpha, k).const_value())
         total = total + comb(n, j) * inner * falling_factorial_deg(y, n - j)
     return total
 
@@ -168,22 +168,10 @@ def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:
 
 # -- tables ----------------------------------------------------------------
 
-TRIANGULAR_KINDS = ("deg-stirling2", "classical-stirling2")
-# kind -> builder(n, alpha) of one polynomial; lambdas, so each call looks the
-# family up by its module-global name
-_LINEAR = {
-    "deg-bell": lambda n, alpha: bell_deg(n),
-    "fully-deg-bell": lambda n, alpha: bell_fully_deg(n),
-    "deg-fubini": lambda n, alpha: fubini_deg(n),
-    "two-var-deg-fubini": lambda n, alpha: fubini_two_var_alpha(n, alpha),
-    "deg-falling-factorial": lambda n, alpha: falling_factorial_deg(X, n),
-    "falling-factorial": lambda n, alpha: falling_factorial(X, n),
-    "rising-factorial": lambda n, alpha: rising_factorial(X, n),
-    "classical-bell": lambda n, alpha: classical.bell_poly(n),
-    "classical-fubini": lambda n, alpha: classical.fubini_poly(n),
-}
-LINEAR_KINDS = tuple(_LINEAR)
-TABLE_KINDS = TRIANGULAR_KINDS + LINEAR_KINDS
+
+def index_names(index: tuple) -> dict:
+    """A table index (n,) or (n, k) keyed by its names, as JSON and text show it."""
+    return dict(zip(("n", "k"), index))
 
 
 @dataclass(frozen=True)
@@ -196,13 +184,7 @@ class SeqTable:
     values: tuple  # ((n,) or (n, k), Poly) pairs in index order
 
     def to_json(self) -> dict:
-        rows = []
-        for index, poly in self.values:
-            row = {"n": index[0]}
-            if len(index) > 1:
-                row["k"] = index[1]
-            row["poly"] = poly.to_json()
-            rows.append(row)
+        rows = [{**index_names(index), "poly": poly.to_json()} for index, poly in self.values]
         return {
             "kind": self.kind,
             "bounds": self.bounds,
@@ -212,24 +194,16 @@ class SeqTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeqTable":
-        values = []
-        for row in data["values"]:
-            index = (row["n"], row["k"]) if "k" in row else (row["n"],)
-            values.append((index, Poly.from_json(row["poly"])))
-        return cls(
-            kind=data["kind"],
-            bounds=dict(data["bounds"]),
-            provenance=data["provenance"],
-            values=tuple(values),
+        values = tuple(
+            (tuple(row[name] for name in ("n", "k") if name in row), Poly.from_json(row["poly"]))
+            for row in data["values"]
         )
+        return cls(data["kind"], dict(data["bounds"]), data["provenance"], values)
 
     def to_csv_rows(self) -> list[list[str]]:
         triangular = any(len(index) > 1 for index, _ in self.values)
         header = ["n", "k", "value"] if triangular else ["n", "value"]
-        rows = [header]
-        for index, poly in self.values:
-            rows.append([str(i) for i in index] + [str(poly)])
-        return rows
+        return [header] + [[*map(str, index), str(poly)] for index, poly in self.values]
 
 
 def stirling2_deg_basis_table(n_max: int) -> SeqTable:
@@ -250,74 +224,101 @@ def stirling2_deg_basis_table(n_max: int) -> SeqTable:
         if not residual.is_zero():
             raise ArithmeticError("change-of-basis solve left a nonzero residual")
         values.extend((((n, k), row[k]) for k in range(n + 1)))
-    return SeqTable(
-        kind="deg-stirling2",
-        bounds={"n_max": n_max},
-        provenance="closed-form",
-        values=tuple(values),
+    return SeqTable("deg-stirling2", {"n_max": n_max}, "closed-form", tuple(values))
+
+
+class _Kind(NamedTuple):
+    """A table kind: ``build(n, k)`` gives entry (n, k) of a triangular kind and
+    ``build(n, alpha)`` entry n of a linear one; ``limit`` is the classical
+    l = 0 counterpart, or None."""
+
+    name: str
+    build: Callable[[int, int | None], Poly]
+    limit: _Kind | None = None
+    triangular: bool = False
+    ordered: bool = False  # takes an order alpha, 1 when not given
+
+    def order(self, alpha: int | None) -> int | None:
+        """alpha for this kind's entries; ValueError if given to a kind without an order."""
+        if alpha is not None and not self.ordered:
+            raise ValueError(f"alpha applies only to kinds with an order, not {self.name}")
+        return (1 if alpha is None else alpha) if self.ordered else None
+
+
+# The builders are lambdas, so every call looks the family up by its
+# module-global name (which perfbench's tracer patches).
+_STIRLING2 = _Kind(
+    "classical-stirling2", lambda n, k: Poly.const(classical.stirling2(n, k)), triangular=True
+)
+_BELL = _Kind("classical-bell", lambda n, _: classical.bell_poly(n))
+_FUBINI = _Kind("classical-fubini", lambda n, _: classical.fubini_poly(n))
+_TWO_VAR = _Kind(
+    "classical-two-var-fubini", lambda n, a: classical.two_var_fubini_poly(n, a), ordered=True
+)
+_MONOMIALS = _Kind("monomials", lambda n, _: X**n)
+KINDS = {
+    kind.name: kind
+    for kind in (
+        _Kind("deg-stirling2", lambda n, k: stirling2_deg(n, k), _STIRLING2, triangular=True),
+        _STIRLING2,
+        _Kind("deg-bell", lambda n, _: bell_deg(n), _BELL),
+        _Kind("fully-deg-bell", lambda n, _: bell_fully_deg(n), _BELL),
+        _Kind("deg-fubini", lambda n, _: fubini_deg(n), _FUBINI),
+        _Kind(
+            "two-var-deg-fubini", lambda n, a: fubini_two_var_alpha(n, a), _TWO_VAR, ordered=True
+        ),
+        _Kind("deg-falling-factorial", lambda n, _: falling_factorial_deg(X, n), _MONOMIALS),
+        _Kind("falling-factorial", lambda n, _: falling_factorial(X, n)),
+        _Kind("rising-factorial", lambda n, _: rising_factorial(X, n)),
+        _BELL,
+        _FUBINI,
     )
+}
+TABLE_KINDS = tuple(KINDS)
+TRIANGULAR_KINDS = tuple(name for name in KINDS if KINDS[name].triangular)
+LINEAR_KINDS = tuple(name for name in KINDS if not KINDS[name].triangular)
+LIMIT_KINDS = tuple(name for name in KINDS if KINDS[name].limit)
 
 
-def build_table(kind: str, n_max: int, k_max: int | None = None, alpha: int = 1) -> SeqTable:
-    """Build the standard table for any family kind, fast-path routes.
-
-    k_max caps the column index of triangular kinds; giving it for a
-    linear kind raises ValueError.
-    """
+def _table(kind: _Kind, n_max: int, k_max: int | None, alpha: int | None) -> SeqTable:
+    """kind's entries in index order: (n, k) up to k_max if triangular, else (n,)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     bounds: dict = {"n_max": n_max}
-
-    def columns(n):
-        top = n if k_max is None else min(n, k_max)
-        return range(top + 1)
-
-    if kind == "deg-stirling2":
-        values = tuple(
-            ((n, k), stirling2_deg(n, k)) for n in range(n_max + 1) for k in columns(n)
-        )
-        provenance = "recurrence"
-    elif kind == "classical-stirling2":
-        values = tuple(
-            ((n, k), Poly.const(classical.stirling2(n, k)))
-            for n in range(n_max + 1)
-            for k in columns(n)
-        )
-        provenance = "recurrence"
-    elif kind in _LINEAR:
+    if kind.triangular:
+        top = n_max if k_max is None else k_max
+        index = [(n, k) for n in range(n_max + 1) for k in range(min(n, top) + 1)]
         if k_max is not None:
-            raise ValueError(f"k_max applies only to triangular kinds, not {kind}")
-        fn = _LINEAR[kind]
-        values = tuple(((n,), fn(n, alpha)) for n in range(n_max + 1))
-        provenance = "closed-form"
-        if kind == "two-var-deg-fubini":
+            bounds["k_max"] = k_max
+    else:
+        index = [(n,) for n in range(n_max + 1)]
+        if kind.ordered:
             bounds["alpha"] = alpha
-    else:
+    values = tuple((i, kind.build(i[0], i[1] if kind.triangular else alpha)) for i in index)
+    provenance = "recurrence" if kind.triangular else "closed-form"
+    return SeqTable(kind.name, bounds, provenance, values)
+
+
+def build_table(
+    kind: str, n_max: int, k_max: int | None = None, alpha: int | None = None
+) -> SeqTable:
+    """Build the standard table for any family kind, fast-path routes.
+
+    k_max caps the column index of triangular kinds and alpha is the
+    order of two-var-deg-fubini (1 when not given); giving either to a
+    kind it does not apply to raises ValueError.
+    """
+    if kind not in KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
-    if k_max is not None and kind in TRIANGULAR_KINDS:
-        bounds["k_max"] = k_max
-    return SeqTable(kind=kind, bounds=bounds, provenance=provenance, values=values)
+    entry = KINDS[kind]
+    if k_max is not None and not entry.triangular:
+        raise ValueError(f"k_max applies only to triangular kinds, not {kind}")
+    return _table(entry, n_max, k_max, entry.order(alpha))
 
 
-def classical_counterpart(kind: str, n_max: int, alpha: int = 1) -> SeqTable:
+def classical_counterpart(kind: str, n_max: int, alpha: int | None = None) -> SeqTable:
     """The independently computed classical family matching a degenerate kind."""
-    if kind == "deg-stirling2":
-        return build_table("classical-stirling2", n_max)
-    if kind in ("deg-bell", "fully-deg-bell"):
-        table = build_table("classical-bell", n_max)
-    elif kind == "deg-fubini":
-        table = build_table("classical-fubini", n_max)
-    elif kind == "deg-falling-factorial":
-        values = tuple(((n,), X**n) for n in range(n_max + 1))
-        table = SeqTable("monomials", {"n_max": n_max}, "closed-form", values)
-    elif kind == "two-var-deg-fubini":
-        values = tuple(((n,), classical.two_var_fubini_poly(n, alpha)) for n in range(n_max + 1))
-        table = SeqTable(
-            "classical-two-var-fubini",
-            {"n_max": n_max, "alpha": alpha},
-            "closed-form",
-            values,
-        )
-    else:
+    entry = KINDS.get(kind)
+    if entry is None or entry.limit is None:
         raise ValueError(f"no classical counterpart for kind {kind!r}")
-    return table
+    return _table(entry.limit, n_max, None, entry.order(alpha))

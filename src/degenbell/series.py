@@ -87,11 +87,6 @@ class Series:
             coeffs.append(acc)
         return cls(coeffs)
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self._coeffs[: order + 1])
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "Series":
@@ -238,44 +233,25 @@ class NestedSeries:
 def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, NestedSeries]:
     """Both sides of e_l(u+v) = e_l(u) * e_l(v / (1 + l*u)) as bivariate EGFs.
 
-    Left side: expand (u+v)^n binomially inside sum_n (1)_{n,l} (u+v)^n / n!.
-    Right side: expand the inner argument v/(1+l*u) as a geometric series
-    in u for each power of v, then take the product with e_l(u).  The left
-    side needs no composition at all, so it serves as the oracle.
+    Left side: expanding (u+v)^n binomially inside sum_n (1)_{n,l} (u+v)^n / n!
+    gives the entry (1)_{j+k,l}.  Right side: v^k / (1+l*u)^k expands as
+    sum_i C(-k, i) l^i u^i v^k, and the product with e_l(u) gives the entry
+    (1)_{k,l} sum_i C(j,i) (-k)_i l^i (1)_{j-i,l}, with (-k)_i the falling
+    factorial of -k.  The left side needs no composition at all, so it
+    serves as the oracle.
     """
     J, K = j_order, k_order
     one_ff = Series.deg_exp(1, J + K).coeffs  # (1)_{n,l}
 
-    # left: ordinary coefficient of u^j v^k in sum_n (1)_{n,l} (u+v)^n / n!
-    left = [[Poly.zero()] * (K + 1) for _ in range(J + 1)]
-    for n in range(J + K + 1):
-        base = one_ff[n] / factorial(n)
-        for m in range(n + 1):  # (u+v)^n = sum_m C(n,m) u^(n-m) v^m
-            j, k = n - m, m
-            if j <= J and k <= K:
-                left[j][k] = left[j][k] + comb(n, m) * base
-
-    # right: e_l(u) as ordinary coefficients in u
-    exp_u = [one_ff[i] / factorial(i) for i in range(J + 1)]
-
-    # e_l(v/(1+l*u)): ordinary coefficient of u^i v^k is
-    # (1)_{k,l}/k! * C(-k, i) l^i with C(-k, i) = (-1)^i C(k+i-1, i)
-    right = [[Poly.zero()] * (K + 1) for _ in range(J + 1)]
-    for k in range(K + 1):
-        vk = one_ff[k] / factorial(k)
-        for i in range(J + 1):
-            if k == 0 and i > 0:
+    def right_entry(j: int, k: int) -> Poly:
+        total, falling = Poly.zero(), 1  # falling = (-k)_i
+        for i in range(j + 1):
+            if not falling:  # (-k)_i vanishes for i >= 1 only when k = 0
                 break
-            inner = vk * Fraction((-1) ** i * comb(k + i - 1, i)) * LAM**i if i else vk
-            for j in range(i, J + 1):
-                right[j][k] = right[j][k] + exp_u[j - i] * inner
+            total = total + comb(j, i) * falling * LAM**i * one_ff[j - i]
+            falling *= -k - i
+        return one_ff[k] * total
 
-    def to_egf(grid) -> NestedSeries:
-        return NestedSeries(
-            tuple(
-                tuple(grid[j][k] * (factorial(j) * factorial(k)) for k in range(K + 1))
-                for j in range(J + 1)
-            )
-        )
-
-    return to_egf(left), to_egf(right)
+    left = tuple(tuple(one_ff[j + k] for k in range(K + 1)) for j in range(J + 1))
+    right = tuple(tuple(right_entry(j, k) for k in range(K + 1)) for j in range(J + 1))
+    return NestedSeries(left), NestedSeries(right)

@@ -58,6 +58,7 @@ from math import comb, factorial
 from . import classical
 from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
+    _stirling_sum,
     bell_deg,
     bell_fully_deg,
     falling_factorial_deg,
@@ -188,10 +189,7 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
     p = fubini_two_var_alpha(n, alpha)
     if side == "x=0":
         return p.eval({Var.X: 0}), falling_factorial_deg(Y, n)
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        rhs = rhs + rising_factorial(alpha, k).const_value() * stirling2_deg(n, k) * X**k
-    return p.eval({Var.Y: 0}), rhs
+    return p.eval({Var.Y: 0}), _stirling_sum(n, lambda k: rising_factorial(alpha, k).const_value())
 
 
 # -- registry and runner -------------------------------------------------------

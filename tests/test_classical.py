@@ -1,5 +1,7 @@
 """Classical oracle families: frozen small values, standard recurrences."""
 
+from math import factorial
+
 from degenbell import classical
 from degenbell.algebra import Poly, Var, X
 
@@ -26,6 +28,13 @@ def test_bell_numbers_are_row_sums():
         assert classical.bell_number(n) == sum(
             classical.stirling2(n, k) for k in range(n + 1)
         )
+
+
+def test_ordered_bell_past_recursion_limit(monkeypatch):
+    # a(n) = sum_k k! S(n, k); a(400) is built from a cold memo (about 0.3 s)
+    monkeypatch.setattr(classical, "_ORDERED_BELL", [1])
+    expected = sum(factorial(k) * classical.stirling2(400, k) for k in range(401))
+    assert classical.ordered_bell_number(400) == expected
 
 
 def test_ordered_bell_numbers():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from degenbell.algebra import Poly
 from degenbell.cli import LIMIT_KINDS, main
-from degenbell.sequences import LINEAR_KINDS, TABLE_KINDS, SeqTable
+from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, SeqTable
 from degenbell.series import Series
 from degenbell.verify import Identity
 
@@ -157,7 +157,8 @@ class TestPoly:
 
     @pytest.mark.parametrize("kind", LINEAR_KINDS)
     def test_linear_kind_is_last_table_row(self, capsys, kind):
-        tail = ("--alpha", "2", "--format", "json")
+        tail = ("--alpha", "2") if KINDS[kind].ordered else ()
+        tail += ("--format", "json")
         _, poly_out = run_cli(capsys, "poly", "--kind", kind, "-n", "4", *tail)
         _, table_out = run_cli(capsys, "table", "--kind", kind, "--n-max", "4", *tail)
         assert json.loads(poly_out) == json.loads(table_out)["values"][-1]["poly"]
@@ -290,6 +291,31 @@ class TestLimit:
         assert exc.value.code == 2
 
 
+class TestAlpha:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --kind deg-bell --alpha 5 --n-max 2",
+            "table --kind deg-stirling2 --alpha 1 --n-max 2",
+            "limit --kind deg-bell --alpha 7",
+            "poly --kind deg-stirling2 -n 3 -k 1 --alpha 9",
+            "poly --kind deg-fubini -n 3 --alpha 2",
+        ],
+    )
+    def test_alpha_on_kind_without_order_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["table --n-max 4", "table --n-max 4 --format csv", "poly -n 4", "limit --n-max 4"]
+    )
+    def test_two_var_without_alpha_is_order_one(self, capsys, command):
+        argv = [*command.split(), "--kind", "two-var-deg-fubini"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--alpha", "1")
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(capsys, "verify", "--id", "fully-deg-bell", "--n-max", "3",
@@ -321,6 +347,26 @@ class TestDeterminism:
             (
                 "series --gf two-var-fubini:2 --order 8 --format json",
                 "1ba3778286e084da4dedff57279f23535c919e245811ce97b549540078fa8553",
+            ),
+            (
+                "table --kind deg-stirling2 --n-max 6 --k-max 3 --format csv",
+                "d911bbd3860261a3a592550bcfda2d2b86d8619d0cec4968b1d93706495fb6df",
+            ),
+            (
+                "table --kind two-var-deg-fubini --alpha 2 --n-max 5 --format json",
+                "26c9545de6c501797ca8a9194df73060065529a1af26e806c1920891a908eb26",
+            ),
+            (
+                "poly --kind classical-stirling2 -n 9 -k 4",
+                "be2c21586427c97175efb7084b94b795a65bbd2860e93587ca8aa24b22303b9f",
+            ),
+            (
+                "limit --kind deg-stirling2 --n-max 5 --format json",
+                "5eb7a9c4c57035bb803affef455119677ef5a38d1be923b4d784bf7eb4658919",
+            ),
+            (
+                "limit --kind two-var-deg-fubini --alpha 2 --n-max 5 --format csv",
+                "2806027c5cdb19d6cd716b3457086e2898cb4cfb35eeff52fa8592122ba9b17f",
             ),
         ],
     )

@@ -1,12 +1,19 @@
 """Degenerate families: factorials, Stirling routes, Bell/Fubini polynomials."""
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
-from degenbell import classical
+from degenbell import classical, sequences
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
 from degenbell.sequences import (
+    KINDS,
+    LIMIT_KINDS,
+    LINEAR_KINDS,
+    TABLE_KINDS,
+    TRIANGULAR_KINDS,
     SeqTable,
     bell_deg,
     bell_fully_deg,
@@ -73,6 +80,20 @@ class TestStirlingDeg:
         for n in range(10):
             for k in range(n + 1):
                 assert stirling2_deg(n, k).degree_in(Var.LAMBDA) <= n - k
+
+    def test_row_past_lowered_recursion_limit(self, monkeypatch):
+        # rows are built bottom-up: row 100 from a cold memo needs no deep stack
+        expected = unit_falling_factorial_deg(100)
+        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", [(ONE,)])
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            first, top = stirling2_deg(100, 1), stirling2_deg(100, 100)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert first == expected
+        assert top == ONE
 
     def test_classical_limit_triangle(self):
         for n in range(9):
@@ -246,6 +267,19 @@ class TestTables:
             with pytest.raises(ValueError, match="triangular"):
                 build_table(kind, 2, k_max=0)
 
+    def test_alpha_rejected_for_kinds_without_order(self):
+        for kind in ("deg-bell", "deg-stirling2", "classical-fubini"):
+            with pytest.raises(ValueError, match="alpha"):
+                build_table(kind, 2, alpha=5)
+        with pytest.raises(ValueError, match="alpha"):
+            classical_counterpart("deg-bell", 2, alpha=7)
+
+    def test_alpha_defaults_to_one(self):
+        assert build_table("two-var-deg-fubini", 3) == build_table("two-var-deg-fubini", 3, alpha=1)
+        reference = classical_counterpart("two-var-deg-fubini", 3)
+        assert reference == classical_counterpart("two-var-deg-fubini", 3, alpha=1)
+        assert reference.bounds == {"n_max": 3, "alpha": 1}
+
     def test_build_linear_with_alpha(self):
         table = build_table("two-var-deg-fubini", 2, alpha=2)
         assert table.bounds == {"n_max": 2, "alpha": 2}
@@ -279,6 +313,24 @@ class TestTables:
             reference = classical_counterpart(kind, 6)
             for (index, poly), (_, ref) in zip(degenerate.values, reference.values):
                 assert poly.eval({Var.LAMBDA: 0}) == ref, (kind, index)
+
+    def test_no_counterpart_rejected(self):
+        for kind in ("falling-factorial", "classical-bell", "nope"):
+            with pytest.raises(ValueError, match="counterpart"):
+                classical_counterpart(kind, 2)
+
+    def test_kind_tuples_derive_from_registry(self):
+        assert TABLE_KINDS == TRIANGULAR_KINDS + LINEAR_KINDS == tuple(KINDS)
+        assert TRIANGULAR_KINDS == ("deg-stirling2", "classical-stirling2")
+        assert LIMIT_KINDS == (
+            "deg-stirling2",
+            "deg-bell",
+            "fully-deg-bell",
+            "deg-fubini",
+            "two-var-deg-fubini",
+            "deg-falling-factorial",
+        )
+        assert [kind for kind in KINDS if KINDS[kind].ordered] == ["two-var-deg-fubini"]
 
     def test_memoization_transparent(self):
         first = fubini_two_var_alpha(5, 2)

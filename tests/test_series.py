@@ -164,6 +164,14 @@ class TestSplitting:
         assert left.entry(1, 0) == ONE
         assert right.entry(1, 0) == ONE
 
+    def test_hand_entries(self):
+        # left (j, k) is (1)_{j+k,l}; right (2, 1) is
+        # (1)_{1,l} [(1)_{2,l} + 2 (-1) l (1)_{1,l} + (-1)(-2) l^2] = 1 - 3l + 2l^2
+        left, right = exp_splitting_sides(2, 2)
+        assert left.entry(1, 1) == right.entry(1, 1) == ONE - LAM
+        assert left.entry(2, 1) == right.entry(2, 1) == 1 - 3 * LAM + 2 * LAM**2
+        assert left.entry(0, 2) == right.entry(0, 2) == ONE - LAM
+
     def test_full_grids_equal(self):
         left, right = exp_splitting_sides(6, 6)
         assert left == right

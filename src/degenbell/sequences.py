@@ -44,7 +44,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
 from . import classical
@@ -137,9 +139,10 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
     y = Poly.variable(Var.Y)
+    rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
     total = Poly.zero()
     for j in range(n + 1):
-        inner = _stirling_sum(j, lambda k: rising_factorial(alpha, k).const_value())
+        inner = _stirling_sum(j, rising.__getitem__)
         total = total + comb(n, j) * inner * falling_factorial_deg(y, n - j)
     return total
 

@@ -69,10 +69,6 @@ class Series:
         return self._coeffs[n]
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([Poly.zero()] * (order + 1))
-
-    @classmethod
     def unit(cls, order: int = DEFAULT_ORDER) -> "Series":
         return cls([Poly.one()] + [Poly.zero()] * order)
 
@@ -221,10 +217,6 @@ class NestedSeries:
     """
 
     rows: tuple[tuple[Poly, ...], ...]
-
-    @property
-    def orders(self) -> tuple[int, int]:
-        return (len(self.rows) - 1, len(self.rows[0]) - 1)
 
     def entry(self, j: int, k: int) -> Poly:
         return self.rows[j][k]

@@ -2,8 +2,9 @@
 
 Every identity handled here is a polynomial identity in the deformation
 parameter ``l`` (and possibly an argument ``x``/``t``), so the strongest
-check is exact symbolic equality of both sides as `Poly` values; rational
-parameter grids exist as a fast smoke layer over the same cells.
+check is exact symbolic equality of both sides as `Poly` values.  Rational
+mode is a view of the same exact sides at rational points, not an
+independent route: it checks strictly less than symbolic mode.
 
 Seven of the checked identities are Spivey-type, and one double sum,
 `_spivey_sides`, builds both sides of each of them:
@@ -36,9 +37,11 @@ mutations.  A mutation is data: it swaps one part of the side builder.
 ``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
 ``unshifted-y-arg`` replaces G of deg-fubini-spivey by F^(k)_{j,l}(t, k).
 `run_identity` is the single entry point.  It builds each cell's sides
-once.  Bindings given to it are evaluated in either mode; without them,
-``rational`` mode evaluates the sides at every point of `spot_grid` and
-``symbolic`` mode compares the exact polynomials.
+once and their difference lhs - rhs once.  Bindings given to it are
+evaluated in either mode; without them, ``rational`` mode evaluates the
+difference at every point of `spot_grid` and ``symbolic`` mode compares
+the exact polynomials.  A point where a nonzero difference vanishes
+counts as a pass there.
 
 A failing cell is reported, never raised: the harness must also be able
 to demonstrate that a wrong identity fails, which ``run_identity(...,
@@ -54,9 +57,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
+from operator import mul
 
 from . import classical
-from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
     _stirling_sum,
     bell_deg,
@@ -64,7 +68,6 @@ from .sequences import (
     falling_factorial_deg,
     fubini_deg,
     fubini_two_var_alpha,
-    rising_factorial,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
@@ -127,15 +130,18 @@ def _spivey_sides(n: int, m: int, outer, weight, inner):
     """Both sides of B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l.
 
     The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k)
-    and ``inner(j, k, m)`` = G(j, k, m); a k whose weight is zero is skipped.
+    and ``inner(j, k, m)`` = G(j, k, m).  W multiplies the inner sum over l
+    once per k, and a k whose weight is zero is skipped.
     """
     rhs = 0  # stays an int while every part is one (the classical numbers)
     for k in range(m, -1, -1):
         w = weight(m, k)
         if w == 0:
             continue
+        inner_sum = 0
         for l in range(n, -1, -1):
-            rhs = rhs + comb(n, l) * w * outer(l) * inner(n - l, k, m)
+            inner_sum = inner_sum + comb(n, l) * outer(l) * inner(n - l, k, m)
+        rhs = rhs + w * inner_sum
     # adding the zero polynomial makes an int side a Poly and copies a Poly side
     return outer(n + m) + Poly.zero(), rhs + Poly.zero()
 
@@ -189,7 +195,8 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
     p = fubini_two_var_alpha(n, alpha)
     if side == "x=0":
         return p.eval({Var.X: 0}), falling_factorial_deg(Y, n)
-    return p.eval({Var.Y: 0}), _stirling_sum(n, lambda k: rising_factorial(alpha, k).const_value())
+    rising = list(itertools.accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
+    return p.eval({Var.Y: 0}), _stirling_sum(n, rising.__getitem__)
 
 
 # -- registry and runner -------------------------------------------------------
@@ -318,7 +325,10 @@ def run_identity(
     Given bindings are evaluated in either mode; their values go through
     `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
     mode sweeps the identity's `spot_grid` and symbolic mode compares the
-    exact polynomials; each cell's sides are built once for all passes.
+    exact polynomials.  Each cell's sides and their difference are built
+    once for all passes; a pass evaluates only the difference, and a cell
+    passes where it is zero.  The sides themselves are evaluated only for
+    the first counterexample, which reports them, not their difference.
     The second bound doubles as the order bound K for exp-splitting and as
     alpha_max for fubini-x-zero.  ``corrupt`` names one of the identity's
     mutations, which must make the check fail.
@@ -346,23 +356,27 @@ def run_identity(
 
     cells = spec.cells(n_max, m_max)
     context = dict(zip(spec.orders, (n_max, m_max)))
-    built = [sides(**cell, **context) for cell in cells]
+    built = []
+    for cell in cells:
+        lhs, rhs = sides(**cell, **context)
+        # equal sides, the common case, cost no subtraction
+        built.append((lhs, rhs, ZERO if lhs == rhs else lhs - rhs))
     grid = []
     pass_count = fail_count = 0
     first = None
     for bound in passes:
-        for cell, (lhs, rhs) in zip(cells, built):
+        for cell, (lhs, rhs, diff) in zip(cells, built):
             record = dict(cell)
             if bound:
-                lhs, rhs = lhs.eval(bound), rhs.eval(bound)
+                diff = diff.eval(bound)
                 record.update({v.symbol: str(c) for v, c in bound.items()})
             grid.append(record)
-            if lhs == rhs:
+            if diff.is_zero():
                 pass_count += 1
             else:
                 fail_count += 1
                 if first is None:
-                    first = Counterexample(bindings=record, lhs=lhs, rhs=rhs)
+                    first = Counterexample(record, lhs.eval(bound), rhs.eval(bound))
     return VerifyReport(
         identity=identity,
         grid=tuple(grid),

@@ -345,6 +345,15 @@ class TestDeterminism:
                 "4b39414c4491f56c8bc400b503366c589698990024c26e5c26907a8583ad7de5",
             ),
             (
+                "verify --id deg-fubini-spivey --n-max 4 --m-max 4 --mode rational"
+                " --bind l=-1/3 --bind t=3 --format json",
+                "890ca69370ec0ec4627884eb91031022869f15b0d6c8ca1b3d2ca8fe7b50fbb3",
+            ),
+            (
+                "verify --all --n-max 3 --m-max 3 --mode rational",
+                "0ab66c85a68844ce40603164d748404ab3f78ed6ca12d81ad72e4e4768dbc257",
+            ),
+            (
                 "series --gf two-var-fubini:2 --order 8 --format json",
                 "1ba3778286e084da4dedff57279f23535c919e245811ce97b549540078fa8553",
             ),

@@ -258,6 +258,49 @@ class TestMutationDetection:
             run_identity(Identity.SPIVEY_BELL, 3, 3, corrupt="drop-unit-weight")
 
 
+class TestRationalPointSemantics:
+    # pinned counts and first counterexample cells: a nonzero difference
+    # that vanishes at a point must count as a pass there
+    @pytest.mark.parametrize(
+        "identity,corrupt,bindings,passed,failed,cell",
+        [
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", None, 57, 43,
+             {"n": 0, "m": 2, "l": "1/2"}),
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", {"l": "0"}, 25, 0, None),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg", None, 158, 142,
+             {"n": 1, "m": 1, "l": "1/2", "t": "1"}),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg", {"t": "2"}, 9, 16,
+             {"n": 1, "m": 1, "t": "2"}),
+        ],
+    )
+    def test_counts_and_first_cell(self, identity, corrupt, bindings, passed, failed, cell):
+        report = run_identity(identity, 4, 4, "rational", bindings, corrupt=corrupt)
+        assert (report.pass_count, report.fail_count) == (passed, failed)
+        ce = report.first_counterexample
+        assert (ce.bindings if ce else None) == cell
+
+    @pytest.mark.parametrize(
+        "identity,corrupt,lhs,rhs",
+        [
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", 1, Fraction(3, 2)),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg", Fraction(5, 2), 3),
+        ],
+    )
+    def test_counterexample_reports_evaluated_sides(self, identity, corrupt, lhs, rhs):
+        ce = run_identity(identity, 4, 4, "rational", corrupt=corrupt).first_counterexample
+        # both sides at the point, not their difference
+        assert ce.lhs.is_const() and ce.rhs.is_const()
+        assert (ce.lhs, ce.rhs) == (Poly.const(lhs), Poly.const(rhs))
+
+    def test_partial_binding_reports_sides_in_free_variable(self):
+        report = run_identity(
+            Identity.DEG_FUBINI_SPIVEY, 4, 4, "rational", {"t": "2"}, corrupt="unshifted-y-arg"
+        )
+        ce = report.first_counterexample
+        assert ce.lhs == 10 - 2 * LAM
+        assert ce.rhs == Poly.const(10)
+
+
 class TestSpecializationCoherence:
     def test_verify_then_bind_equals_bind_then_verify(self):
         lam0 = Fraction(1, 3)

@@ -49,8 +49,11 @@ def var_from_symbol(symbol: str) -> Var:
 
 
 def _term_key(mono: tuple[int, int, int, int]):
-    # graded order: total degree first, then lambda-heaviest exponent vector
-    return (sum(mono), tuple(-e for e in mono))
+    """The canonical sort key of a monomial: total degree first, then the
+    exponent vector descending with ``l`` weighing heaviest.  Plain tuple
+    arithmetic, since `terms`, `__str__` and `to_json` sort every term."""
+    a, b, c, d = mono
+    return (a + b + c + d, -a, -b, -c, -d)
 
 
 Scalar = int | Fraction
@@ -320,12 +323,13 @@ class Poly:
         return f"Poly({self})"
 
     def to_json(self) -> list:
-        """Canonical JSON form: list of {"m": exponents, "c": "p/q"} terms."""
-        out = []
-        for mono, c in self.terms():
-            m = {v.symbol: mono[v] for v in Var if mono[v]}
-            out.append({"m": m, "c": str(c)})
-        return out
+        """Canonical JSON form: list of {"m": exponents, "c": "p/q"} terms,
+        in `terms` order; "m" maps each symbol with a nonzero exponent to it,
+        in the order l, x, y, t."""
+        return [
+            {"m": {s: e for s, e in zip(_SYMBOLS, mono) if e}, "c": str(c)}
+            for mono, c in self.terms()
+        ]
 
     @classmethod
     def from_json(cls, data: list) -> "Poly":

@@ -9,11 +9,12 @@ Subcommands:
   limit    pair each degenerate family with its l = 0 classical limit
 
 All numbers are exact rationals; the deformation parameter is spelled
-``l`` on the command line, and ``verify --bind`` applies in either mode.
-Exit codes: 0 success / all cells pass, 1 identity or limit violation,
-2 usage error or failed ``--output`` write.  Identical invocations produce
-identical bytes.  The only environment knob is DEGENBELL_WIDTH, a width
-hint for wrapping long polynomials in text output.
+``l`` on the command line, and ``verify --bind`` applies in either mode
+to variables the identity contains.  Exit codes: 0 success / all cells
+pass, 1 identity or limit violation, 2 usage error or failed ``--output``
+write.  Identical invocations produce identical bytes, and JSON output is
+exactly ``json.dumps(data, indent=2)``.  The only environment knob is
+DEGENBELL_WIDTH, a width hint for wrapping long polynomials in text output.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import textwrap
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # the stdlib's C escaper
 
 from .algebra import Poly, Var, parse_rational, var_from_symbol
 from .sequences import (
@@ -37,7 +38,7 @@ from .sequences import (
     index_names,
 )
 from .series import DEFAULT_ORDER, Series, deg_exp_of, exp_of
-from .verify import Identity, run_identity
+from .verify import Identity, free_vars, run_identity
 
 
 def _bind_pair(text: str) -> tuple[Var, Fraction]:
@@ -122,6 +123,40 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the JSON data the CLI
+    emits: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else, a float included, raises TypeError.
+
+    The stdlib encoder runs its C speedup only without an indent; this is
+    one recursive pass that returns one string per container.  ``indent``
+    is the newline and indentation that precede the value's own line.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # _quote raises TypeError for a key that is not a str
+        items = [f"{_quote(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"not JSON data: {obj!r} ({type(obj).__name__})")
+
+
 def _wrap_width() -> int:
     raw = os.environ.get("DEGENBELL_WIDTH", "")
     try:
@@ -168,7 +203,7 @@ def _cmd_table(args, parser) -> int:
         parser.error(str(exc))
     table = _apply_bindings(table, args.bind)
     if args.format == "json":
-        _emit(json.dumps(table.to_json(), indent=2) + "\n", args.output)
+        _emit(_json_text(table.to_json()) + "\n", args.output)
     elif args.format == "csv":
         _emit(_csv_text(table.to_csv_rows()), args.output)
     else:
@@ -190,7 +225,7 @@ def _cmd_poly(args, parser) -> int:
         parser.error(str(exc))
     poly = kind.build(n, k if kind.triangular else alpha).eval(dict(args.bind))
     if args.format == "json":
-        _emit(json.dumps(poly.to_json(), indent=2) + "\n", args.output)
+        _emit(_json_text(poly.to_json()) + "\n", args.output)
     else:
         _emit(_wrap_line(str(poly)) + "\n", args.output)
     return 0
@@ -224,7 +259,7 @@ def _cmd_series(args, parser) -> int:
     if args.bind:
         series = Series([c.eval(dict(args.bind)) for c in series.coeffs])
     if args.format == "json":
-        _emit(json.dumps(series.to_json(), indent=2) + "\n", args.output)
+        _emit(_json_text(series.to_json()) + "\n", args.output)
     else:
         lines = [_wrap_line(f"{n}: {series.coeff(n)}") for n in range(series.order + 1)]
         _emit("\n".join(lines) + "\n", args.output)
@@ -247,13 +282,18 @@ def _report_text(report) -> str:
 
 def _cmd_verify(args, parser) -> int:
     identities = list(Identity) if args.all else [Identity(args.identity)]
+    # a binding must act somewhere: with --all, in at least one identity
+    free = set().union(*map(free_vars, identities))
+    stray = ", ".join(v.symbol for v in args.bind if v not in free)
+    if stray:
+        parser.error(f"--bind {stray}: no such variable in {args.identity or 'any identity'}")
     reports = [
         run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
         for ident in identities
     ]
     if args.format == "json":
         payload = [r.to_json() for r in reports]
-        _emit(json.dumps(payload[0] if not args.all else payload, indent=2) + "\n", args.output)
+        _emit(_json_text(payload[0] if not args.all else payload) + "\n", args.output)
     else:
         _emit("".join(_report_text(r) for r in reports), args.output)
     return 0 if all(r.ok for r in reports) else 1
@@ -281,7 +321,7 @@ def _cmd_limit(args, parser) -> int:
                 for index, limit, ref, match in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json_text(payload) + "\n", args.output)
     elif args.format == "csv":
         triangular = any(len(index) > 1 for index, *_ in rows)
         header = (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]

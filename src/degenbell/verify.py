@@ -32,8 +32,8 @@ The other three have builders of their own:
                    F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
 
 Each identity has one entry in a registry: its grid cells, its side
-builder, the free variables of its rational spot grid and its named
-mutations.  A mutation is data: it swaps one part of the side builder.
+builder, the variables its sides contain (all swept by its rational spot
+grid, except x of fubini-x-zero) and its named mutations.  A mutation is data: it swaps one part of the side builder.
 ``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
 ``unshifted-y-arg`` replaces G of deg-fubini-spivey by F^(k)_{j,l}(t, k).
 `run_identity` is the single entry point.  It builds each cell's sides
@@ -215,6 +215,7 @@ class _Spec:
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
     mutations: dict[str, dict[str, Callable]] = field(default_factory=dict)
     orders: tuple[str, ...] = ()
+    unswept: tuple[Var, ...] = ()  # free in the sides but not swept
 
 
 def _nm_cells(n_max: int, m_max: int):
@@ -298,11 +299,20 @@ _SPECS = {
     Identity.EXP_SPLITTING: _Spec(
         _jk_cells, _exp_splitting_sides, (Var.LAMBDA,), orders=("j_order", "k_order")
     ),
-    Identity.FUBINI_X_ZERO: _Spec(_fubini_x_zero_cells, _fubini_x_zero_sides, (Var.LAMBDA, Var.Y)),
+    # x occurs only on the y = 0 side; the spot grid has never swept it
+    Identity.FUBINI_X_ZERO: _Spec(
+        _fubini_x_zero_cells, _fubini_x_zero_sides, (Var.LAMBDA, Var.Y), unswept=(Var.X,)
+    ),
 }
 
 LAMBDA_SPOT = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2))
 ARG_SPOT = (Fraction(1), Fraction(2), Fraction(-1, 2))
+
+
+def free_vars(identity: Identity) -> set[Var]:
+    """The variables that occur in the identity's sides, so a binding can act."""
+    spec = _SPECS[identity]
+    return {*spec.spot_vars, *spec.unswept}
 
 
 def spot_grid(identity: Identity) -> list[Bindings]:

@@ -7,13 +7,14 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell.algebra import Poly
-from degenbell.cli import LIMIT_KINDS, main
+from degenbell.cli import LIMIT_KINDS, _json_text, main
 from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, SeqTable
 from degenbell.series import Series
 from degenbell.verify import Identity
@@ -265,6 +266,45 @@ class TestVerify:
             main(["verify", "--id", "not-an-identity"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode", ["symbolic", "rational"])
+    @pytest.mark.parametrize(
+        "identity,binds,stray",
+        [
+            ("spivey-bell", ["t=2"], "t"),
+            ("fully-deg-bell", ["l=1/2", "x=1"], "x"),
+            ("deg-fubini-spivey", ["y=3", "l=-1/3", "t=2"], "y"),
+            ("spivey-bell-poly", ["l=0", "x=2", "t=1"], "l, t"),
+        ],
+    )
+    def test_bind_of_absent_variable_exits_2(self, capsys, mode, identity, binds, stray):
+        argv = ["verify", "--id", identity, "--n-max", "1", "--m-max", "1", "--mode", mode]
+        for bind in binds:
+            argv += ["--bind", bind]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--bind {stray}: no such variable in {identity}" in captured.err
+
+    def test_bind_with_all_needs_one_identity_to_contain_it(self, capsys):
+        # l is absent from spivey-bell but free in others
+        code, out = run_cli(
+            capsys, "verify", "--all", "--n-max", "1", "--m-max", "1",
+            "--bind", "l=1/2", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 10
+
+    def test_bind_of_variable_on_one_side_only(self, capsys):
+        # x occurs only on the y = 0 side of fubini-x-zero, outside its spot grid
+        code, out = run_cli(
+            capsys, "verify", "--id", "fubini-x-zero", "--n-max", "2", "--m-max", "2",
+            "--bind", "x=2", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] == 18
+
 
 class TestLimit:
     @pytest.mark.parametrize(
@@ -377,6 +417,18 @@ class TestDeterminism:
                 "limit --kind two-var-deg-fubini --alpha 2 --n-max 5 --format csv",
                 "2806027c5cdb19d6cd716b3457086e2898cb4cfb35eeff52fa8592122ba9b17f",
             ),
+            (
+                "table --kind deg-stirling2 --n-max 20 --format json",
+                "88d060cfe211d49018eb167c2e0bb8e29e477eeaac3b785400082f0b9cd6deb3",
+            ),
+            (
+                "poly --kind two-var-deg-fubini --alpha 3 -n 6 --format json",
+                "64d806042069e23b6c4521cc09e1e46e2dfb7e89dce0eb9cd4045d663e8c6a17",
+            ),
+            (
+                "series --gf deg-fubini --order 8 --format json",
+                "a0e50d69aaf5fd8c46a46fe426ca91041b51350a52b224696f05b4715689ac53",
+            ),
         ],
     )
     def test_golden_stdout(self, capsys, monkeypatch, argv, digest):
@@ -390,6 +442,44 @@ class TestDeterminism:
         code, out = run_cli(capsys, "poly", "--kind", "deg-fubini", "-n", "6")
         assert code == 0
         assert all(len(line) <= 30 for line in out.splitlines())
+
+
+# Strings that exercise every escape: quotes, backslashes, control, DEL and
+# non-ASCII characters, including one outside the basic multilingual plane.
+json_strings = st.text() | st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600a ')
+)
+json_data = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @given(data=json_data)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps_indent_2(self, data):
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    def test_empty_and_nested_containers(self):
+        data = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": None}]}
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [1.5, 0.0, float("nan"), [1, 2.5], {"c": {"d": -0.0}}, {1: "x"}, {None: 1},
+         {("n", "k"): 1}, {"a": {1: 2}}, object(), [Fraction(1, 2)], {"s": {1, 2}}, b"bytes"],
+    )
+    def test_other_data_raises_type_error(self, data):
+        with pytest.raises(TypeError):
+            _json_text(data)
 
 
 # Option values for the fuzz test: (valid, malformed).  Bounds stay at most 3.

@@ -1,11 +1,13 @@
 """Identity verification harness: reports, cross-reductions, mutation detection."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from degenbell import classical
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
+from degenbell.cli import _json_text
 from degenbell.sequences import (
     bell_fully_deg,
     fubini_two_var_alpha,
@@ -13,8 +15,10 @@ from degenbell.sequences import (
     unit_falling_factorial_deg,
 )
 from degenbell.verify import (
+    _SPECS,
     Identity,
     VerifyReport,
+    free_vars,
     run_identity,
     spot_grid,
 )
@@ -54,6 +58,24 @@ class TestReportShape:
         assert ce["bindings"] == {"n": 0, "m": 2}
         assert Poly.from_json(ce["lhs"]) == 2 - 2 * LAM
         assert Poly.from_json(ce["rhs"]) == 2 - LAM
+
+    # no CLI command emits a counterexample, so the golden digests miss this shape
+    @pytest.mark.parametrize(
+        "identity,corrupt,mode,bindings",
+        [
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", "symbolic", None),
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", "rational", None),
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", "rational", {"l": "-1/3"}),
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight", "symbolic", {"l": "2"}),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg", "symbolic", None),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg", "rational", {"t": "3/2"}),
+        ],
+    )
+    def test_counterexample_json_text(self, identity, corrupt, mode, bindings):
+        report = run_identity(identity, 3, 3, mode, bindings, corrupt=corrupt)
+        data = report.to_json()
+        assert data["first_counterexample"] is not None
+        assert _json_text(data) == json.dumps(data, indent=2)
 
 
 class TestSpiveyBellNumbers:
@@ -327,6 +349,20 @@ class TestSpecializationCoherence:
             assert sym_lhs == lhs2
             assert sym_rhs == rhs2
             assert lhs2 == rhs2
+
+
+class TestFreeVars:
+    @pytest.mark.parametrize("identity", list(Identity))
+    def test_free_vars_are_the_variables_of_the_sides(self, identity):
+        spec = _SPECS[identity]
+        found = set()
+        for cell in spec.cells(2, 2):
+            lhs, rhs = spec.sides(**cell, **dict(zip(spec.orders, (2, 2))))
+            found |= lhs.variables() | rhs.variables()
+        assert free_vars(identity) == found
+        # the spot grid sweeps them all, except x of fubini-x-zero's y = 0 side
+        unswept = {Var.X} if identity is Identity.FUBINI_X_ZERO else set()
+        assert set(spec.spot_vars) == found - unswept
 
 
 class TestDispatch:

@@ -331,6 +331,34 @@ class Poly:
             for mono, c in self.terms()
         ]
 
+    def json_text(self, indent: str = "\n") -> str:
+        """``json.dumps(self.to_json(), indent=2)`` byte for byte, nested at
+        ``indent``, the newline and indentation before this value's own line.
+
+        Each term is written straight from the term map, with no dict per
+        term; ``str(c)`` and the exponents never need escaping.
+        """
+        if not self._terms:
+            return "[]"
+        row = indent + "  "  # before each term's "{"
+        field = row + "  "  # before its "m" and "c"
+        el, ex, ey, et = [f'{field}  "{s}": ' for s in _SYMBOLS]
+        head, mid, tail = "{" + field + '"m": ', "," + field + '"c": "', '"' + row + "}"
+        items = []
+        for (a, b, c, d), coeff in self.terms():
+            exps = []  # unrolled over l, x, y, t: this loop runs once per term
+            if a:
+                exps.append(el + str(a))
+            if b:
+                exps.append(ex + str(b))
+            if c:
+                exps.append(ey + str(c))
+            if d:
+                exps.append(et + str(d))
+            m = "{" + ",".join(exps) + field + "}" if exps else "{}"
+            items.append(head + m + mid + str(coeff) + tail)
+        return "[" + row + ("," + row).join(items) + indent + "]"
+
     @classmethod
     def from_json(cls, data: list) -> "Poly":
         """Inverse of `to_json`; coefficients go through `as_scalar`."""

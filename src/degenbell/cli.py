@@ -13,8 +13,10 @@ All numbers are exact rationals; the deformation parameter is spelled
 to variables the identity contains.  Exit codes: 0 success / all cells
 pass, 1 identity or limit violation, 2 usage error or failed ``--output``
 write.  Identical invocations produce identical bytes, and JSON output is
-exactly ``json.dumps(data, indent=2)``.  The only environment knob is
-DEGENBELL_WIDTH, a width hint for wrapping long polynomials in text output.
+exactly ``json.dumps(data, indent=2)`` of the library's ``to_json()`` data,
+although each polynomial in it is written straight from its term map.  The
+only environment knob is DEGENBELL_WIDTH, a width hint for wrapping long
+polynomials in text output.
 """
 
 from __future__ import annotations
@@ -124,14 +126,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for the JSON data the CLI
-    emits: dicts with str keys, lists, tuples, str, int, bool and None.
-    Anything else, a float included, raises TypeError.
+    """``json.dumps(data, indent=2)``, byte for byte, for the JSON data the CLI
+    emits: dicts with str keys, lists, tuples, str, int, bool and None, with
+    `Poly` leaves standing for their ``to_json()``.  Anything else, a float
+    included, raises TypeError.
 
     The stdlib encoder runs its C speedup only without an indent; this is
-    one recursive pass that returns one string per container.  ``indent``
-    is the newline and indentation that precede the value's own line.
+    one recursive pass that returns one string per container.  A `Poly` is
+    rendered by `Poly.json_text` straight from its term map, so no dict is
+    built per term.  ``indent`` is the newline and indentation that precede
+    the value's own line.
     """
+    if type(obj) is Poly:
+        return obj.json_text(indent)
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
@@ -155,6 +162,11 @@ def _json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"not JSON data: {obj!r} ({type(obj).__name__})")
+
+
+def _poly_leaf(poly: Poly) -> Poly:
+    """The ``leaf`` for `to_json` that keeps each `Poly` for `_json_text`."""
+    return poly
 
 
 def _wrap_width() -> int:
@@ -203,7 +215,7 @@ def _cmd_table(args, parser) -> int:
         parser.error(str(exc))
     table = _apply_bindings(table, args.bind)
     if args.format == "json":
-        _emit(_json_text(table.to_json()) + "\n", args.output)
+        _emit(_json_text(table.to_json(leaf=_poly_leaf)) + "\n", args.output)
     elif args.format == "csv":
         _emit(_csv_text(table.to_csv_rows()), args.output)
     else:
@@ -215,6 +227,8 @@ def _cmd_poly(args, parser) -> int:
     kind, n, k = KINDS[args.kind], args.n, args.k
     if n < 0:
         parser.error("n must be nonnegative")
+    if k is not None and k < 0:
+        parser.error("-k must be nonnegative")
     if kind.triangular and k is None:
         parser.error(f"kind {kind.name} needs -k")
     if k is not None and not kind.triangular:
@@ -225,7 +239,7 @@ def _cmd_poly(args, parser) -> int:
         parser.error(str(exc))
     poly = kind.build(n, k if kind.triangular else alpha).eval(dict(args.bind))
     if args.format == "json":
-        _emit(_json_text(poly.to_json()) + "\n", args.output)
+        _emit(_json_text(poly) + "\n", args.output)
     else:
         _emit(_wrap_line(str(poly)) + "\n", args.output)
     return 0
@@ -259,7 +273,7 @@ def _cmd_series(args, parser) -> int:
     if args.bind:
         series = Series([c.eval(dict(args.bind)) for c in series.coeffs])
     if args.format == "json":
-        _emit(_json_text(series.to_json()) + "\n", args.output)
+        _emit(_json_text(series.to_json(leaf=_poly_leaf)) + "\n", args.output)
     else:
         lines = [_wrap_line(f"{n}: {series.coeff(n)}") for n in range(series.order + 1)]
         _emit("\n".join(lines) + "\n", args.output)

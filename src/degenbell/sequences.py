@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, factorial
@@ -50,9 +49,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Var, X, as_scalar, var_from_symbol
-
-Scalar = int | Fraction
+from .algebra import LAM, ONE, Poly, Scalar, Var, X, as_scalar, var_from_symbol
 
 
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
@@ -186,8 +183,9 @@ class SeqTable:
     provenance: str
     values: tuple  # ((n,) or (n, k), Poly) pairs in index order
 
-    def to_json(self) -> dict:
-        rows = [{**index_names(index), "poly": poly.to_json()} for index, poly in self.values]
+    def to_json(self, leaf: Callable[[Poly], object] = Poly.to_json) -> dict:
+        """The table as JSON data, each polynomial as ``leaf(poly)``."""
+        rows = [{**index_names(index), "poly": leaf(poly)} for index, poly in self.values]
         return {
             "kind": self.kind,
             "bounds": self.bounds,

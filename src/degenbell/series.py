@@ -21,6 +21,7 @@ whose EGF coefficients are the degenerate falling factorials
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -175,8 +176,9 @@ class Series:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"order": self.order, "egf_coeffs": [c.to_json() for c in self._coeffs]}
+    def to_json(self, leaf: Callable[[Poly], object] = Poly.to_json) -> dict:
+        """The series as JSON data, each coefficient as ``leaf(coefficient)``."""
+        return {"order": self.order, "egf_coeffs": [leaf(c) for c in self._coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Series":

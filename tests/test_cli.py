@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell.algebra import Poly
-from degenbell.cli import LIMIT_KINDS, _json_text, main
-from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, SeqTable
+from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
+from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, SeqTable, build_table
 from degenbell.series import Series
 from degenbell.verify import Identity
+from strategies import polys
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,12 @@ class TestPoly:
         from degenbell.sequences import bell_fully_deg
 
         assert poly == bell_fully_deg(2)
+
+    def test_negative_k_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--kind", "deg-stirling2", "-n", "3", "-k", "-1"])
+        assert exc.value.code == 2
+        assert "-k must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", LINEAR_KINDS)
     def test_linear_kind_is_last_table_row(self, capsys, kind):
@@ -429,6 +436,15 @@ class TestDeterminism:
                 "series --gf deg-fubini --order 8 --format json",
                 "a0e50d69aaf5fd8c46a46fe426ca91041b51350a52b224696f05b4715689ac53",
             ),
+            # Fraction coefficients in JSON
+            (
+                "table --kind fully-deg-bell --n-max 6 --bind l=1/3 --format json",
+                "6289e99eaebbbb1897852f95b43aac087b42da155857bf966156bf31c0c5e48b",
+            ),
+            (
+                "series --gf two-var-fubini:2 --order 6 --bind y=-1/2 --format json",
+                "6b77b81b6d567aded7c8d45d6e2e1aaaed7e8608c2d55e49d4da4d88ece5a0fd",
+            ),
         ],
     )
     def test_golden_stdout(self, capsys, monkeypatch, argv, digest):
@@ -462,11 +478,73 @@ json_data = st.recursive(
 )
 
 
+# Trees with Poly leaves: the zero polynomial, constants, negative and
+# Fraction coefficients, all four variables and multi-digit exponents.
+poly_trees = st.recursive(
+    polys(max_terms=5, max_exp=11) | st.integers() | json_strings | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _to_json_leaves(data):
+    if isinstance(data, Poly):
+        return data.to_json()
+    if isinstance(data, dict):
+        return {key: _to_json_leaves(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_to_json_leaves(value) for value in data]
+    return data
+
+
 class TestJsonText:
     @given(data=json_data)
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps_indent_2(self, data):
         assert _json_text(data) == json.dumps(data, indent=2)
+
+    @given(data=poly_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_poly_leaf_equals_its_to_json(self, data):
+        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2)
+
+    def test_library_to_json_is_unchanged(self):
+        # the default leaf is Poly.to_json, so library callers get plain JSON data
+        assert build_table("deg-stirling2", 2).to_json() == {
+            "kind": "deg-stirling2",
+            "bounds": {"n_max": 2},
+            "provenance": "recurrence",
+            "values": [
+                {"n": 0, "k": 0, "poly": [{"m": {}, "c": "1"}]},
+                {"n": 1, "k": 0, "poly": []},
+                {"n": 1, "k": 1, "poly": [{"m": {}, "c": "1"}]},
+                {"n": 2, "k": 0, "poly": []},
+                {"n": 2, "k": 1, "poly": [{"m": {}, "c": "1"}, {"m": {"l": 1}, "c": "-1"}]},
+                {"n": 2, "k": 2, "poly": [{"m": {}, "c": "1"}]},
+            ],
+        }
+        series = Series([Fraction(-1, 2), 0, Poly({(1, 0, 0, 0): 3, (0, 2, 1, 0): Fraction(2, 3)})])
+        assert series.to_json() == {
+            "order": 2,
+            "egf_coeffs": [
+                [{"m": {}, "c": "-1/2"}],
+                [],
+                [{"m": {"l": 1}, "c": "3"}, {"m": {"x": 2, "y": 1}, "c": "2/3"}],
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "argv,document",
+        [
+            ("table --kind two-var-deg-fubini --alpha 2 --n-max 5 --format json",
+             lambda: build_table("two-var-deg-fubini", 5, alpha=2)),
+            ("series --gf two-var-fubini:2 --order 8 --format json",
+             lambda: _named_series("two-var-fubini:2", 8)),
+        ],
+    )
+    def test_cli_output_is_dump_of_library_to_json(self, capsys, argv, document):
+        _, out = run_cli(capsys, *argv.split())
+        assert out == json.dumps(document().to_json(), indent=2) + "\n"
 
     def test_empty_and_nested_containers(self):
         data = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": None}]}

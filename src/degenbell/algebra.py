@@ -15,6 +15,13 @@ monomial is the 4-tuple of exponents ``(e_l, e_x, e_y, e_t)``.  Terms are
 kept in a canonical order (ascending total degree, then by exponent
 vector with ``l`` weighing heaviest), which makes serialization and
 string rendering deterministic.
+
+Nearly all the work downstream is sums of products, sum c*p*q.  They go
+through one entry point, `Poly.sum_of_products`, which multiplies each
+tuple's factors straight into one accumulating term map and brings it to
+stored form in one final pass, so no product or partial sum is built per
+term.  ``*`` on its own shifts keys when one side is a single monomial and
+scales when it is a constant.
 """
 
 from __future__ import annotations
@@ -213,14 +220,78 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
+        long, short = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        if len(short._terms) == 1:
+            # one term times anything: a scaled copy, or a shift of keys, with
+            # no collisions and no zero products
+            ((mono, k),) = short._terms.items()
+            if mono == _ZERO_MONO:
+                if k == 1:
+                    return long
+                return Poly._trusted(
+                    {m: v if type(v := x * k) is int else _canon(v) for m, x in long._terms.items()}
+                )
+            a, b, c, d = mono
+            return Poly._trusted(
+                {
+                    (e + a, f + b, g + c, h + d): v if type(v := x * k) is int else _canon(v)
+                    for (e, f, g, h), x in long._terms.items()
+                }
+            )
         out: dict[tuple[int, int, int, int], Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly._trusted({m: _canon(c) for m, c in out.items() if c})
+        get = out.get
+        for (a, b, c, d), c1 in short._terms.items():
+            for m2, c2 in long._terms.items():
+                mono = (a + m2[0], b + m2[1], c + m2[2], d + m2[3])
+                out[mono] = get(mono, 0) + c1 * c2
+        return Poly._trusted({m: c if type(c) is int else _canon(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(products) -> "Poly":
+        """The sum over ``products`` of the product of each tuple's factors.
+
+        A factor is a `Poly` or an exact scalar (int or Fraction).  The
+        scalars of a tuple fold into one coefficient; its `Poly` factors
+        before the last are multiplied with ``*`` and the result times the
+        last goes straight into one accumulating term map.  So a sum of
+        c*p*q terms builds no product and no partial sum, and the stored
+        form comes from one final pass.
+        """
+        out: dict[tuple[int, int, int, int], Scalar] = {}
+        get = out.get
+        for factors in products:
+            scale, polys = 1, []
+            for f in factors:
+                if isinstance(f, Poly):
+                    polys.append(f)
+                elif isinstance(f, (int, Fraction)):
+                    scale *= f
+                else:
+                    raise TypeError(f"not a Poly or an exact scalar: {f!r}")
+            if not scale:
+                continue
+            if not polys:
+                out[_ZERO_MONO] = get(_ZERO_MONO, 0) + scale
+                continue
+            last = polys.pop()._terms
+            if not polys:
+                for m, c in last.items():
+                    out[m] = get(m, 0) + scale * c
+                continue
+            head = polys[0]
+            for p in polys[1:]:
+                head = head * p
+            short, long = head._terms, last
+            if len(short) > len(long):
+                short, long = long, short
+            for (a, b, c, d), c1 in short.items():
+                c1 *= scale
+                for m2, c2 in long.items():
+                    mono = (a + m2[0], b + m2[1], c + m2[2], d + m2[3])
+                    out[mono] = get(mono, 0) + c1 * c2
+        return Poly._trusted({m: c if type(c) is int else _canon(c) for m, c in out.items() if c})
 
     def __truediv__(self, other) -> "Poly":
         if not isinstance(other, (int, Fraction)):
@@ -282,22 +353,15 @@ class Poly:
 
     def substitute(self, var: Var, replacement: "Poly") -> "Poly":
         """Replace var by an arbitrary polynomial and re-expand."""
-        powers = {0: Poly.one()}
-
-        def pw(e: int) -> "Poly":
-            if e not in powers:
-                powers[e] = pw(e - 1) * replacement
-            return powers[e]
-
         groups: dict[int, dict] = {}  # exponent of var -> terms of its cofactor
         for mono, c in self._terms.items():
             rest = list(mono)
             rest[var] = 0
             groups.setdefault(mono[var], {})[tuple(rest)] = c
-        total = Poly.zero()
-        for e, terms in groups.items():
-            total = total + Poly._trusted(terms) * pw(e)
-        return total
+        powers = [ONE]  # replacement**0 .. replacement**degree
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * replacement)
+        return Poly.sum_of_products((Poly._trusted(t), powers[e]) for e, t in groups.items())
 
     # -- rendering and serialization ------------------------------------
 

@@ -9,14 +9,15 @@ Subcommands:
   limit    pair each degenerate family with its l = 0 classical limit
 
 All numbers are exact rationals; the deformation parameter is spelled
-``l`` on the command line, and ``verify --bind`` applies in either mode
-to variables the identity contains.  Exit codes: 0 success / all cells
-pass, 1 identity or limit violation, 2 usage error or failed ``--output``
-write.  Identical invocations produce identical bytes, and JSON output is
-exactly ``json.dumps(data, indent=2)`` of the library's ``to_json()`` data,
-although each polynomial in it is written straight from its term map.  The
-only environment knob is DEGENBELL_WIDTH, a width hint for wrapping long
-polynomials in text output.
+``l`` on the command line.  A ``--bind`` must name a variable that the
+output contains (for ``verify``, one that the identity contains; it then
+applies in either mode), or the command exits 2.  Exit codes: 0 success /
+all cells pass, 1 identity or limit violation, 2 usage error or failed
+``--output`` write.  Identical invocations produce identical bytes, and
+JSON output is exactly ``json.dumps(data, indent=2)`` of the library's
+``to_json()`` data, although each polynomial in it is written straight
+from its term map.  The only environment knob is DEGENBELL_WIDTH, a width
+hint for wrapping long polynomials in text output.
 """
 
 from __future__ import annotations
@@ -191,6 +192,13 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _check_bindings(parser, bindings, free, where: str) -> None:
+    """Exit 2 naming every bound variable not in ``free``, so no --bind is ignored."""
+    stray = ", ".join(v.symbol for v in bindings if v not in free)
+    if stray:
+        parser.error(f"--bind {stray}: no such variable in {where}")
+
+
 def _apply_bindings(table, bindings):
     if not bindings:
         return table
@@ -213,6 +221,9 @@ def _cmd_table(args, parser) -> int:
         table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.bind:
+        free = set().union(*(poly.variables() for _, poly in table.values))
+        _check_bindings(parser, args.bind, free, args.kind)
     table = _apply_bindings(table, args.bind)
     if args.format == "json":
         _emit(_json_text(table.to_json(leaf=_poly_leaf)) + "\n", args.output)
@@ -237,7 +248,10 @@ def _cmd_poly(args, parser) -> int:
         alpha = kind.order(args.alpha)
     except ValueError as exc:
         parser.error(str(exc))
-    poly = kind.build(n, k if kind.triangular else alpha).eval(dict(args.bind))
+    index = (n, k) if kind.triangular else (n,)
+    poly = kind.build(n, k if kind.triangular else alpha)
+    _check_bindings(parser, args.bind, poly.variables(), f"{kind.name} {_label(index)}")
+    poly = poly.eval(args.bind)
     if args.format == "json":
         _emit(_json_text(poly) + "\n", args.output)
     else:
@@ -271,7 +285,9 @@ def _cmd_series(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.bind:
-        series = Series([c.eval(dict(args.bind)) for c in series.coeffs])
+        free = set().union(*(c.variables() for c in series.coeffs))
+        _check_bindings(parser, args.bind, free, args.gf)
+        series = Series([c.eval(args.bind) for c in series.coeffs])
     if args.format == "json":
         _emit(_json_text(series.to_json(leaf=_poly_leaf)) + "\n", args.output)
     else:
@@ -298,9 +314,7 @@ def _cmd_verify(args, parser) -> int:
     identities = list(Identity) if args.all else [Identity(args.identity)]
     # a binding must act somewhere: with --all, in at least one identity
     free = set().union(*map(free_vars, identities))
-    stray = ", ".join(v.symbol for v in args.bind if v not in free)
-    if stray:
-        parser.error(f"--bind {stray}: no such variable in {args.identity or 'any identity'}")
+    _check_bindings(parser, args.bind, free, args.identity or "any identity")
     reports = [
         run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
         for ident in identities

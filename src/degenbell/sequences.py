@@ -10,14 +10,16 @@ parameter stays symbolic as the variable ``l``.  Definitions:
                  (x)_{n,l} = sum_k S2_l(n,k) (x)_k
     phi_{n,l}(x)   = sum_k S2_l(n,k) x^k         degenerate Bell
     Bel_{n,l}(x)   = sum_k S2_l(n,k) (1)_{k,l} x^k   fully degenerate Bell
-    F_{n,l}(x)     = sum_k k! S2_l(n,k) x^k      degenerate Fubini
-    F^(a)_{n,l}(x,y) = sum_j C(n,j) [sum_k <a>_k S2_l(j,k) x^k] (y)_{n-j,l}
+    F^(a)_{n,l}(x) = sum_k <a>_k S2_l(n,k) x^k   degenerate Fubini, order a;
+                                                 F_{n,l} = F^(1)_{n,l}, as <1>_k = k!
+    F^(a)_{n,l}(x,y) = sum_j C(n,j) F^(a)_{j,l}(x) (y)_{n-j,l}
                                                  two-variable, order a
 
 Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
-w(k) = 1, (1)_{k,l}, k! and (inside the sum over j) <a>_k, and one helper,
-`_stirling_sum`, builds all four.  S2_l is computed by the triangular
-recurrence
+w(k) = 1, (1)_{k,l} and <a>_k, and one helper, `_stirling_sum`, builds
+all three; the two-variable family sums the order-a Fubini polynomials
+against (y)_{n-j,l}.  Each sum of products goes through the kernel's
+`Poly.sum_of_products`.  S2_l is computed by the triangular recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
 
@@ -44,12 +46,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Scalar, Var, X, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, Poly, Scalar, Var, X, Y, as_scalar, var_from_symbol
 
 
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
@@ -103,13 +105,8 @@ def stirling2_deg(n: int, k: int) -> Poly:
 
 
 def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar]) -> Poly:
-    """sum_k weight(k) S2_l(n,k) x^k, the shape of every family here; zero weights are skipped."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        w = weight(k)
-        if w != 0:
-            total = total + w * stirling2_deg(n, k) * X**k
-    return total
+    """sum_k weight(k) S2_l(n,k) x^k, the shape of every family here."""
+    return Poly.sum_of_products((weight(k), X**k, stirling2_deg(n, k)) for k in range(n + 1))
 
 
 @cache
@@ -125,9 +122,13 @@ def bell_fully_deg(n: int) -> Poly:
 
 
 @cache
-def fubini_deg(n: int) -> Poly:
-    """Degenerate Fubini polynomial F_{n,l}(x)."""
-    return _stirling_sum(n, factorial)
+def fubini_deg(n: int, alpha: int = 1) -> Poly:
+    """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
+
+    alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
+    """
+    rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
+    return _stirling_sum(n, rising.__getitem__)
 
 
 @cache
@@ -135,13 +136,10 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     """Two-variable degenerate Fubini polynomial of nonnegative integer order."""
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
-    y = Poly.variable(Var.Y)
-    rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
-    total = Poly.zero()
-    for j in range(n + 1):
-        inner = _stirling_sum(j, rising.__getitem__)
-        total = total + comb(n, j) * inner * falling_factorial_deg(y, n - j)
-    return total
+    falling = list(accumulate((Y - i * LAM for i in range(n)), mul, initial=ONE))  # (y)_{0..n,l}
+    return Poly.sum_of_products(
+        (comb(n, j), fubini_deg(j, alpha), falling[n - j]) for j in range(n + 1)
+    )
 
 
 def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:

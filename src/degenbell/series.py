@@ -102,14 +102,12 @@ class Series:
         if isinstance(other, Series):
             n = min(self.order, other.order)
             a, b = self._coeffs, other._coeffs
-            out = []
-            for k in range(n + 1):
-                acc = Poly.zero()
-                for j in range(k + 1):
-                    if not a[j].is_zero() and not b[k - j].is_zero():
-                        acc = acc + comb(k, j) * a[j] * b[k - j]
-                out.append(acc)
-            return Series(out)
+            return Series(
+                [
+                    Poly.sum_of_products((comb(k, j), a[j], b[k - j]) for j in range(k + 1))
+                    for k in range(n + 1)
+                ]
+            )
         if isinstance(other, (Poly, int, Fraction)):
             c = _as_coeff(other)
             return Series([c * a for a in self._coeffs])
@@ -131,11 +129,7 @@ class Series:
         a = self._coeffs
         b = [Poly.one()]
         for n in range(1, self.order + 1):
-            acc = Poly.zero()
-            for j in range(1, n + 1):
-                if not a[j].is_zero():
-                    acc = acc + comb(n, j) * a[j] * b[n - j]
-            b.append(-acc)
+            b.append(Poly.sum_of_products((-comb(n, j), a[j], b[n - j]) for j in range(1, n + 1)))
         return Series(b)
 
     def int_pow(self, e: int) -> "Series":

@@ -41,7 +41,10 @@ once and their difference lhs - rhs once.  Bindings given to it are
 evaluated in either mode; without them, ``rational`` mode evaluates the
 difference at every point of `spot_grid` and ``symbolic`` mode compares
 the exact polynomials.  A point where a nonzero difference vanishes
-counts as a pass there.
+counts as a pass there.  fubini-x-zero's grid sweeps only (l, y), so in
+rational mode without a binding of x its y = 0 difference is still a
+polynomial in x at each point: for that side the check stays symbolic in
+x, not a point check.
 
 A failing cell is reported, never raised: the harness must also be able
 to demonstrate that a wrong identity fails, which ``run_identity(...,
@@ -57,12 +60,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
-from operator import mul
 
 from . import classical
 from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
-    _stirling_sum,
     bell_deg,
     bell_fully_deg,
     falling_factorial_deg,
@@ -131,19 +132,18 @@ def _spivey_sides(n: int, m: int, outer, weight, inner):
 
     The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k)
     and ``inner(j, k, m)`` = G(j, k, m).  W multiplies the inner sum over l
-    once per k, and a k whose weight is zero is skipped.
+    once per k, and a k whose weight is zero is skipped.  Both sums go
+    through `Poly.sum_of_products`, which takes int parts (the classical
+    numbers) as scalars.
     """
-    rhs = 0  # stays an int while every part is one (the classical numbers)
+    weighted = []  # (W(m,k), the inner sum over l) per k
     for k in range(m, -1, -1):
         w = weight(m, k)
-        if w == 0:
-            continue
-        inner_sum = 0
-        for l in range(n, -1, -1):
-            inner_sum = inner_sum + comb(n, l) * outer(l) * inner(n - l, k, m)
-        rhs = rhs + w * inner_sum
-    # adding the zero polynomial makes an int side a Poly and copies a Poly side
-    return outer(n + m) + Poly.zero(), rhs + Poly.zero()
+        if w != 0:
+            terms = ((comb(n, l), outer(l), inner(n - l, k, m)) for l in range(n, -1, -1))
+            weighted.append((w, Poly.sum_of_products(terms)))
+    # adding the zero polynomial makes an int side a Poly
+    return outer(n + m) + Poly.zero(), Poly.sum_of_products(weighted)
 
 
 @cache
@@ -174,11 +174,11 @@ def _two_var_inner(x_arg: Poly, shifted: bool = True):
 
 
 def _deg_vandermonde_sides(n: int):
-    lhs = falling_factorial_deg(X + Y, n)
-    rhs = Poly.zero()
-    for j in range(n + 1):
-        rhs = rhs + comb(n, j) * falling_factorial_deg(X, j) * falling_factorial_deg(Y, n - j)
-    return lhs, rhs
+    rhs = Poly.sum_of_products(
+        (comb(n, j), falling_factorial_deg(X, j), falling_factorial_deg(Y, n - j))
+        for j in range(n + 1)
+    )
+    return falling_factorial_deg(X + Y, n), rhs
 
 
 @cache
@@ -195,8 +195,7 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
     p = fubini_two_var_alpha(n, alpha)
     if side == "x=0":
         return p.eval({Var.X: 0}), falling_factorial_deg(Y, n)
-    rising = list(itertools.accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
-    return p.eval({Var.Y: 0}), _stirling_sum(n, rising.__getitem__)
+    return p.eval({Var.Y: 0}), fubini_deg(n, alpha)
 
 
 # -- registry and runner -------------------------------------------------------

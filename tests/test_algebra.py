@@ -148,6 +148,97 @@ class TestCoefficientDomain:
             X.eval({Var.X: 0.5})
 
 
+def naive_product(a, b):
+    """a*b term pair by term pair, canonicalised by Poly's own intake."""
+    out = {}
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return Poly(out)
+
+
+def naive_sum_of_products(products):
+    """The reference for the fused kernel: total = total + c*p*q, one term at a time."""
+    total = ZERO
+    for factors in products:
+        term = ONE
+        for f in factors:
+            term = term * f
+        total = total + term
+    return total
+
+
+factor = st.one_of(polys(max_terms=3), rationals, st.integers(min_value=-2, max_value=2))
+
+
+class TestMulFastPath:
+    @given(p=polys(max_terms=6, max_exp=3), one_term=polys(max_terms=1, max_exp=3), d=rationals)
+    @settings(max_examples=100)
+    def test_one_term_operand(self, p, one_term, d):
+        for short in (one_term, Poly.const(d), d):
+            product = p * short
+            assert_stored_form(product)
+            assert product._terms == (short * p)._terms
+            assert product == naive_product(p, short if isinstance(short, Poly) else Poly.const(short))
+
+    @given(a=polys(max_terms=5), b=polys(max_terms=5))
+    @settings(max_examples=60)
+    def test_general_product(self, a, b):
+        assert_stored_form(a * b)
+        assert (a * b)._terms == (b * a)._terms == naive_product(a, b)._terms
+
+    def test_scaling_back_to_an_integer(self):
+        half_x = Fraction(1, 2) * X
+        for product in (half_x * 2, 2 * half_x, half_x * Poly.const(2)):
+            assert product._terms == {(0, 1, 0, 0): 1}
+            assert type(product._terms[(0, 1, 0, 0)]) is int
+        shifted = (Fraction(2, 3) * X * Y) * (Fraction(3, 2) * LAM + 3 * T)
+        assert shifted._terms == {(1, 1, 1, 0): 1, (0, 1, 1, 1): 2}
+        assert_stored_form(shifted)
+
+
+class TestSumOfProducts:
+    @given(products=st.lists(st.lists(factor, max_size=5), max_size=6))
+    @settings(max_examples=200)
+    def test_equals_the_naive_loop(self, products):
+        fused = Poly.sum_of_products(tuple(f) for f in products)  # any iterable
+        assert_stored_form(fused)
+        assert fused._terms == naive_sum_of_products(products)._terms
+
+    def test_empty_iterable(self):
+        assert Poly.sum_of_products([]).is_zero()
+        assert Poly.sum_of_products([()]) == ONE  # the empty product
+
+    def test_scalar_only_tuples(self):
+        out = Poly.sum_of_products([(2, Fraction(1, 2)), (3,), (Fraction(1, 3), 0)])
+        assert out._terms == {(0, 0, 0, 0): 4}
+        assert type(out.const_value()) is int
+
+    def test_zero_factors(self):
+        assert Poly.sum_of_products([(0, X), (X, ZERO, Y), (ZERO,), (X, Y, T, ZERO)]).is_zero()
+
+    def test_three_or_more_poly_factors(self):
+        products = [(X + 1, Y - LAM, T, 2), (LAM, X, X, Y - 1, Fraction(1, 3))]
+        assert Poly.sum_of_products(products) == naive_sum_of_products(products)
+
+    def test_fractions_cancel_to_stored_form(self):
+        products = [
+            (Fraction(1, 2), X),
+            (X, Fraction(1, 2)),
+            (Fraction(1, 3), Y, 3),
+            (Fraction(1, 2), LAM, T + 1),
+            (Fraction(-1, 2), T + 1, LAM),
+        ]
+        out = Poly.sum_of_products(products)
+        assert out._terms == {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}
+        assert_stored_form(out)
+
+    def test_refuses_inexact_factor(self):
+        with pytest.raises(TypeError):
+            Poly.sum_of_products([(X, 0.5)])
+
+
 class TestEval:
     def test_lambda_to_zero_is_substitution(self):
         assert (X**2 - LAM * X).eval({Var.LAMBDA: 0}) == X**2

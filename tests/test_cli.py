@@ -313,6 +313,48 @@ class TestVerify:
         assert json.loads(out)["pass"] == 18
 
 
+class TestBindOfAbsentVariable:
+    # table, poly and series apply verify's rule to the polynomials they emit
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("table --kind deg-bell --n-max 2 --bind y=3", "--bind y: no such variable in deg-bell"),
+            (
+                "table --kind deg-stirling2 --n-max 3 --format json --bind t=1 --bind l=0 --bind x=2",
+                "--bind t, x: no such variable in deg-stirling2",
+            ),
+            (
+                "poly --kind deg-stirling2 -n 3 -k 3 --bind l=1/2",
+                "--bind l: no such variable in deg-stirling2 n=3 k=3",
+            ),
+            (
+                "poly --kind two-var-deg-fubini -n 2 --alpha 2 --bind t=2 --format json",
+                "--bind t: no such variable in two-var-deg-fubini n=2",
+            ),
+            ("series --gf deg-exp --order 3 --bind x=1", "--bind x: no such variable in deg-exp"),
+            (
+                "series --gf two-var-fubini:1 --order 2 --bind y=1 --bind t=0 --format json",
+                "--bind t: no such variable in two-var-fubini:1",
+            ),
+        ],
+    )
+    def test_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_variable_in_some_rows_is_bound(self, capsys):
+        # S2_l(n, n) = 1 has no l, but other rows of the table do
+        code, out = run_cli(
+            capsys, "table", "--kind", "deg-stirling2", "--n-max", "2", "--bind", "l=1/2"
+        )
+        assert code == 0
+        assert out.splitlines()[-2:] == ["n=2 k=1: 1/2", "n=2 k=2: 1"]
+
+
 class TestLimit:
     @pytest.mark.parametrize(
         "kind", ["deg-stirling2", "deg-bell", "fully-deg-bell", "deg-fubini",

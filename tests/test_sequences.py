@@ -3,11 +3,12 @@
 import inspect
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from degenbell import classical, sequences
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
+from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y
 from degenbell.sequences import (
     KINDS,
     LIMIT_KINDS,
@@ -163,6 +164,14 @@ class TestFubiniFamilies:
         at_one = fubini_deg(2).eval({Var.LAMBDA: 0, Var.X: 1})
         assert at_one.const_value() == 3
 
+    def test_order_one_is_fubini(self):
+        # <1>_k = k!, so the order-1 polynomial is F_{n,l}(x)
+        for n in range(9):
+            assert fubini_deg(n, 1) == fubini_deg(n)
+            assert fubini_deg(n, 1) == sum(
+                (factorial(k) * stirling2_deg(n, k) * X**k for k in range(n + 1)), ZERO
+            )
+
     def test_two_var_at_x_zero(self):
         for n in range(7):
             for alpha in range(4):
@@ -215,6 +224,11 @@ class TestSeriesOracleAgreement:
         gf = (self.unit - X * self.em1).reciprocal()
         for n in range(self.N + 1):
             assert gf.coeff(n) == fubini_deg(n)
+
+    def test_fubini_of_order_two_gf(self):
+        gf = (self.unit - X * self.em1).reciprocal().int_pow(2)
+        for n in range(self.N + 1):
+            assert gf.coeff(n) == fubini_deg(n, 2)
 
     def test_two_var_gf(self):
         recip = (self.unit - X * self.em1).reciprocal()

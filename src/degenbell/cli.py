@@ -9,25 +9,23 @@ Subcommands:
   limit    pair each degenerate family with its l = 0 classical limit
 
 All numbers are exact rationals; the deformation parameter is spelled
-``l`` on the command line.  A ``--bind`` must name a variable that the
-output contains (for ``verify``, one that the identity contains; it then
-applies in either mode), or the command exits 2.  Exit codes: 0 success /
-all cells pass, 1 identity or limit violation, 2 usage error or failed
-``--output`` write.  Identical invocations produce identical bytes, and
-JSON output is exactly ``json.dumps(data, indent=2)`` of the library's
-``to_json()`` data, although each polynomial in it is written straight
-from its term map.  The only environment knob is DEGENBELL_WIDTH, a width
-hint for wrapping long polynomials in text output.
+``l`` on the command line.  A ``--bind`` must name, at most once, a
+variable that the output contains (for ``verify``, one that the identity
+contains; it then applies in either mode), or the command exits 2.  Exit
+codes: 0 success / all cells pass, 1 identity or limit violation, 2 usage
+error or failed ``--output`` write.  Identical invocations produce
+identical bytes, and JSON output is exactly ``json.dumps(data, indent=2)``
+of the library's ``to_json()`` data, although each polynomial in it is
+written straight from its term map.  The only environment knob is
+DEGENBELL_WIDTH, a width hint for wrapping long polynomials in text output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
-import textwrap
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the stdlib's C escaper
 
@@ -182,10 +180,12 @@ def _wrap_line(line: str) -> str:
     width = _wrap_width()
     if len(line) <= width:
         return line
+    import textwrap  # loaded only for a line that needs wrapping
     return "\n".join(textwrap.wrap(line, width=width, subsequent_indent="    "))
 
 
 def _csv_text(rows) -> str:
+    import csv  # loaded only for --format csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -376,6 +376,10 @@ def main(argv=None) -> int:
         if value is not None and value < 0:
             parser.error(f"--{attr.replace('_', '-')} must be nonnegative")
     if hasattr(args, "bind"):  # limit takes no --bind
+        symbols = [var.symbol for var, _ in args.bind]
+        repeated = ", ".join(dict.fromkeys(s for s in symbols if symbols.count(s) > 1))
+        if repeated:
+            parser.error(f"--bind {repeated}: bound more than once")
         args.bind = dict(args.bind)
     commands = {
         "table": _cmd_table,

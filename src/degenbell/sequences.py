@@ -43,7 +43,6 @@ read it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
@@ -121,12 +120,17 @@ def bell_fully_deg(n: int) -> Poly:
     return _stirling_sum(n, unit_falling_factorial_deg)
 
 
-@cache
 def fubini_deg(n: int, alpha: int = 1) -> Poly:
     """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
 
     alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
+    Both spellings of alpha = 1 share one memo entry, keyed (n, alpha).
     """
+    return _fubini_deg(n, alpha)
+
+
+@cache
+def _fubini_deg(n: int, alpha: int) -> Poly:
     rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
     return _stirling_sum(n, rising.__getitem__)
 
@@ -172,8 +176,7 @@ def index_names(index: tuple) -> dict:
     return dict(zip(("n", "k"), index))
 
 
-@dataclass(frozen=True)
-class SeqTable:
+class SeqTable(NamedTuple):
     """A computed family table with provenance, ready for serialization."""
 
     kind: str

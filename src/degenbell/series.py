@@ -22,9 +22,9 @@ whose EGF coefficients are the degenerate falling factorials
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .algebra import LAM, ONE, Poly
 
@@ -204,8 +204,7 @@ def exp_of(a: Series) -> Series:
     return _weighted_exp(a, [1] * (a.order + 1))
 
 
-@dataclass(frozen=True)
-class NestedSeries:
+class NestedSeries(NamedTuple):
     """Truncated bivariate EGF sum a_{j,k} u^j v^k / (j! k!).
 
     Only used to state the exponential splitting identity; supports

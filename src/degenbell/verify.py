@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import classical
 from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
@@ -88,15 +89,13 @@ class Identity(enum.Enum):
     FUBINI_X_ZERO = "fubini-x-zero"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     bindings: dict
     lhs: Poly
     rhs: Poly
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     identity: Identity
     grid: tuple[dict, ...]
     pass_count: int
@@ -201,8 +200,7 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
 # -- registry and runner -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """One identity's check: each cell of ``cells(n_max, m_max)`` is checked as
     ``sides(**cell, **context)``, with the grid bounds passed under the names
     in ``orders``.  A mutation maps the keyword parts of ``sides`` that it
@@ -212,7 +210,7 @@ class _Spec:
     cells: Callable[[int, int], list[dict]]
     sides: Callable[..., tuple[Poly, Poly]]
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
-    mutations: dict[str, dict[str, Callable]] = field(default_factory=dict)
+    mutations: Mapping[str, dict[str, Callable]] = MappingProxyType({})  # shared, so read-only
     orders: tuple[str, ...] = ()
     unswept: tuple[Var, ...] = ()  # free in the sides but not swept
 
@@ -239,10 +237,11 @@ def _fubini_x_zero_cells(n_max: int, alpha_max: int):
     ]
 
 
-def _spivey(spot_vars, outer, weight, inner, mutations=None) -> _Spec:
-    """A Spivey-type identity from its parts B (outer), W (weight) and G (inner)."""
+def _spivey(spot_vars, outer, weight, inner, **fields) -> _Spec:
+    """A Spivey-type identity from its parts B (outer), W (weight) and G (inner);
+    further `_Spec` fields (its mutations) pass through."""
     sides = partial(_spivey_sides, outer=outer, weight=weight, inner=inner)
-    return _Spec(_nm_cells, sides, spot_vars, mutations or {})
+    return _Spec(_nm_cells, sides, spot_vars, **fields)
 
 
 # The parts are lambdas, so every call looks the family builders up by their
@@ -386,10 +385,4 @@ def run_identity(
                 fail_count += 1
                 if first is None:
                     first = Counterexample(record, lhs.eval(bound), rhs.eval(bound))
-    return VerifyReport(
-        identity=identity,
-        grid=tuple(grid),
-        pass_count=pass_count,
-        fail_count=fail_count,
-        first_counterexample=first,
-    )
+    return VerifyReport(identity, tuple(grid), pass_count, fail_count, first)

@@ -5,9 +5,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,32 @@ class TestBindOfAbsentVariable:
         assert out.splitlines()[-2:] == ["n=2 k=1: 1/2", "n=2 k=2: 1"]
 
 
+class TestRepeatedBind:
+    # a second value for one variable would silently replace the first
+    @pytest.mark.parametrize(
+        "argv,repeated",
+        [
+            ("table --kind deg-bell --n-max 2 --bind l=1/2 --bind x=1 --bind l=1/3", "l"),
+            ("poly --kind deg-bell -n 2 --bind l=1/2 --bind l=1/3", "l"),
+            ("poly --kind deg-bell -n 2 --bind x=2 --bind x=2 --format json", "x"),
+            ("series --gf two-var-fubini:1 --order 2 --bind y=1 --bind x=0 --bind y=1", "y"),
+            ("verify --id fully-deg-bell-poly --n-max 1 --m-max 1 --bind t=1 --bind t=2", "t"),
+            (
+                "verify --all --n-max 1 --m-max 1 --mode rational "
+                "--bind x=1 --bind l=0 --bind x=2 --bind l=1",
+                "x, l",
+            ),
+        ],
+    )
+    def test_exits_2_naming_the_variable(self, capsys, argv, repeated):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--bind {repeated}: bound more than once" in captured.err
+
+
 class TestLimit:
     @pytest.mark.parametrize(
         "kind", ["deg-stirling2", "deg-bell", "fully-deg-bell", "deg-fubini",
@@ -672,6 +700,16 @@ class TestFuzz:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_module_only_some_commands_use(self):
+        # dataclasses pulls in inspect; csv and textwrap serve --format csv and long lines
+        lazy = ("dataclasses", "inspect", "csv", "textwrap")
+        code = f"import sys, degenbell.cli; print(*[m for m in {lazy!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout == "\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "degenbell.cli", "series", "--gf", "deg-exp", "--order", "1"],

@@ -172,6 +172,13 @@ class TestFubiniFamilies:
                 (factorial(k) * stirling2_deg(n, k) * X**k for k in range(n + 1)), ZERO
             )
 
+    def test_order_one_spellings_share_one_memo_entry(self):
+        # verify and the deg-fubini kind call fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1)
+        sequences._fubini_deg.cache_clear()
+        for j in range(6):
+            assert fubini_deg(j) is fubini_deg(j, 1) is fubini_deg(j, alpha=1)
+        assert sequences._fubini_deg.cache_info().currsize == 6
+
     def test_two_var_at_x_zero(self):
         for n in range(7):
             for alpha in range(4):

@@ -10,10 +10,12 @@ from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
 from degenbell.cli import _json_text
 from degenbell.sequences import (
     bell_fully_deg,
+    build_table,
     fubini_two_var_alpha,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
+from degenbell.series import exp_splitting_sides
 from degenbell.verify import (
     _SPECS,
     Identity,
@@ -76,6 +78,39 @@ class TestReportShape:
         data = report.to_json()
         assert data["first_counterexample"] is not None
         assert _json_text(data) == json.dumps(data, indent=2)
+
+
+def _failing_report():
+    return run_identity(Identity.FULLY_DEG_BELL, 3, 3, corrupt="drop-unit-weight")
+
+
+# each builds a fresh instance of a public record type, the same value every call
+RECORDS = {
+    "SeqTable": lambda: build_table("deg-stirling2", 3),
+    "NestedSeries": lambda: exp_splitting_sides(2, 2)[1],
+    "VerifyReport": _failing_report,
+    "Counterexample": lambda: _failing_report().first_counterexample,
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+class TestRecordTypes:
+    # the records are named tuples: immutable, equal by value, and tuples too
+    def test_attribute_assignment_raises(self, build):
+        record = build()
+        for field in type(record).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_equal_by_value(self, build):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second
+
+    def test_iterates_as_its_fields(self, build):
+        record = build()
+        assert tuple(record) == tuple(getattr(record, f) for f in type(record)._fields)
+        assert record[0] is getattr(record, type(record)._fields[0])
 
 
 class TestSpiveyBellNumbers:

@@ -16,7 +16,6 @@ from .sequences import (
     fubini_deg,
     fubini_two_var_alpha,
     rising_factorial,
-    specialize,
     stirling2_deg,
     stirling2_deg_basis_table,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "fubini_two_var_alpha",
     "rising_factorial",
     "run_identity",
-    "specialize",
     "stirling2_deg",
     "stirling2_deg_basis_table",
 ]

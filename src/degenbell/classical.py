@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb, factorial
 
-from .algebra import Poly, Var, X
+from .algebra import Poly, X, Y
 
 
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
@@ -59,19 +59,13 @@ def ordered_bell_number(n: int) -> int:
 @cache
 def bell_poly(n: int) -> Poly:
     """phi_n(x) = sum_k S(n,k) x^k."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + stirling2(n, k) * X**k
-    return total
+    return Poly.sum_of_products((stirling2(n, k), X**k) for k in range(n + 1))
 
 
 @cache
-def fubini_poly(n: int) -> Poly:
-    """F_n(x) = sum_k k! S(n,k) x^k; F_n(1) is the ordered Bell number."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + factorial(k) * stirling2(n, k) * X**k
-    return total
+def fubini_poly(n: int, x: Poly = X) -> Poly:
+    """F_n(x) = sum_k k! S(n,k) x^k at the argument x; F_n(1) is the ordered Bell number."""
+    return Poly.sum_of_products((factorial(k) * stirling2(n, k), x**k) for k in range(n + 1))
 
 
 def rising_factorial_int(a: int, k: int) -> int:
@@ -89,11 +83,8 @@ def two_var_fubini_poly(n: int, alpha: int) -> Poly:
     EGF (1 - x(e^s - 1))^(-alpha) e^(y s); assembled here from the
     Cauchy product of the two factors with classical Stirling weights.
     """
-    y = Poly.variable(Var.Y)
-    total = Poly.zero()
-    for j in range(n + 1):
-        inner = Poly.zero()
-        for k in range(j + 1):
-            inner = inner + rising_factorial_int(alpha, k) * stirling2(j, k) * X**k
-        total = total + comb(n, j) * inner * y ** (n - j)
-    return total
+    return Poly.sum_of_products(
+        (comb(n, j) * rising_factorial_int(alpha, k) * stirling2(j, k), X**k, Y ** (n - j))
+        for j in range(n + 1)
+        for k in range(j + 1)
+    )

@@ -27,7 +27,11 @@ import io
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote  # the stdlib's C escaper
+
+try:  # the stdlib's C escaper, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
 
 from .algebra import Poly, Var, parse_rational, var_from_symbol
 from .sequences import (
@@ -58,6 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=("text", "json", "csv"), bind=True):
+        # usage errors found after parsing go through the subcommand's parser,
+        # so they print its usage line, as argparse's own errors do
+        p.set_defaults(_parser=p)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
         if bind:
@@ -369,8 +376,8 @@ def _cmd_limit(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    parser = args._parser
     for attr in ("n_max", "m_max", "k_max", "alpha", "order"):
         value = getattr(args, attr, None)
         if value is not None and value < 0:

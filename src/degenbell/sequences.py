@@ -18,7 +18,10 @@ parameter stays symbolic as the variable ``l``.  Definitions:
 Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
 w(k) = 1, (1)_{k,l} and <a>_k, and one helper, `_stirling_sum`, builds
 all three; the two-variable family sums the order-a Fubini polynomials
-against (y)_{n-j,l}.  Each sum of products goes through the kernel's
+against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the polynomial
+arguments they are evaluated at (x and y when not given), so a value such
+as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its argument,
+never substituted into.  Each sum of products goes through the kernel's
 `Poly.sum_of_products`.  S2_l is computed by the triangular recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
@@ -50,7 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Scalar, Var, X, Y, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, Poly, Scalar, Var, X, Y
 
 
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
@@ -103,9 +106,9 @@ def stirling2_deg(n: int, k: int) -> Poly:
     return rows[n][k] if 0 <= k <= n else Poly.zero()
 
 
-def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar]) -> Poly:
+def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar], x: Poly = X) -> Poly:
     """sum_k weight(k) S2_l(n,k) x^k, the shape of every family here."""
-    return Poly.sum_of_products((weight(k), X**k, stirling2_deg(n, k)) for k in range(n + 1))
+    return Poly.sum_of_products((weight(k), x**k, stirling2_deg(n, k)) for k in range(n + 1))
 
 
 @cache
@@ -115,57 +118,36 @@ def bell_deg(n: int) -> Poly:
 
 
 @cache
-def bell_fully_deg(n: int) -> Poly:
-    """Fully degenerate Bell polynomial Bel_{n,l}(x)."""
-    return _stirling_sum(n, unit_falling_factorial_deg)
+def bell_fully_deg(n: int, x: Poly = X) -> Poly:
+    """Fully degenerate Bell polynomial Bel_{n,l}(x), at the argument x."""
+    return _stirling_sum(n, unit_falling_factorial_deg, x)
 
 
-def fubini_deg(n: int, alpha: int = 1) -> Poly:
+def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
     """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
 
     alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
-    Both spellings of alpha = 1 share one memo entry, keyed (n, alpha).
+    Both spellings of alpha = 1 share one memo entry, keyed (n, alpha, x).
     """
-    return _fubini_deg(n, alpha)
+    return _fubini_deg(n, alpha, x)
 
 
 @cache
-def _fubini_deg(n: int, alpha: int) -> Poly:
+def _fubini_deg(n: int, alpha: int, x: Poly) -> Poly:
     rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
-    return _stirling_sum(n, rising.__getitem__)
+    return _stirling_sum(n, rising.__getitem__, x)
 
 
 @cache
-def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
-    """Two-variable degenerate Fubini polynomial of nonnegative integer order."""
+def fubini_two_var_alpha(n: int, alpha: int, x: Poly = X, y: Poly = Y) -> Poly:
+    """Two-variable degenerate Fubini polynomial of nonnegative integer order,
+    F^(alpha)_{n,l}(x, y) at the arguments x and y."""
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
-    falling = list(accumulate((Y - i * LAM for i in range(n)), mul, initial=ONE))  # (y)_{0..n,l}
+    falling = list(accumulate((y - i * LAM for i in range(n)), mul, initial=ONE))  # (y)_{0..n,l}
     return Poly.sum_of_products(
-        (comb(n, j), fubini_deg(j, alpha), falling[n - j]) for j in range(n + 1)
+        (comb(n, j), fubini_deg(j, alpha, x), falling[n - j]) for j in range(n + 1)
     )
-
-
-def specialize(p: Poly, **bindings: Scalar | Poly | str) -> Poly:
-    """Bind ring variables by name: rationals evaluate, polynomials substitute.
-
-    Accepts keyword names l, x, y, t.  Scalar values go through
-    `algebra.as_scalar`: strings parse as exact rationals and floats raise
-    TypeError.  Used for every "at x = 1" / "l -> 0" style specialization
-    and for polynomial arguments such as x -> -l*t.
-    """
-    rational: dict[Var, Scalar] = {}
-    polynomial: list[tuple[Var, Poly]] = []
-    for name, value in bindings.items():
-        var = var_from_symbol(name)
-        if isinstance(value, Poly):
-            polynomial.append((var, value))
-        else:
-            rational[var] = as_scalar(value)
-    out = p.eval(rational)
-    for var, q in polynomial:
-        out = out.substitute(var, q)
-    return out
 
 
 # -- tables ----------------------------------------------------------------

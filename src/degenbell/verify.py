@@ -24,6 +24,12 @@ and S, phi_j, F_j their classical (l = 0) forms from `classical`:
   deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t, k - m*l)
   fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t, k)
 
+Each family in the table is built at its argument by its own builder, the
+one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
+F^(k)_{j,l}(-l*t, k - m*l) is ``fubini_two_var_alpha(j, k, -LAM * T,
+_shift(k, m))``.  Only fubini-spivey's classical inner factor, the
+independent classical route, substitutes (x -> t, then y = k).
+
 The other three have builders of their own:
 
   deg-vandermonde  (x+y)_{n,l} = sum_j C(n,j) (x)_{j,l} (y)_{n-j,l}
@@ -148,25 +154,13 @@ def _spivey_sides(n: int, m: int, outer, weight, inner):
 @cache
 def _shift(k: int, m: int) -> Poly:
     """k - m*l, the shifted argument of the degenerate inner factors (memoized,
-    so the `_two_var_at` keys built from it hash once)."""
+    so the `fubini_two_var_alpha` memo keys built from it hash once)."""
     return Poly.const(k) - m * LAM
-
-
-@cache
-def _family_at(family: Callable[[int], Poly], j: int, x_arg: Poly) -> Poly:
-    """family(j) with x replaced by x_arg (t, or 1 for the number version)."""
-    return family(j).substitute(Var.X, x_arg)
-
-
-@cache
-def _two_var_at(j: int, k: int, x_arg: Poly, y_arg: Poly) -> Poly:
-    """F^(k)_{j,l}(x_arg, y_arg)."""
-    return fubini_two_var_alpha(j, k).substitute(Var.X, x_arg).substitute(Var.Y, y_arg)
 
 
 def _two_var_inner(x_arg: Poly, shifted: bool = True):
     """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), or F^(k)_{j,l}(x_arg, k) unshifted."""
-    return lambda j, k, m: _two_var_at(j, k, x_arg, _shift(k, m if shifted else 0))
+    return lambda j, k, m: fubini_two_var_alpha(j, k, x_arg, _shift(k, m if shifted else 0))
 
 
 # -- the other identities' builders --------------------------------------------
@@ -267,27 +261,27 @@ _SPECS = {
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),
-        outer=lambda j: _family_at(bell_fully_deg, j, ONE),
+        outer=lambda j: bell_fully_deg(j, ONE),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
         inner=_two_var_inner(-LAM),
         mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
     ),
     Identity.FULLY_DEG_BELL_POLY: _spivey(
         (Var.LAMBDA, Var.T),
-        outer=lambda j: _family_at(bell_fully_deg, j, T),
+        outer=lambda j: bell_fully_deg(j, T),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
         inner=_two_var_inner(-LAM * T),
     ),
     Identity.DEG_FUBINI_SPIVEY: _spivey(
         (Var.LAMBDA, Var.T),
-        outer=lambda j: _family_at(fubini_deg, j, T),
+        outer=lambda j: fubini_deg(j, 1, T),
         weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
         inner=_two_var_inner(T),
         mutations={"unshifted-y-arg": {"inner": _two_var_inner(T, shifted=False)}},
     ),
     Identity.FUBINI_SPIVEY: _spivey(
         (Var.T,),
-        outer=lambda j: _family_at(classical.fubini_poly, j, T),
+        outer=lambda j: classical.fubini_poly(j, T),
         weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
         inner=lambda j, k, m: (
             classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})

@@ -383,6 +383,33 @@ class TestRepeatedBind:
         assert f"--bind {repeated}: bound more than once" in captured.err
 
 
+class TestUsageLine:
+    # an error the program finds after parsing prints the subcommand's usage
+    # line, the same line as argparse's own errors for that subcommand
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --kind deg-bell --n-max -1",
+            "poly --kind deg-stirling2 -n 3 -k -1",
+            "series --gf deg-exp --order 3 --bind x=1",
+            "verify --id fully-deg-bell-poly --n-max 1 --m-max 1 --bind t=1 --bind t=2",
+            "limit --kind deg-bell --alpha 7",
+        ],
+    )
+    def test_first_stderr_line_is_the_subcommand_usage(self, capsys, argv):
+        command = argv.split()[0]
+        usage_lines = []
+        for bad in (argv.split(), [*argv.split(), "--format", "nope"]):  # ours, then argparse's
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            usage_lines.append(captured.err.splitlines()[0])
+        assert usage_lines[0].startswith(f"usage: degenbell {command} ")
+        assert usage_lines[0] == usage_lines[1]
+
+
 class TestLimit:
     @pytest.mark.parametrize(
         "kind", ["deg-stirling2", "deg-bell", "fully-deg-bell", "deg-fubini",
@@ -701,8 +728,9 @@ class TestFuzz:
 
 class TestEntryPoint:
     def test_import_loads_no_module_only_some_commands_use(self):
-        # dataclasses pulls in inspect; csv and textwrap serve --format csv and long lines
-        lazy = ("dataclasses", "inspect", "csv", "textwrap")
+        # dataclasses pulls in inspect; csv and textwrap serve --format csv and long
+        # lines; the JSON writer needs only the C escaper of _json, not json
+        lazy = ("dataclasses", "inspect", "csv", "textwrap", "json")
         code = f"import sys, degenbell.cli; print(*[m for m in {lazy!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run(

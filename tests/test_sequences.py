@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from degenbell import classical, sequences
-from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y
+from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, var_from_symbol
 from degenbell.sequences import (
     KINDS,
     LIMIT_KINDS,
@@ -25,7 +25,6 @@ from degenbell.sequences import (
     fubini_deg,
     fubini_two_var_alpha,
     rising_factorial,
-    specialize,
     stirling2_deg,
     stirling2_deg_basis_table,
     unit_falling_factorial_deg,
@@ -173,10 +172,11 @@ class TestFubiniFamilies:
             )
 
     def test_order_one_spellings_share_one_memo_entry(self):
-        # verify and the deg-fubini kind call fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1)
+        # the deg-fubini kind calls fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1, X)
         sequences._fubini_deg.cache_clear()
         for j in range(6):
-            assert fubini_deg(j) is fubini_deg(j, 1) is fubini_deg(j, alpha=1)
+            first = fubini_deg(j)
+            assert first is fubini_deg(j, 1) is fubini_deg(j, alpha=1) is fubini_deg(j, 1, X)
         assert sequences._fubini_deg.cache_info().currsize == 6
 
     def test_two_var_at_x_zero(self):
@@ -247,26 +247,64 @@ class TestSeriesOracleAgreement:
 
 
 class TestSpecialize:
+    # an argument is given to the family builder; rational values go to Poly.eval
     def test_polynomial_argument(self):
-        assert specialize(fubini_two_var_alpha(1, 1), x=-LAM, y=ONE - LAM) == 1 - 2 * LAM
+        assert fubini_two_var_alpha(1, 1, -LAM, ONE - LAM) == 1 - 2 * LAM
 
     def test_rational_binding(self):
-        assert specialize(bell_fully_deg(2), x=1) == 2 - 2 * LAM
+        assert bell_fully_deg(2).eval({Var.X: 1}) == 2 - 2 * LAM
+        assert bell_fully_deg(2, ONE) == 2 - 2 * LAM
 
     def test_string_binding(self):
-        assert specialize(X**2, x="1/2") == Poly.const(Fraction(1, 4))
+        assert (X**2).eval({Var.X: "1/2"}) == Poly.const(Fraction(1, 4))
 
     def test_empty(self):
         p = bell_deg(3)
-        assert specialize(p) == p
+        assert p.eval({}) == p
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            specialize(X, z=1)
+            var_from_symbol("z")
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            specialize(bell_fully_deg(2), l=0.1)
+            bell_fully_deg(2).eval({Var.LAMBDA: 0.1})
+
+
+# the arguments the Spivey sums evaluate the families at
+X_ARGS = (ONE, T, -LAM, -LAM * T)
+
+
+class TestFamiliesAtArguments:
+    # a builder taken at an argument equals the plain family with the
+    # argument substituted, which stays the reference
+    @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_bell_fully_deg(self, x_arg):
+        for j in range(7):
+            assert bell_fully_deg(j, x_arg) == bell_fully_deg(j).substitute(Var.X, x_arg)
+
+    @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_fubini_deg(self, x_arg):
+        for j in range(7):
+            for alpha in range(4):
+                expected = fubini_deg(j, alpha).substitute(Var.X, x_arg)
+                assert fubini_deg(j, alpha, x_arg) == expected
+
+    @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_fubini_two_var_alpha(self, x_arg):
+        for k in range(4):
+            y_args = [Y] + [Poly.const(k) - m * LAM for m in range(4)]
+            for j in range(7):
+                plain = fubini_two_var_alpha(j, k).substitute(Var.X, x_arg)
+                for y_arg in y_args:
+                    expected = plain.substitute(Var.Y, y_arg)
+                    assert fubini_two_var_alpha(j, k, x_arg, y_arg) == expected
+
+    @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_classical_fubini_poly(self, x_arg):
+        for j in range(7):
+            expected = classical.fubini_poly(j).substitute(Var.X, x_arg)
+            assert classical.fubini_poly(j, x_arg) == expected
 
 
 class TestTables:

@@ -1,5 +1,6 @@
 """Identity verification harness: reports, cross-reductions, mutation detection."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -298,6 +299,39 @@ class TestMutationDetection:
         assert report.fail_count > 0
         ce = report.first_counterexample
         assert ce.bindings["n"] + ce.bindings["m"] <= 3
+
+    # sha256 of json.dumps(side.to_json()) for the first symbolic counterexample
+    # at 5x5, pinned from a known-good build; no CLI command emits these sides
+    @pytest.mark.parametrize(
+        "identity,mutation,fails,cell,lhs,rhs",
+        [
+            (
+                Identity.FULLY_DEG_BELL,
+                "drop-unit-weight",
+                24,
+                {"n": 0, "m": 2},
+                "2426b578a5e795310179ad56018d6009fbd7e9da4fc4473a27c52077bf7acb74",
+                "01fdc7f110bd28a0dc71508144a134adb7037a99b3da66587ba4564bb1d1d5d4",
+            ),
+            (
+                Identity.DEG_FUBINI_SPIVEY,
+                "unshifted-y-arg",
+                25,
+                {"n": 1, "m": 1},
+                "2ceff5e0aae5cbbaa2ac1419a9c6dc2f3d630052dd2056d97e0696ada7ebd7ae",
+                "b6f693c602232002ff5ea16ff49c10d0281b7ca643596420a2d438f9f23df856",
+            ),
+        ],
+    )
+    def test_counterexample_digests(self, identity, mutation, fails, cell, lhs, rhs):
+        report = run_identity(identity, 5, 5, corrupt=mutation)
+        ce = report.first_counterexample
+        assert (report.fail_count, ce.bindings) == (fails, cell)
+        digests = [
+            hashlib.sha256(json.dumps(side.to_json()).encode()).hexdigest()
+            for side in (ce.lhs, ce.rhs)
+        ]
+        assert digests == [lhs, rhs]
 
     def test_mutants_survive_at_lambda_zero(self):
         # both corruptions vanish at l = 0, so the rational smoke layer

@@ -21,7 +21,8 @@ through one entry point, `Poly.sum_of_products`, which multiplies each
 tuple's factors straight into one accumulating term map and brings it to
 stored form in one final pass, so no product or partial sum is built per
 term.  ``*`` on its own shifts keys when one side is a single monomial and
-scales when it is a constant.
+scales when it is a constant, and ``**`` of a single term is that term with
+its exponents scaled.
 """
 
 from __future__ import annotations
@@ -160,11 +161,6 @@ class Poly:
             return -1
         return max(m[var] for m in self._terms)
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
-
     def coefficient_of(self, var: Var, power: int) -> "Poly":
         """The polynomial in the remaining variables multiplying var**power."""
         out = {}
@@ -302,6 +298,11 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if len(self._terms) == 1 and e:
+            # one term: scale the exponents and power the coefficient, which
+            # keeps its stored form (a Fraction's denominator stays above 1)
+            (((a, b, c, d), k),) = self._terms.items()
+            return Poly._trusted({(a * e, b * e, c * e, d * e): k**e})
         result = Poly.one()
         base = self
         while e:

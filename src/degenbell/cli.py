@@ -278,9 +278,13 @@ def _named_series(name: str, order: int) -> Series:
     if name == "deg-fubini":
         return (Series.unit(order) - x * em1).reciprocal()
     if name.startswith("two-var-fubini:"):
-        alpha = int(name.split(":", 1)[1])
+        raw = name.split(":", 1)[1]
+        try:  # what int() takes, as for --alpha
+            alpha = int(raw)
+        except ValueError:
+            alpha = -1
         if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+            raise ValueError(f"two-var-fubini: alpha must be a nonnegative integer, got {raw!r}")
         recip = (Series.unit(order) - x * em1).reciprocal()
         return recip.int_pow(alpha) * Series.deg_exp(Poly.variable(Var.Y), order)
     raise ValueError(f"unknown generating function {name!r}")

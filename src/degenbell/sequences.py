@@ -21,7 +21,9 @@ all three; the two-variable family sums the order-a Fubini polynomials
 against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the polynomial
 arguments they are evaluated at (x and y when not given), so a value such
 as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its argument,
-never substituted into.  Each sum of products goes through the kernel's
+never substituted into.  The (y)_{j,l} and (1)_{k,l} they read come from
+one running list per argument, extended in a loop (`falling_factorial_deg`
+is a plain product that keeps nothing).  Each sum of products goes through
 `Poly.sum_of_products`.  S2_l is computed by the triangular recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
@@ -83,9 +85,24 @@ def rising_factorial(base: Poly | Scalar, n: int) -> Poly:
 
 
 @cache
+def _falling_run(base: Poly) -> dict[int, Poly]:
+    """{j: (base)_{j,l}} for j = 0, 1, ..., the running list of one argument."""
+    return {0: ONE}
+
+
+def shared_falling_factorial_deg(base: Poly, n: int) -> Poly:
+    """(base)_{n,l}, read from base's running list, which is extended in a loop
+    and shared by every caller with an equal base.  Its keys stay 0..len-1, and
+    a racing extension only rewrites an entry with the same value."""
+    falling = _falling_run(base)
+    for i in range(len(falling) - 1, n):
+        falling[i + 1] = falling[i] * (base - i * LAM)
+    return falling[n]
+
+
 def unit_falling_factorial_deg(n: int) -> Poly:
     """(1)_{n,l}, the weight attached to x^k in the fully degenerate family."""
-    return falling_factorial_deg(ONE, n)
+    return shared_falling_factorial_deg(ONE, n)
 
 
 _STIRLING_DEG_ROWS: list[tuple[Poly, ...]] = [(Poly.one(),)]
@@ -144,9 +161,9 @@ def fubini_two_var_alpha(n: int, alpha: int, x: Poly = X, y: Poly = Y) -> Poly:
     F^(alpha)_{n,l}(x, y) at the arguments x and y."""
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
-    falling = list(accumulate((y - i * LAM for i in range(n)), mul, initial=ONE))  # (y)_{0..n,l}
     return Poly.sum_of_products(
-        (comb(n, j), fubini_deg(j, alpha, x), falling[n - j]) for j in range(n + 1)
+        (comb(n, j), fubini_deg(j, alpha, x), shared_falling_factorial_deg(y, n - j))
+        for j in range(n + 1)
     )
 
 
@@ -175,14 +192,6 @@ class SeqTable(NamedTuple):
             "provenance": self.provenance,
             "values": rows,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SeqTable":
-        values = tuple(
-            (tuple(row[name] for name in ("n", "k") if name in row), Poly.from_json(row["poly"]))
-            for row in data["values"]
-        )
-        return cls(data["kind"], dict(data["bounds"]), data["provenance"], values)
 
     def to_csv_rows(self) -> list[list[str]]:
         triangular = any(len(index) > 1 for index, _ in self.values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .algebra import LAM, ONE, Poly
@@ -140,21 +140,6 @@ class Series:
             result = result * self
         return result
 
-    def pow_over_factorial(self, k: int) -> "Series":
-        """a^k / k! for a series with zero constant term.
-
-        Because the valuation of a is at least 1, the result has zero
-        coefficients below index k; its EGF coefficients are exact even
-        though 1/k! is not an integer.
-        """
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        if not self._coeffs[0].is_zero():
-            raise ValuationError("series has nonzero constant term")
-        result = self.int_pow(k)
-        inv = Fraction(1, factorial(k))
-        return Series([c * inv for c in result._coeffs])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -173,13 +158,6 @@ class Series:
     def to_json(self, leaf: Callable[[Poly], object] = Poly.to_json) -> dict:
         """The series as JSON data, each coefficient as ``leaf(coefficient)``."""
         return {"order": self.order, "egf_coeffs": [leaf(c) for c in self._coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Series":
-        coeffs = [Poly.from_json(c) for c in data["egf_coeffs"]]
-        if len(coeffs) != data["order"] + 1:
-            raise ValueError("coefficient count does not match declared order")
-        return cls(coeffs)
 
 
 def _weighted_exp(a: Series, weights) -> Series:

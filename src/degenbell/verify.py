@@ -27,8 +27,10 @@ and S, phi_j, F_j their classical (l = 0) forms from `classical`:
 Each family in the table is built at its argument by its own builder, the
 one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
 F^(k)_{j,l}(-l*t, k - m*l) is ``fubini_two_var_alpha(j, k, -LAM * T,
-_shift(k, m))``.  Only fubini-spivey's classical inner factor, the
-independent classical route, substitutes (x -> t, then y = k).
+_shift(k, m))``.  Each inner factor is built once per distinct argument,
+its (k - m*l)_{j,l} read from one running list per k - m*l that four
+identities share.  Only fubini-spivey's classical inner factor, the
+independent classical route, substitutes (x -> t, then y = k), once per (j, k).
 
 The other three have builders of their own:
 
@@ -76,6 +78,7 @@ from .sequences import (
     falling_factorial_deg,
     fubini_deg,
     fubini_two_var_alpha,
+    shared_falling_factorial_deg,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
@@ -154,13 +157,19 @@ def _spivey_sides(n: int, m: int, outer, weight, inner):
 @cache
 def _shift(k: int, m: int) -> Poly:
     """k - m*l, the shifted argument of the degenerate inner factors (memoized,
-    so the `fubini_two_var_alpha` memo keys built from it hash once)."""
+    so the memo keys built from it, falling lists included, hash once)."""
     return Poly.const(k) - m * LAM
 
 
 def _two_var_inner(x_arg: Poly, shifted: bool = True):
     """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), or F^(k)_{j,l}(x_arg, k) unshifted."""
     return lambda j, k, m: fubini_two_var_alpha(j, k, x_arg, _shift(k, m if shifted else 0))
+
+
+@cache
+def _classical_inner(j: int, k: int) -> Poly:
+    """F^(k)_j(t, k), fubini-spivey's G(j, k, m) for every m: substituted once per (j, k)."""
+    return classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})
 
 
 # -- the other identities' builders --------------------------------------------
@@ -257,7 +266,7 @@ _SPECS = {
         (Var.LAMBDA, Var.X),
         outer=lambda j: bell_deg(j),
         weight=lambda m, k: stirling2_deg(m, k) * X**k,
-        inner=lambda j, k, m: falling_factorial_deg(_shift(k, m), j),
+        inner=lambda j, k, m: shared_falling_factorial_deg(_shift(k, m), j),
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),
@@ -283,9 +292,7 @@ _SPECS = {
         (Var.T,),
         outer=lambda j: classical.fubini_poly(j, T),
         weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
-        inner=lambda j, k, m: (
-            classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})
-        ),
+        inner=lambda j, k, m: _classical_inner(j, k),
     ),
     Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
     Identity.EXP_SPLITTING: _Spec(

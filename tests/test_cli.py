@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from degenbell.algebra import Poly
 from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
-from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, SeqTable, build_table
+from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, build_table
 from degenbell.series import Series
 from degenbell.verify import Identity
+from oracles import series_from_json, table_from_json
 from strategies import polys
 
 
@@ -67,7 +68,7 @@ class TestTable:
             capsys, "table", "--kind", "deg-stirling2", "--n-max", "4", "--format", "json"
         )
         assert code == 0
-        table = SeqTable.from_json(json.loads(out))
+        table = table_from_json(json.loads(out))
         assert table.to_json() == json.loads(out)
 
     def test_csv(self, capsys):
@@ -190,7 +191,7 @@ class TestSeries:
             capsys, "series", "--gf", "two-var-fubini:0", "--order", "3", "--format", "json"
         )
         assert code == 0
-        series = Series.from_json(json.loads(out))
+        series = series_from_json(json.loads(out))
         assert series == Series.deg_exp(Poly.variable(__import__("degenbell").Var.Y), 3)
 
     def test_json_round_trip(self, capsys):
@@ -198,12 +199,24 @@ class TestSeries:
             capsys, "series", "--gf", "deg-fubini", "--order", "4", "--format", "json"
         )
         data = json.loads(out)
-        assert Series.from_json(data).to_json() == data
+        assert series_from_json(data).to_json() == data
 
     def test_unknown_gf_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--gf", "mystery", "--order", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alpha", ["x", "-1"])
+    def test_bad_order_is_reported_plainly(self, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--gf", f"two-var-fubini:{alpha}", "--order", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: degenbell series ")
+        assert err[-1] == (
+            "degenbell series: error: "
+            f"two-var-fubini: alpha must be a nonnegative integer, got '{alpha}'"
+        )
 
 
 class TestVerify:

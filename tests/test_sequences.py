@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -15,7 +16,6 @@ from degenbell.sequences import (
     LINEAR_KINDS,
     TABLE_KINDS,
     TRIANGULAR_KINDS,
-    SeqTable,
     bell_deg,
     bell_fully_deg,
     build_table,
@@ -25,11 +25,13 @@ from degenbell.sequences import (
     fubini_deg,
     fubini_two_var_alpha,
     rising_factorial,
+    shared_falling_factorial_deg,
     stirling2_deg,
     stirling2_deg_basis_table,
     unit_falling_factorial_deg,
 )
 from degenbell.series import Series
+from oracles import pow_over_factorial, table_from_json
 
 
 class TestFactorials:
@@ -55,6 +57,42 @@ class TestFactorials:
 
     def test_scalar_base_promotion(self):
         assert falling_factorial_deg(2, 2) == 2 * (2 - LAM)
+
+    def test_shared_list_reads_the_plain_product(self):
+        for base in (ONE, X, 3 - 2 * LAM):
+            for n in (4, 0, 6, 2):  # out of order: a read below the list's end extends nothing
+                assert shared_falling_factorial_deg(base, n) == falling_factorial_deg(base, n)
+
+    def test_shared_list_under_racing_threads(self):
+        base = Y + 7 * T - 5 * LAM  # read by no other test, so its list starts at (base)_0
+        n, workers = 30, 8
+        start = threading.Barrier(workers)
+        errors = []
+
+        def reader():
+            try:
+                start.wait(timeout=30)
+                for j in range(n + 1):
+                    shared_falling_factorial_deg(base, j)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # a lost or doubled extension would leave a wrong or missing entry
+        assert sequences._falling_run(base) == {
+            j: falling_factorial_deg(base, j) for j in range(n + 1)
+        }
 
 
 class TestStirlingDeg:
@@ -120,7 +158,7 @@ class TestStirlingOracles:
         order = 8
         em1 = Series.deg_exp(1, order) - Series.unit(order)
         for k in range(order + 1):
-            gf = em1.pow_over_factorial(k)
+            gf = pow_over_factorial(em1, k)
             for n in range(order + 1):
                 assert gf.coeff(n) == stirling2_deg(n, k), (n, k)
 
@@ -354,7 +392,7 @@ class TestTables:
         table = build_table("deg-stirling2", 4)
         data = table.to_json()
         assert data["provenance"] == "recurrence"
-        assert SeqTable.from_json(data) == table
+        assert table_from_json(data) == table
 
     def test_csv_rows(self):
         rows = build_table("fully-deg-bell", 2).to_csv_rows()

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from degenbell import classical
+from degenbell import classical, sequences, verify
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
 from degenbell.cli import _json_text
 from degenbell.sequences import (
+    _falling_run,
     bell_fully_deg,
     build_table,
     fubini_two_var_alpha,
@@ -19,6 +20,7 @@ from degenbell.sequences import (
 from degenbell.series import exp_splitting_sides
 from degenbell.verify import (
     _SPECS,
+    _classical_inner,
     Identity,
     VerifyReport,
     free_vars,
@@ -347,6 +349,57 @@ class TestMutationDetection:
         # a mutation belongs to its own identity only
         with pytest.raises(ValueError):
             run_identity(Identity.SPIVEY_BELL, 3, 3, corrupt="drop-unit-weight")
+
+
+def _clear_memos():
+    for module in (classical, sequences, verify):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def _weighted_km(m_max):
+    """The (k, m) of every Spivey weight that is not zero: k = 0 only at m = 0."""
+    return [(k, m) for m in range(m_max + 1) for k in range(m + 1) if k or not m]
+
+
+class TestSharedMemos:
+    N = 4
+
+    def test_one_falling_list_per_shifted_argument(self):
+        shifted = {Poly.const(k) - m * LAM for k, m in _weighted_km(self.N)}
+        # each alone reads one list per shifted argument; fully-deg-bell also (1)_{k,l}
+        runs = ((Identity.DEG_BELL_SPIVEY, set()), (Identity.FULLY_DEG_BELL, {ONE}))
+        for identity, extra in runs:
+            _clear_memos()
+            assert run_identity(identity, self.N, self.N).ok
+            assert _falling_run.cache_info().currsize == len(shifted | extra)
+        # run after fully-deg-bell, deg-bell-spivey finds every list it reads
+        assert run_identity(Identity.DEG_BELL_SPIVEY, self.N, self.N).ok
+        info = _falling_run.cache_info()
+        assert info.misses == info.currsize == len(shifted | {ONE})
+        for arg in shifted:  # (k - m*l)_{j,l} for j <= n_max, extended as far as read
+            assert len(_falling_run(arg)) == self.N + 1
+        assert len(_falling_run(ONE)) == 2 * self.N + 1  # (1)_{k,l} up to Bel_{n+m,l}(1)
+        assert _falling_run.cache_info().misses == info.misses
+
+    def test_classical_inner_factor_substituted_once_per_jk(self, monkeypatch):
+        calls = []
+        substitute = Poly.substitute
+
+        def counted(self, var, replacement):
+            calls.append(var)
+            return substitute(self, var, replacement)
+
+        monkeypatch.setattr(Poly, "substitute", counted)
+        _clear_memos()
+        assert run_identity(Identity.FUBINI_SPIVEY, self.N, self.N).ok
+        pairs = {(j, k) for k, _ in _weighted_km(self.N) for j in range(self.N + 1)}
+        info = _classical_inner.cache_info()
+        assert info.misses == info.currsize == len(pairs)
+        assert info.hits > 0
+        # the classical route still substitutes, once per (j, k)
+        assert calls == [Var.X] * len(pairs)
 
 
 class TestRationalPointSemantics:

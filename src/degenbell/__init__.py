@@ -17,7 +17,6 @@ from .sequences import (
     fubini_two_var_alpha,
     rising_factorial,
     stirling2_deg,
-    stirling2_deg_basis_table,
 )
 from .series import NestedSeries, Series, deg_exp_of, exp_of, exp_splitting_sides
 from .verify import Identity, VerifyReport, run_identity
@@ -48,7 +47,6 @@ __all__ = [
     "rising_factorial",
     "run_identity",
     "stirling2_deg",
-    "stirling2_deg_basis_table",
 ]
 
 __version__ = "0.1.0"

@@ -11,24 +11,37 @@ Both types compare, hash and print alike, so the split is invisible from
 outside.  Floats are refused at every entry (`as_scalar`).
 
 A polynomial is a finite map from monomials to nonzero coefficients.  A
-monomial is the 4-tuple of exponents ``(e_l, e_x, e_y, e_t)``.  Terms are
-kept in a canonical order (ascending total degree, then by exponent
-vector with ``l`` weighing heaviest), which makes serialization and
-string rendering deterministic.
+monomial ``(e_l, e_x, e_y, e_t)`` is stored as one int key
+
+    D * 2^(4w) - (e_l * 2^(3w) + e_x * 2^(2w) + e_y * 2^w + e_t)
+
+with ``D`` its total degree and ``w`` a fixed field width, the graded
+packing of Monagan and Pearce (J. Symbolic Comput. 46, 2011).  The key is
+linear in the exponents, so multiplying monomials adds their keys,
+raising one to the power e multiplies its key by e, and dropping
+exponent e of a variable subtracts e times that variable's key.
+Ascending keys are the canonical term order (ascending total degree, then
+the exponent vector descending with ``l`` weighing heaviest), which makes
+serialization and string rendering deterministic.  A monomial's total
+degree is at most `MAX_DEGREE` (2^31); a product or power past it raises
+OverflowError instead of wrapping into a neighbouring field.  The packed
+form stays inside this module: monomials enter `Poly` and leave `terms`
+as 4-tuples of exponents.
 
 Nearly all the work downstream is sums of products, sum c*p*q.  They go
 through one entry point, `Poly.sum_of_products`, which multiplies each
 tuple's factors straight into one accumulating term map and brings it to
 stored form in one final pass, so no product or partial sum is built per
 term.  ``*`` on its own shifts keys when one side is a single monomial and
-scales when it is a constant, and ``**`` of a single term is that term with
-its exponents scaled.
+scales when it is a constant, and ``**`` of a single term multiplies its
+key.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 
 
 class Var(enum.IntEnum):
@@ -46,7 +59,18 @@ class Var(enum.IntEnum):
 
 _SYMBOLS = ("l", "x", "y", "t")
 _SYMBOL_TO_VAR = {s: Var(i) for i, s in enumerate(_SYMBOLS)}
-_ZERO_MONO = (0, 0, 0, 0)
+
+_W = 32  # bits per exponent field
+_MASK = (1 << _W) - 1
+_SHIFT = (3 * _W, 2 * _W, _W, 0)  # where the exponent of l, x, y, t sits
+_VAR_KEY = tuple((1 << 4 * _W) - (1 << s) for s in _SHIFT)  # the key of each variable
+MAX_DEGREE = 1 << (_W - 1)
+# The largest key of total degree at most MAX_DEGREE.  A key is D*2^(4w) - E
+# with 0 <= E <= D*2^(3w), and MAX_DEGREE < 2^w - 1, so a key exceeds it
+# exactly when its true total degree D does, even where a sum of keys has
+# carried one field into the next: one comparison catches a product or a
+# power past the range.
+_KEY_MAX = MAX_DEGREE << 4 * _W
 
 
 def var_from_symbol(symbol: str) -> Var:
@@ -56,12 +80,24 @@ def var_from_symbol(symbol: str) -> Var:
         raise ValueError(f"unknown variable {symbol!r}, expected one of l, x, y, t") from None
 
 
-def _term_key(mono: tuple[int, int, int, int]):
-    """The canonical sort key of a monomial: total degree first, then the
-    exponent vector descending with ``l`` weighing heaviest.  Plain tuple
-    arithmetic, since `terms`, `__str__` and `to_json` sort every term."""
-    a, b, c, d = mono
-    return (a + b + c + d, -a, -b, -c, -d)
+def _pack(mono: tuple[int, int, int, int]) -> int:
+    """The key of an exponent 4-tuple; ValueError unless it is four nonnegative ints."""
+    if len(mono) != 4 or any(type(e) is not int or e < 0 for e in mono):
+        raise ValueError(f"not a monomial of four nonnegative int exponents: {mono!r}")
+    key = sum(e * k for e, k in zip(mono, _VAR_KEY))
+    if key > _KEY_MAX:
+        raise _past_range()
+    return key
+
+
+def _unpack(key: int) -> tuple[int, int, int, int]:
+    """The exponent 4-tuple of a key: the low 4w bits of -key are the fields."""
+    e = -key
+    return (e >> _SHIFT[0] & _MASK, e >> _SHIFT[1] & _MASK, e >> _W & _MASK, e & _MASK)
+
+
+def _past_range() -> OverflowError:
+    return OverflowError(f"monomial of total degree above {MAX_DEGREE}")
 
 
 Scalar = int | Fraction
@@ -100,19 +136,26 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[tuple[int, int, int, int], Scalar | str] | None = None):
-        clean: dict[tuple[int, int, int, int], Scalar] = {}
+        """terms maps exponent 4-tuples (e_l, e_x, e_y, e_t) to coefficients.
+
+        ValueError for a monomial that is not four nonnegative ints,
+        OverflowError for one of total degree above `MAX_DEGREE`.
+        """
+        clean: dict[int, Scalar] = {}
         if terms:
             for mono, c in terms.items():
+                key = _pack(mono)
                 c = as_scalar(c)
                 if c:
-                    clean[mono] = c
+                    clean[key] = c
         self._terms = clean
         self._hash = None
 
     @classmethod
-    def _trusted(cls, terms: dict[tuple[int, int, int, int], Scalar]) -> "Poly":
-        # no checks: every coefficient must already be nonzero and in
-        # _canon form, and the dict is kept, so the caller must not reuse it
+    def _trusted(cls, terms: dict[int, Scalar]) -> "Poly":
+        # no checks: every key must be in range and every coefficient
+        # nonzero and in _canon form, and the dict is kept, so the caller
+        # must not reuse it
         p = object.__new__(cls)
         p._terms = terms
         p._hash = None
@@ -120,7 +163,7 @@ class Poly:
 
     @classmethod
     def const(cls, c: Scalar | str) -> "Poly":
-        return cls({_ZERO_MONO: c})
+        return cls({(0, 0, 0, 0): c})
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -128,51 +171,31 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._trusted({_ZERO_MONO: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def variable(cls, var: Var) -> "Poly":
-        mono = [0, 0, 0, 0]
-        mono[var] = 1
-        return cls._trusted({tuple(mono): 1})
+        return cls._trusted({_VAR_KEY[var]: 1})
 
     # -- inspection ---------------------------------------------------
 
     def terms(self):
-        """Yield (monomial, coefficient) pairs in canonical order."""
-        for mono in sorted(self._terms, key=_term_key):
-            yield mono, self._terms[mono]
+        """Yield (monomial, coefficient) pairs in canonical order, each
+        monomial an exponent 4-tuple (e_l, e_x, e_y, e_t)."""
+        terms = self._terms
+        for key in sorted(terms):
+            yield _unpack(key), terms[key]
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_const(self) -> bool:
-        return not self._terms or set(self._terms) == {_ZERO_MONO}
-
-    def const_value(self) -> Scalar:
-        """The constant as an int or Fraction; 0 for the zero polynomial."""
-        if not self.is_const():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(_ZERO_MONO, 0)
-
     def degree_in(self, var: Var) -> int:
         """Largest exponent of var; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m[var] for m in self._terms)
-
-    def coefficient_of(self, var: Var, power: int) -> "Poly":
-        """The polynomial in the remaining variables multiplying var**power."""
-        out = {}
-        for mono, c in self._terms.items():
-            if mono[var] == power:
-                rest = list(mono)
-                rest[var] = 0
-                out[tuple(rest)] = c
-        return Poly._trusted(out)
+        shift = _SHIFT[var]
+        return max((-key >> shift & _MASK for key in self._terms), default=-1)
 
     def variables(self) -> set[Var]:
-        return {Var(i) for m in self._terms for i in range(4) if m[i]}
+        return {v for v in Var if self.degree_in(v) > 0}
 
     # -- ring operations ----------------------------------------------
 
@@ -181,7 +204,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly._trusted({_ZERO_MONO: _canon(other)} if other else {})
+            return Poly._trusted({0: _canon(other)} if other else {})
         return None
 
     def __add__(self, other) -> "Poly":
@@ -189,19 +212,19 @@ class Poly:
         if other is None:
             return NotImplemented
         out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, 0) + c
+        for key, c in other._terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[mono] = _canon(s)
+                out[key] = _canon(s)
             else:
-                del out[mono]
+                del out[key]
         return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         # negation keeps the stored form, so no coefficient needs _canon
-        return Poly._trusted({m: -c for m, c in self._terms.items()})
+        return Poly._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._promote(other)
@@ -220,27 +243,25 @@ class Poly:
         if len(short._terms) == 1:
             # one term times anything: a scaled copy, or a shift of keys, with
             # no collisions and no zero products
-            ((mono, k),) = short._terms.items()
-            if mono == _ZERO_MONO:
+            ((key, k),) = short._terms.items()
+            if not key:
                 if k == 1:
                     return long
                 return Poly._trusted(
                     {m: v if type(v := x * k) is int else _canon(v) for m, x in long._terms.items()}
                 )
-            a, b, c, d = mono
+            if key + max(long._terms) > _KEY_MAX:
+                raise _past_range()
             return Poly._trusted(
-                {
-                    (e + a, f + b, g + c, h + d): v if type(v := x * k) is int else _canon(v)
-                    for (e, f, g, h), x in long._terms.items()
-                }
+                {m + key: v if type(v := x * k) is int else _canon(v) for m, x in long._terms.items()}
             )
-        out: dict[tuple[int, int, int, int], Scalar] = {}
+        out: dict[int, Scalar] = {}
         get = out.get
-        for (a, b, c, d), c1 in short._terms.items():
-            for m2, c2 in long._terms.items():
-                mono = (a + m2[0], b + m2[1], c + m2[2], d + m2[3])
-                out[mono] = get(mono, 0) + c1 * c2
-        return Poly._trusted({m: c if type(c) is int else _canon(c) for m, c in out.items() if c})
+        for k1, c1 in short._terms.items():
+            for k2, c2 in long._terms.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return _stored(out)
 
     __rmul__ = __mul__
 
@@ -255,7 +276,7 @@ class Poly:
         c*p*q terms builds no product and no partial sum, and the stored
         form comes from one final pass.
         """
-        out: dict[tuple[int, int, int, int], Scalar] = {}
+        out: dict[int, Scalar] = {}
         get = out.get
         for factors in products:
             scale, polys = 1, []
@@ -269,12 +290,12 @@ class Poly:
             if not scale:
                 continue
             if not polys:
-                out[_ZERO_MONO] = get(_ZERO_MONO, 0) + scale
+                out[0] = get(0, 0) + scale
                 continue
             last = polys.pop()._terms
             if not polys:
-                for m, c in last.items():
-                    out[m] = get(m, 0) + scale * c
+                for k, c in last.items():
+                    out[k] = get(k, 0) + scale * c
                 continue
             head = polys[0]
             for p in polys[1:]:
@@ -282,27 +303,30 @@ class Poly:
             short, long = head._terms, last
             if len(short) > len(long):
                 short, long = long, short
-            for (a, b, c, d), c1 in short.items():
+            for k1, c1 in short.items():
                 c1 *= scale
-                for m2, c2 in long.items():
-                    mono = (a + m2[0], b + m2[1], c + m2[2], d + m2[3])
-                    out[mono] = get(mono, 0) + c1 * c2
-        return Poly._trusted({m: c if type(c) is int else _canon(c) for m, c in out.items() if c})
+                for k2, c2 in long.items():
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        return _stored(out)
 
     def __truediv__(self, other) -> "Poly":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         inv = Fraction(1) / other
-        return Poly._trusted({m: _canon(c * inv) for m, c in self._terms.items()})
+        return Poly._trusted({k: _canon(c * inv) for k, c in self._terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         if len(self._terms) == 1 and e:
-            # one term: scale the exponents and power the coefficient, which
+            # one term: multiply the key and power the coefficient, which
             # keeps its stored form (a Fraction's denominator stays above 1)
-            (((a, b, c, d), k),) = self._terms.items()
-            return Poly._trusted({(a * e, b * e, c * e, d * e): k**e})
+            ((key, c),) = self._terms.items()
+            key *= e
+            if key > _KEY_MAX:
+                raise _past_range()
+            return Poly._trusted({key: c**e})
         result = Poly.one()
         base = self
         while e:
@@ -333,32 +357,31 @@ class Poly:
         """
         if not bindings:
             return self
-        tables = []  # (var, [value**0, value**1, ...]) up to var's degree
+        tables = []  # (shift, key of var, [value**0, value**1, ...]) up to var's degree
         for var, value in bindings.items():
             value = as_scalar(value)
             powers = [1]
             for _ in range(self.degree_in(var)):
                 powers.append(powers[-1] * value)
-            tables.append((var, powers))
-        out: dict[tuple[int, int, int, int], Scalar] = {}
-        for mono, c in self._terms.items():
-            rest = list(mono)
-            for var, powers in tables:
-                e = mono[var]
+            tables.append((_SHIFT[var], _VAR_KEY[var], powers))
+        out: dict[int, Scalar] = {}
+        for key, c in self._terms.items():
+            fields = -key
+            for shift, var_key, powers in tables:
+                e = fields >> shift & _MASK
                 if e:
                     c = c * powers[e]
-                    rest[var] = 0
-            key = tuple(rest)
+                    key -= e * var_key
             out[key] = out.get(key, 0) + c
-        return Poly._trusted({m: _canon(c) for m, c in out.items() if c})
+        return Poly._trusted({k: _canon(c) for k, c in out.items() if c})
 
     def substitute(self, var: Var, replacement: "Poly") -> "Poly":
         """Replace var by an arbitrary polynomial and re-expand."""
+        shift, var_key = _SHIFT[var], _VAR_KEY[var]
         groups: dict[int, dict] = {}  # exponent of var -> terms of its cofactor
-        for mono, c in self._terms.items():
-            rest = list(mono)
-            rest[var] = 0
-            groups.setdefault(mono[var], {})[tuple(rest)] = c
+        for key, c in self._terms.items():
+            e = -key >> shift & _MASK
+            groups.setdefault(e, {})[key - e * var_key] = c
         powers = [ONE]  # replacement**0 .. replacement**degree
         for _ in range(max(groups, default=0)):
             powers.append(powers[-1] * replacement)
@@ -400,40 +423,35 @@ class Poly:
         """``json.dumps(self.to_json(), indent=2)`` byte for byte, nested at
         ``indent``, the newline and indentation before this value's own line.
 
-        Each term is written straight from the term map, with no dict per
-        term; ``str(c)`` and the exponents never need escaping.
+        Each term is its monomial's text from `_json_head`, rendered once
+        per monomial and indent, then ``str(c)``; neither needs escaping.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "[]"
         row = indent + "  "  # before each term's "{"
-        field = row + "  "  # before its "m" and "c"
-        el, ex, ey, et = [f'{field}  "{s}": ' for s in _SYMBOLS]
-        head, mid, tail = "{" + field + '"m": ', "," + field + '"c": "', '"' + row + "}"
-        items = []
-        for (a, b, c, d), coeff in self.terms():
-            exps = []  # unrolled over l, x, y, t: this loop runs once per term
-            if a:
-                exps.append(el + str(a))
-            if b:
-                exps.append(ex + str(b))
-            if c:
-                exps.append(ey + str(c))
-            if d:
-                exps.append(et + str(d))
-            m = "{" + ",".join(exps) + field + "}" if exps else "{}"
-            items.append(head + m + mid + str(coeff) + tail)
+        tail = '"' + row + "}"
+        items = [_json_head(key, indent) + str(terms[key]) + tail for key in sorted(terms)]
         return "[" + row + ("," + row).join(items) + indent + "]"
 
-    @classmethod
-    def from_json(cls, data: list) -> "Poly":
-        """Inverse of `to_json`; coefficients go through `as_scalar`."""
-        terms = {}
-        for item in data:
-            mono = [0, 0, 0, 0]
-            for sym, e in item["m"].items():
-                mono[var_from_symbol(sym)] = int(e)
-            terms[tuple(mono)] = item["c"]
-        return cls(terms)
+
+def _stored(out: dict[int, Scalar]) -> Poly:
+    """The product term map ``out`` in stored form; OverflowError if any key
+    in it, a cancelled one too, is past the range."""
+    if out and max(out) > _KEY_MAX:
+        raise _past_range()
+    return Poly._trusted({k: c if type(c) is int else _canon(c) for k, c in out.items() if c})
+
+
+@cache
+def _json_head(key: int, indent: str) -> str:
+    """A term of `Poly.json_text` up to its coefficient: ``{``, the "m"
+    object of the monomial ``key`` and ``"c": "``, for a value at indent.
+    Kept for the process, one short string per monomial and indent written."""
+    field = indent + "    "  # before the term's "m" and "c"
+    exps = [f'{field}  "{s}": {e}' for s, e in zip(_SYMBOLS, _unpack(key)) if e]
+    m = "{" + ",".join(exps) + field + "}" if exps else "{}"
+    return "{" + field + '"m": ' + m + "," + field + '"c": "'
 
 
 def _mono_str(mono: tuple[int, int, int, int]) -> str:

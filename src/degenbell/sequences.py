@@ -29,8 +29,8 @@ is a plain product that keeps nothing).  Each sum of products goes through
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
 
 which follows from (x)_{n+1,l} = (x - n*l)(x)_{n,l} together with
-x (x)_k = (x)_{k+1} + k (x)_k.  Two independent routes check it: the
-change-of-basis solve in `stirling2_deg_basis_table` and the EGF
+x (x)_k = (x)_{k+1} + k (x)_k.  Two independent routes in the test suite
+check it: the change-of-basis solve of that definition and the EGF
 coefficients of (e_l(s) - 1)^k / k! from the series engine.
 
 The closed form for F^(a) above is the Cauchy product of the two factors
@@ -55,7 +55,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Scalar, Var, X, Y
+from .algebra import LAM, ONE, Poly, Scalar, X, Y
 
 
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
@@ -197,27 +197,6 @@ class SeqTable(NamedTuple):
         triangular = any(len(index) > 1 for index, _ in self.values)
         header = ["n", "k", "value"] if triangular else ["n", "value"]
         return [header] + [[*map(str, index), str(poly)] for index, poly in self.values]
-
-
-def stirling2_deg_basis_table(n_max: int) -> SeqTable:
-    """All S2_l(n, k) for n <= n_max by the defining change of basis.
-
-    Expands (x)_{n,l} and peels off classical falling factorials (x)_k
-    from the top degree down; independent of the recurrence route.
-    """
-    values = []
-    basis = [falling_factorial(X, k) for k in range(n_max + 1)]
-    for n in range(n_max + 1):
-        residual = falling_factorial_deg(X, n)
-        row = [Poly.zero()] * (n + 1)
-        for d in range(n, -1, -1):
-            c = residual.coefficient_of(Var.X, d)
-            row[d] = c
-            residual = residual - c * basis[d]
-        if not residual.is_zero():
-            raise ArithmeticError("change-of-basis solve left a nonzero residual")
-        values.extend((((n, k), row[k]) for k in range(n + 1)))
-    return SeqTable("deg-stirling2", {"n_max": n_max}, "closed-form", tuple(values))
 
 
 class _Kind(NamedTuple):

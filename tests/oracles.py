@@ -1,13 +1,71 @@
 """Independent routes and readers that only the tests use to check the
-package's results: (e_l(s) - 1)^k / k! by the EGF route, and the inverses
-of `SeqTable.to_json` and `Series.to_json`."""
+package's results: S2_l(n, k) by the change of basis and by the EGF route
+(e_l(s) - 1)^k / k!, the inverses of `Poly.to_json`, `SeqTable.to_json`
+and `Series.to_json`, and views of a `Poly` through its public `terms`."""
 
 from fractions import Fraction
 from math import factorial
 
-from degenbell.algebra import Poly
-from degenbell.sequences import SeqTable
+from degenbell.algebra import Poly, Var, X, var_from_symbol
+from degenbell.sequences import SeqTable, falling_factorial, falling_factorial_deg
 from degenbell.series import Series, ValuationError
+
+CONST_MONO = (0, 0, 0, 0)
+
+
+def is_const(p: Poly) -> bool:
+    return all(mono == CONST_MONO for mono, _ in p.terms())
+
+
+def const_value(p: Poly):
+    """The constant p as an int or Fraction; 0 for the zero polynomial."""
+    if not is_const(p):
+        raise ValueError(f"not a constant polynomial: {p}")
+    return dict(p.terms()).get(CONST_MONO, 0)
+
+
+def coefficient_of(p: Poly, var: Var, power: int) -> Poly:
+    """The polynomial in the remaining variables multiplying var**power in p."""
+    out = {}
+    for mono, c in p.terms():
+        if mono[var] == power:
+            rest = list(mono)
+            rest[var] = 0
+            out[tuple(rest)] = c
+    return Poly(out)
+
+
+def poly_from_json(data: list) -> Poly:
+    """The polynomial that `Poly.to_json` wrote as ``data``; exponents and
+    coefficients go through `Poly`'s own intake."""
+    terms = {}
+    for item in data:
+        mono = [0, 0, 0, 0]
+        for sym, e in item["m"].items():
+            mono[var_from_symbol(sym)] = e
+        terms[tuple(mono)] = item["c"]
+    return Poly(terms)
+
+
+def stirling2_deg_basis_table(n_max: int) -> SeqTable:
+    """All S2_l(n, k) for n <= n_max by the defining change of basis.
+
+    Expands (x)_{n,l} and peels off classical falling factorials (x)_k
+    from the top degree down; independent of the recurrence route.
+    """
+    values = []
+    basis = [falling_factorial(X, k) for k in range(n_max + 1)]
+    for n in range(n_max + 1):
+        residual = falling_factorial_deg(X, n)
+        row = [Poly.zero()] * (n + 1)
+        for d in range(n, -1, -1):
+            c = coefficient_of(residual, Var.X, d)
+            row[d] = c
+            residual = residual - c * basis[d]
+        if not residual.is_zero():
+            raise ArithmeticError("change-of-basis solve left a nonzero residual")
+        values.extend((((n, k), row[k]) for k in range(n + 1)))
+    return SeqTable("deg-stirling2", {"n_max": n_max}, "closed-form", tuple(values))
 
 
 def pow_over_factorial(a: Series, k: int) -> Series:
@@ -29,7 +87,7 @@ def pow_over_factorial(a: Series, k: int) -> Series:
 def table_from_json(data: dict) -> SeqTable:
     """The table that `SeqTable.to_json` wrote as ``data``."""
     values = tuple(
-        (tuple(row[name] for name in ("n", "k") if name in row), Poly.from_json(row["poly"]))
+        (tuple(row[name] for name in ("n", "k") if name in row), poly_from_json(row["poly"]))
         for row in data["values"]
     )
     return SeqTable(data["kind"], dict(data["bounds"]), data["provenance"], values)
@@ -38,7 +96,7 @@ def table_from_json(data: dict) -> SeqTable:
 def series_from_json(data: dict) -> Series:
     """The series that `Series.to_json` wrote as ``data``; ValueError if its
     coefficient count does not match its order."""
-    coeffs = [Poly.from_json(c) for c in data["egf_coeffs"]]
+    coeffs = [poly_from_json(c) for c in data["egf_coeffs"]]
     if len(coeffs) != data["order"] + 1:
         raise ValueError("coefficient count does not match declared order")
     return Series(coeffs)

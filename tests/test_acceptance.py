@@ -16,11 +16,10 @@ from degenbell.sequences import (
     fubini_deg,
     fubini_two_var_alpha,
     stirling2_deg,
-    stirling2_deg_basis_table,
 )
 from degenbell.series import Series, deg_exp_of
 from degenbell.verify import Identity, run_identity
-from oracles import pow_over_factorial
+from oracles import pow_over_factorial, stirling2_deg_basis_table
 from strategies import sides
 
 CLASSICAL_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]

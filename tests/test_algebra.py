@@ -3,10 +3,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, ZERO, as_scalar, parse_rational
+from degenbell.algebra import (
+    LAM,
+    MAX_DEGREE,
+    ONE,
+    Poly,
+    T,
+    Var,
+    X,
+    Y,
+    ZERO,
+    as_scalar,
+    parse_rational,
+)
+from oracles import coefficient_of, const_value, is_const, poly_from_json
 from strategies import full_bindings, polys, rationals
 
 
@@ -81,6 +94,10 @@ class TestCoefficientDomain:
         d=rationals.filter(bool),
     )
     @settings(max_examples=60)
+    # a one-term Fraction base, at the zeroth power and above it: the two
+    # branches of `**` that a drawn example reaches only by chance
+    @example(Fraction(3, 2) * X * Y, T - 1, {v: Fraction(1, 2) for v in Var}, 0, Fraction(2, 3))
+    @example(Fraction(-1, 3) * LAM, X, {v: Fraction(-2, 5) for v in Var}, 3, 2)
     def test_stored_form_after_every_operation(self, a, b, bindings, e, d):
         results = [
             a,
@@ -95,7 +112,7 @@ class TestCoefficientDomain:
             a.eval({Var.X: bindings[Var.X]}),
             a.eval(bindings),
             a.substitute(Var.X, b),
-            Poly.from_json(a.to_json()),
+            poly_from_json(a.to_json()),
         ]
         for p in results:
             assert_stored_form(p)
@@ -103,7 +120,7 @@ class TestCoefficientDomain:
     def test_integral_fraction_is_stored_as_int(self):
         m = (1, 0, 2, 0)
         as_fraction, as_int = Poly({m: Fraction(6, 2)}), Poly({m: 3})
-        assert type(as_fraction._terms[m]) is int
+        assert type(dict(as_fraction.terms())[m]) is int
         assert as_fraction == as_int
         assert hash(as_fraction) == hash(as_int)
         assert str(as_fraction) == str(as_int) == "3*l*y^2"
@@ -116,9 +133,9 @@ class TestCoefficientDomain:
         assert (3 * X) / 4 == Fraction(3, 4) * X
 
     def test_const_value_types(self):
-        assert type(ZERO.const_value()) is int and ZERO.const_value() == 0
-        assert type(Poly.const(Fraction(4, 2)).const_value()) is int
-        assert Poly.const("2/3").const_value() == Fraction(2, 3)
+        assert type(const_value(ZERO)) is int and const_value(ZERO) == 0
+        assert type(const_value(Poly.const(Fraction(4, 2)))) is int
+        assert const_value(Poly.const("2/3")) == Fraction(2, 3)
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -137,7 +154,7 @@ class TestCoefficientDomain:
     @pytest.mark.parametrize("text", ["1e-3", "0.5", "1/0"])
     def test_from_json_refuses_inexact_text(self, text):
         with pytest.raises(ValueError):
-            Poly.from_json([{"m": {}, "c": text}])
+            poly_from_json([{"m": {}, "c": text}])
 
     def test_const_refuses_float(self):
         with pytest.raises(TypeError):
@@ -172,6 +189,46 @@ def naive_sum_of_products(products):
 factor = st.one_of(polys(max_terms=3), rationals, st.integers(min_value=-2, max_value=2))
 
 
+class TestMonomialIntake:
+    @pytest.mark.parametrize("mono", [(0, -1, 0, 0), (0, 1.5, 0, 0), (1, 0, 0), (0, 0, 0, 0, 1), (True, 0, 0, 0)])
+    def test_malformed_monomial_is_refused(self, mono):
+        with pytest.raises(ValueError):
+            Poly({mono: 1})
+        with pytest.raises(ValueError):
+            Poly({mono: 0})  # also when its coefficient is zero
+
+    def test_negative_exponent_from_json_is_refused(self):
+        with pytest.raises(ValueError):
+            poly_from_json([{"m": {"x": -2}, "c": "3"}])
+
+    def test_degree_up_to_the_cap_is_exact(self):
+        assert dict((X**MAX_DEGREE).terms()) == {(0, MAX_DEGREE, 0, 0): 1}
+        assert (X**MAX_DEGREE).degree_in(Var.X) == MAX_DEGREE
+        p = LAM ** (MAX_DEGREE - 1) * T
+        assert dict(p.terms()) == {(MAX_DEGREE - 1, 0, 0, 1): 1}
+        assert Poly({(0, 0, MAX_DEGREE, 0): 2}) == 2 * Y**MAX_DEGREE
+        assert str(Y**MAX_DEGREE * 3) == f"3*y^{MAX_DEGREE}"
+
+    def test_power_past_the_cap_overflows(self):
+        with pytest.raises(OverflowError):
+            X ** (MAX_DEGREE + 1)
+        with pytest.raises(OverflowError):
+            (Fraction(1, 2) * T ** (MAX_DEGREE // 2 + 1)) ** 2
+        with pytest.raises(OverflowError):
+            Poly({(0, 0, MAX_DEGREE, 1): 1})
+
+    def test_product_crossing_the_cap_overflows(self):
+        top = LAM ** (MAX_DEGREE - 1) * X
+        with pytest.raises(OverflowError):
+            top * T  # a shift of keys
+        with pytest.raises(OverflowError):
+            (top + 1) * (Y - 1)  # the general product
+        with pytest.raises(OverflowError):
+            Poly.sum_of_products([(X, Y)] * 2 + [(3, top, T + 1)])
+        with pytest.raises(OverflowError):
+            (Y ** (MAX_DEGREE // 2) + 1) ** 3  # repeated squaring
+
+
 class TestMulFastPath:
     @given(p=polys(max_terms=6, max_exp=3), one_term=polys(max_terms=1, max_exp=3), d=rationals)
     @settings(max_examples=100)
@@ -191,10 +248,10 @@ class TestMulFastPath:
     def test_scaling_back_to_an_integer(self):
         half_x = Fraction(1, 2) * X
         for product in (half_x * 2, 2 * half_x, half_x * Poly.const(2)):
-            assert product._terms == {(0, 1, 0, 0): 1}
-            assert type(product._terms[(0, 1, 0, 0)]) is int
+            assert dict(product.terms()) == {(0, 1, 0, 0): 1}
+            assert type(dict(product.terms())[(0, 1, 0, 0)]) is int
         shifted = (Fraction(2, 3) * X * Y) * (Fraction(3, 2) * LAM + 3 * T)
-        assert shifted._terms == {(1, 1, 1, 0): 1, (0, 1, 1, 1): 2}
+        assert dict(shifted.terms()) == {(1, 1, 1, 0): 1, (0, 1, 1, 1): 2}
         assert_stored_form(shifted)
 
 
@@ -202,8 +259,8 @@ class TestPowFastPath:
     def test_zeroth_power_is_one_with_an_int_coefficient(self):
         p = (Fraction(3, 2) * X) ** 0
         assert p == ONE
-        assert p._terms == {(0, 0, 0, 0): 1}
-        assert type(p._terms[(0, 0, 0, 0)]) is int
+        assert dict(p.terms()) == {(0, 0, 0, 0): 1}
+        assert type(dict(p.terms())[(0, 0, 0, 0)]) is int
 
     @given(
         one_term=polys(max_terms=1, max_exp=3).filter(lambda p: not p.is_zero()),
@@ -235,8 +292,8 @@ class TestSumOfProducts:
 
     def test_scalar_only_tuples(self):
         out = Poly.sum_of_products([(2, Fraction(1, 2)), (3,), (Fraction(1, 3), 0)])
-        assert out._terms == {(0, 0, 0, 0): 4}
-        assert type(out.const_value()) is int
+        assert dict(out.terms()) == {(0, 0, 0, 0): 4}
+        assert type(const_value(out)) is int
 
     def test_zero_factors(self):
         assert Poly.sum_of_products([(0, X), (X, ZERO, Y), (ZERO,), (X, Y, T, ZERO)]).is_zero()
@@ -254,7 +311,7 @@ class TestSumOfProducts:
             (Fraction(-1, 2), T + 1, LAM),
         ]
         out = Poly.sum_of_products(products)
-        assert out._terms == {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}
+        assert dict(out.terms()) == {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}
         assert_stored_form(out)
 
     def test_refuses_inexact_factor(self):
@@ -277,8 +334,8 @@ class TestEval:
     def test_full_binding_gives_constant(self):
         p = X * Y + LAM
         out = p.eval({Var.X: 2, Var.Y: Fraction(1, 2), Var.LAMBDA: -1})
-        assert out.is_const()
-        assert out.const_value() == 0
+        assert is_const(out)
+        assert const_value(out) == 0
 
     @given(a=polys(), b=polys(), bindings=full_bindings())
     @settings(max_examples=60)
@@ -303,22 +360,22 @@ class TestSubstitute:
     def test_substitute_commutes_with_eval(self, p, q, bindings):
         lhs = p.substitute(Var.X, q).eval(bindings)
         inner = dict(bindings)
-        inner[Var.X] = q.eval(bindings).const_value()
+        inner[Var.X] = const_value(q.eval(bindings))
         assert lhs == p.eval(inner)
 
 
 class TestInspection:
     def test_coefficient_of(self):
         p = (ONE - LAM) * X + 2 * X**2 + Y
-        assert p.coefficient_of(Var.X, 1) == ONE - LAM
-        assert p.coefficient_of(Var.X, 2) == Poly.const(2)
-        assert p.coefficient_of(Var.X, 0) == Y
+        assert coefficient_of(p, Var.X, 1) == ONE - LAM
+        assert coefficient_of(p, Var.X, 2) == Poly.const(2)
+        assert coefficient_of(p, Var.X, 0) == Y
 
     def test_degrees(self):
         p = LAM**2 * X - T
         assert p.degree_in(Var.LAMBDA) == 2
         assert p.degree_in(Var.Y) == 0
-        assert max(map(sum, p._terms)) == 3  # total degree
+        assert max(sum(mono) for mono, _ in p.terms()) == 3  # total degree
         assert ZERO.degree_in(Var.X) == -1
 
     def test_variables(self):
@@ -326,7 +383,7 @@ class TestInspection:
 
     def test_const_value_raises_on_nonconstant(self):
         with pytest.raises(ValueError):
-            X.const_value()
+            const_value(X)
 
 
 class TestRendering:
@@ -341,6 +398,13 @@ class TestRendering:
         # ascending total degree, lambda-heaviest within a degree
         p = X**2 + LAM * X + X + 1
         assert str(p) == "1 + x + l*x + x^2"
+
+    @given(p=polys(max_terms=8, max_exp=3))
+    @settings(max_examples=60)
+    def test_terms_in_canonical_order(self, p):
+        # total degree first, then the exponent vector descending, l heaviest
+        monos = [mono for mono, _ in p.terms()]
+        assert monos == sorted(monos, key=lambda m: (sum(m), *(-e for e in m)))
 
 
 class TestSerialization:
@@ -358,12 +422,12 @@ class TestSerialization:
     @given(p=polys(max_terms=6, max_exp=3))
     @settings(max_examples=60)
     def test_round_trip(self, p):
-        assert Poly.from_json(p.to_json()) == p
+        assert poly_from_json(p.to_json()) == p
 
     def test_rational_coefficients_exact(self):
         p = Poly.const(Fraction(-7, 3))
         assert p.to_json() == [{"m": {}, "c": "-7/3"}]
-        assert Poly.from_json(p.to_json()) == p
+        assert poly_from_json(p.to_json()) == p
 
 
 class TestParseRational:

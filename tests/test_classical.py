@@ -4,6 +4,7 @@ from math import factorial
 
 from degenbell import classical
 from degenbell.algebra import Poly, Var, X
+from oracles import const_value
 
 
 def test_stirling_triangle():
@@ -48,7 +49,7 @@ def test_bell_poly():
 
 def test_fubini_poly_at_one_is_ordered_bell():
     for n in range(9):
-        value = classical.fubini_poly(n).eval({Var.X: 1}).const_value()
+        value = const_value(classical.fubini_poly(n).eval({Var.X: 1}))
         assert value == classical.ordered_bell_number(n)
 
 

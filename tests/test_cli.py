@@ -20,7 +20,7 @@ from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
 from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, build_table
 from degenbell.series import Series
 from degenbell.verify import Identity
-from oracles import series_from_json, table_from_json
+from oracles import poly_from_json, series_from_json, table_from_json
 from strategies import polys
 
 
@@ -155,7 +155,7 @@ class TestPoly:
             capsys, "poly", "--kind", "fully-deg-bell", "-n", "2", "--format", "json"
         )
         assert code == 0
-        poly = Poly.from_json(json.loads(out))
+        poly = poly_from_json(json.loads(out))
         from degenbell.sequences import bell_fully_deg
 
         assert poly == bell_fully_deg(2)

@@ -15,7 +15,7 @@ from degenbell.series import (
     exp_of,
     exp_splitting_sides,
 )
-from oracles import pow_over_factorial, series_from_json
+from oracles import const_value, pow_over_factorial, series_from_json
 from strategies import polys
 
 
@@ -153,7 +153,7 @@ class TestComposedExponentials:
         # e^(e^s - 1) generates the Bell numbers
         em1_classical = Series([Poly.const(int(n > 0)) for n in range(9)])
         gf = exp_of(em1_classical)
-        values = [gf.coeff(n).const_value() for n in range(9)]
+        values = [const_value(gf.coeff(n)) for n in range(9)]
         assert values == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 

@@ -353,23 +353,28 @@ class Poly:
         """Substitute rational values for a subset of the variables.
 
         Unbound variables survive; binding everything yields a constant
-        polynomial.  Values go through `as_scalar`.
+        polynomial.  Values go through `as_scalar`; a variable bound to 0
+        drops each term it divides before any arithmetic.
         """
         if not bindings:
             return self
-        tables = []  # (shift, key of var, [value**0, value**1, ...]) up to var's degree
+        zeros, tables = 0, []  # the fields of the variables bound to 0
         for var, value in bindings.items():
-            value = as_scalar(value)
-            powers = [1]
+            if not (value := as_scalar(value)):
+                zeros |= _MASK << _SHIFT[var]
+                continue
+            powers = [1]  # value**0 .. value**degree
             for _ in range(self.degree_in(var)):
                 powers.append(powers[-1] * value)
             tables.append((_SHIFT[var], _VAR_KEY[var], powers))
+        if not self._terms:
+            return self
         out: dict[int, Scalar] = {}
         for key, c in self._terms.items():
-            fields = -key
+            if (fields := -key) & zeros:
+                continue
             for shift, var_key, powers in tables:
-                e = fields >> shift & _MASK
-                if e:
+                if e := fields >> shift & _MASK:
                     c = c * powers[e]
                     key -= e * var_key
             out[key] = out.get(key, 0) + c

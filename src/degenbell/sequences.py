@@ -29,9 +29,11 @@ is a plain product that keeps nothing).  Each sum of products goes through
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
 
 which follows from (x)_{n+1,l} = (x - n*l)(x)_{n,l} together with
-x (x)_k = (x)_{k+1} + k (x)_k.  Two independent routes in the test suite
-check it: the change-of-basis solve of that definition and the EGF
-coefficients of (e_l(s) - 1)^k / k! from the series engine.
+x (x)_k = (x)_{k+1} + k (x)_k.  Each entry is one `Poly.sum_of_products`
+whose factor (k - n*l) is the scalar k and a one-term l-shift, never built.
+Two independent routes in the test suite check it: the change-of-basis
+solve of that definition and the EGF coefficients of (e_l(s) - 1)^k / k!
+from the series engine.
 
 The closed form for F^(a) above is the Cauchy product of the two factors
 of its generating function (1 - x(e_l(s)-1))^(-a) e_l^y(s); it is not a
@@ -118,8 +120,8 @@ def stirling2_deg(n: int, k: int) -> Poly:
     while len(rows) <= n:
         prev, m = rows[-1], len(rows)
         # S2_l(m, k) = S2_l(m-1, k-1) + (k - (m-1) l) S2_l(m-1, k); S2_l(m, 0) = 0, S2_l(m, m) = 1
-        inner = (prev[k - 1] + (k - (m - 1) * LAM) * prev[k] for k in range(1, m))
-        rows.append((Poly.zero(), *inner, Poly.one()))
+        step = (((prev[k - 1],), (k, prev[k]), (1 - m, LAM, prev[k])) for k in range(1, m))
+        rows.append((Poly.zero(), *map(Poly.sum_of_products, step), Poly.one()))
     return rows[n][k] if 0 <= k <= n else Poly.zero()
 
 

@@ -9,7 +9,9 @@ argument at the same time as the generating variable.
 Under the EGF convention the product is the binomial convolution
 c_n = sum_j C(n,j) a_j b_{n-j}, which is what every generating-function
 manipulation in this package needs.  Series of different orders combine
-by truncating to the smaller order.
+by truncating to the smaller order.  A square ``a * a`` takes each
+unordered pair a_j a_{n-j} once, weighted 2 C(n,j), and `Series.int_pow`
+powers by repeated squaring, never multiplying by the unit.
 
 The central building block is the degenerate exponential
 
@@ -102,9 +104,13 @@ class Series:
         if isinstance(other, Series):
             n = min(self.order, other.order)
             a, b = self._coeffs, other._coeffs
+            sq = other is self  # a square: each pair a_j a_{k-j} once, doubled unless j = k - j
             return Series(
                 [
-                    Poly.sum_of_products((comb(k, j), a[j], b[k - j]) for j in range(k + 1))
+                    Poly.sum_of_products(
+                        ((1 + (sq and 2 * j < k)) * comb(k, j), a[j], b[k - j])
+                        for j in range(k // 2 + 1 if sq else k + 1)
+                    )
                     for k in range(n + 1)
                 ]
             )
@@ -135,9 +141,11 @@ class Series:
     def int_pow(self, e: int) -> "Series":
         if not isinstance(e, int) or e < 0:
             raise ValueError("series powers must be nonnegative integers")
-        result = Series.unit(self.order)
-        for _ in range(e):
-            result = result * self
+        result = self if e else Series.unit(self.order)  # binary powering from the top bit
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:

@@ -1,12 +1,13 @@
 """Independent routes and readers that only the tests use to check the
-package's results: S2_l(n, k) by the change of basis and by the EGF route
-(e_l(s) - 1)^k / k!, the inverses of `Poly.to_json`, `SeqTable.to_json`
-and `Series.to_json`, and views of a `Poly` through its public `terms`."""
+package's results: S2_l(n, k) by the change of basis, by the EGF route
+(e_l(s) - 1)^k / k! and by the plain recurrence, `Poly.eval` term by term,
+the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
+and views of a `Poly` through its public `terms`."""
 
 from fractions import Fraction
 from math import factorial
 
-from degenbell.algebra import Poly, Var, X, var_from_symbol
+from degenbell.algebra import LAM, Poly, Var, X, var_from_symbol
 from degenbell.sequences import SeqTable, falling_factorial, falling_factorial_deg
 from degenbell.series import Series, ValuationError
 
@@ -45,6 +46,30 @@ def poly_from_json(data: list) -> Poly:
             mono[var_from_symbol(sym)] = e
         terms[tuple(mono)] = item["c"]
     return Poly(terms)
+
+
+def eval_term_by_term(p: Poly, bindings: dict) -> Poly:
+    """What `Poly.eval` must return, read off `terms()`: each bound variable's
+    exponent e becomes the factor value**e (0**0 = 1) and is dropped."""
+    out = {}
+    for mono, c in p.terms():
+        rest = list(mono)
+        for var, value in bindings.items():
+            c *= Fraction(value) ** mono[var]
+            rest[var] = 0
+        out[tuple(rest)] = out.get(tuple(rest), 0) + c
+    return Poly(out)
+
+
+def stirling2_deg_rows_plain(n_max: int) -> list[list[Poly]]:
+    """Rows 0..n_max of S2_l by the triangular recurrence written with ring
+    operators, its factor (k - (m-1) l) built as a polynomial."""
+    rows = [[Poly.one()]]
+    for m in range(1, n_max + 1):
+        prev = rows[-1]
+        inner = [prev[k - 1] + (k - (m - 1) * LAM) * prev[k] for k in range(1, m)]
+        rows.append([Poly.zero(), *inner, Poly.one()])
+    return rows
 
 
 def stirling2_deg_basis_table(n_max: int) -> SeqTable:

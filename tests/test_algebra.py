@@ -19,7 +19,7 @@ from degenbell.algebra import (
     as_scalar,
     parse_rational,
 )
-from oracles import coefficient_of, const_value, is_const, poly_from_json
+from oracles import coefficient_of, const_value, eval_term_by_term, is_const, poly_from_json
 from strategies import full_bindings, polys, rationals
 
 
@@ -342,6 +342,28 @@ class TestEval:
     def test_eval_is_ring_homomorphism(self, a, b, bindings):
         assert (a * b).eval(bindings) == a.eval(bindings) * b.eval(bindings)
         assert (a + b).eval(bindings) == a.eval(bindings) + b.eval(bindings)
+
+
+# values a binding draws from: 0 (a term filter), ints and Fractions
+binding_values = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4), rationals)
+
+
+class TestEvalOracle:
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_equals_term_by_term(self, data):
+        bindings = data.draw(st.dictionaries(st.sampled_from(Var), binding_values, max_size=4))
+        # half the time only bound variables occur, so the value is a constant
+        variables = data.draw(st.sampled_from((tuple(Var), tuple(bindings))))
+        p = data.draw(polys(max_terms=6, max_exp=3, variables=variables))
+        out = p.eval(bindings)
+        assert out == eval_term_by_term(p, bindings)
+        assert_stored_form(out)
+
+    def test_every_variable_bound_two_of_them_to_zero(self):
+        p = X**2 * Y - Fraction(2, 3) * LAM * T + 5 * X * T**2 - 7
+        bindings = {Var.LAMBDA: 0, Var.X: Fraction(1, 2), Var.Y: -3, Var.T: 0}
+        assert p.eval(bindings) == eval_term_by_term(p, bindings) == Fraction(-31, 4)
 
 
 class TestSubstitute:

@@ -201,6 +201,18 @@ class TestSeries:
         data = json.loads(out)
         assert series_from_json(data).to_json() == data
 
+    def test_huge_alpha_equals_closed_form_table(self, capsys):
+        # alpha = 10**20 takes about 2 log2(alpha) series products, not alpha
+        alpha = str(10**20)
+        code, series = run_cli(capsys, "series", "--gf", f"two-var-fubini:{alpha}", "--order", "4",
+                               "--format", "json")
+        assert code == 0
+        code, table = run_cli(capsys, "table", "--kind", "two-var-deg-fubini", "--alpha", alpha,
+                              "--n-max", "4", "--format", "json")
+        assert code == 0
+        rows = json.loads(table)["values"]
+        assert json.loads(series)["egf_coeffs"] == [row["poly"] for row in rows]
+
     def test_unknown_gf_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--gf", "mystery", "--order", "2"])
@@ -554,6 +566,29 @@ class TestDeterminism:
             (
                 "series --gf two-var-fubini:2 --order 6 --bind y=-1/2 --format json",
                 "6b77b81b6d567aded7c8d45d6e2e1aaaed7e8608c2d55e49d4da4d88ece5a0fd",
+            ),
+            # wrapped text lines of the l -> 0 limit, which binds l = 0
+            (
+                "limit --kind fully-deg-bell --n-max 12",
+                "22e3f37ee77a7e344a364c416c2d7e2e84b473db4d63d8916c620d896cb2b3af",
+            ),
+            # an odd power: series squares and a general product
+            (
+                "series --gf two-var-fubini:3 --order 8 --format json",
+                "2b17934bb0defb91168031fb995c392624583424c73cad37d4872536f16c181d",
+            ),
+            (
+                "series --gf two-var-fubini:0 --order 4",
+                "fb59b578d8921fa9725b9375eb179754ab65a35dad9d06fc3460461da52c5a3d",
+            ),
+            # zero and nonzero bindings together
+            (
+                "table --kind fully-deg-bell --n-max 6 --bind l=0 --bind x=2/3 --format json",
+                "a75144992a84feaaae37957edca1e6532f05fd5b51722d59daac7921628048d0",
+            ),
+            (
+                "poly --kind two-var-deg-fubini -n 5 --alpha 2 --bind y=0",
+                "fe086c7edbdb74692529d0b5a5b9f73355f1a4e18021c56ae616defe568a67ae",
             ),
         ],
     )

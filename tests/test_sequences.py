@@ -30,7 +30,13 @@ from degenbell.sequences import (
     unit_falling_factorial_deg,
 )
 from degenbell.series import Series
-from oracles import const_value, pow_over_factorial, stirling2_deg_basis_table, table_from_json
+from oracles import (
+    const_value,
+    pow_over_factorial,
+    stirling2_deg_basis_table,
+    stirling2_deg_rows_plain,
+    table_from_json,
+)
 
 
 class TestFactorials:
@@ -140,6 +146,11 @@ class TestStirlingDeg:
 
 
 class TestStirlingOracles:
+    def test_rows_equal_plain_recurrence(self):
+        rows = stirling2_deg_rows_plain(12)
+        for n in range(13):
+            assert [stirling2_deg(n, k) for k in range(n + 1)] == rows[n]
+
     def test_change_of_basis_rows(self):
         table = dict(stirling2_deg_basis_table(2).values)
         assert table[(1, 0)].is_zero()

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenbell.algebra import LAM, ONE, Poly, Var, X, Y
+from degenbell.algebra import LAM, ONE, ZERO, Poly, Var, X, Y
 from degenbell.series import (
     NotInvertibleError,
     Series,
@@ -61,6 +61,20 @@ class TestProduct:
         assert (a * b) * c == a * (b * c)
 
 
+class TestSquare:
+    @given(a=small_series)
+    @settings(max_examples=40)
+    @example(Series([Fraction(1, 2), Fraction(-2, 3) * X, LAM + Fraction(3, 4), Y]))
+    def test_square_equals_general_product(self, a):
+        # a * a takes the square path, a * (a copy) the general convolution
+        assert a * a == a * Series(a.coeffs)
+
+    def test_square_of_unit_plus_s(self):
+        # (1 + s)^2 = 1 + 2 s + s^2, EGF coefficients 1, 2, 2
+        a = Series([1, 1, 0, 0])
+        assert (a * a).coeffs == (ONE, Poly.const(2), Poly.const(2), ZERO)
+
+
 class TestReciprocal:
     def test_reciprocal_of_unit(self):
         assert unit_series().reciprocal() == unit_series()
@@ -94,6 +108,29 @@ class TestPowers:
         sq = Series.deg_exp(1, 4).int_pow(2)
         assert sq.coeff(1) == Poly.const(2)
         assert sq == Series.deg_exp(2, 4)
+
+    @given(a=small_series, e=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=30)
+    def test_int_pow_equals_repeated_product(self, a, e):
+        product = unit_series(a.order)
+        for _ in range(e):
+            product = product * a
+        assert a.int_pow(e) == product
+
+    def test_huge_power_takes_logarithmically_many_products(self, monkeypatch):
+        e, calls, mul = 10**20, [], Series.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other is self)
+            if len(calls) > 2 * e.bit_length():  # stop a linear loop instead of hanging
+                raise AssertionError(f"more than {2 * e.bit_length()} series products")
+            return mul(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counting_mul)
+        # (1 + x s)^e has EGF coefficients 1, e x, e (e - 1) x^2
+        assert Series([1, X, 0]).int_pow(e).coeffs == (ONE, e * X, e * (e - 1) * X**2)
+        assert len(calls) <= 2 * 67 and e.bit_length() == 67
+        assert calls.count(True) == 66  # one square per bit below the top one
 
     def test_pow_over_factorial_base_cases(self):
         em1 = Series.deg_exp(1, 6) - unit_series(6)

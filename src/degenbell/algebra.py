@@ -130,7 +130,8 @@ class Poly:
     denominator exceeds 1.  Supports ``+ - * **`` with automatic promotion
     of ints and Fractions, partial evaluation at rational points, and
     substitution of a polynomial for a variable.  Two polynomials are
-    equal iff their term maps are equal.
+    equal iff their term maps are equal; a constant equals its scalar and
+    hashes as it, so the two are one key in a set or dict.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -344,7 +345,8 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            t = self._terms  # a constant equals its scalar, so it hashes as it
+            self._hash = hash(t.get(0, 0) if t.keys() <= {0} else tuple(sorted(t.items())))
         return self._hash
 
     # -- evaluation and substitution ------------------------------------

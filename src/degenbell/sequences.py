@@ -21,9 +21,9 @@ all three; the two-variable family sums the order-a Fubini polynomials
 against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the polynomial
 arguments they are evaluated at (x and y when not given), so a value such
 as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its argument,
-never substituted into.  The (y)_{j,l} and (1)_{k,l} they read come from
-one running list per argument, extended in a loop (`falling_factorial_deg`
-is a plain product that keeps nothing).  Each sum of products goes through
+never substituted into.  Every factorial (w)_{n,l}, (w)_n and <w>_n is
+read from one running list of prod_{i<n} (w + i*step) per (w, step), kept
+for the process and extended in a loop.  Each sum of products goes through
 `Poly.sum_of_products`.  S2_l is computed by the triangular recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
@@ -60,20 +60,31 @@ from . import classical
 from .algebra import LAM, ONE, Poly, Scalar, X, Y
 
 
+_DEG_STEP = -LAM  # the step of (w)_{n,l}, one object, so its cache keys hash once
+
+
+@cache
+def _running(base: Poly, step: Poly | int) -> dict[int, Poly]:
+    """{i: prod_{j<i} (base + j*step)} for i = 0, 1, ..., one running list per (base, step)."""
+    return {0: ONE}
+
+
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
-    """prod_{i<n} (base + i*step), the product behind every factorial here."""
+    """prod_{i<n} (base + i*step), the product behind every factorial here, read
+    from the running list of (base, step).  Its keys stay 0..len-1, and a racing
+    extension only rewrites an entry with the same value."""
     if n < 0:
         raise ValueError("count must be nonnegative")
     base = base if isinstance(base, Poly) else Poly.const(base)
-    out = Poly.one()
-    for i in range(n):
-        out = out * (base + i * step)
-    return out
+    run = _running(base, step)
+    for i in range(len(run) - 1, n):
+        run[i + 1] = run[i] * (base + i * step)
+    return run[n]
 
 
 def falling_factorial_deg(base: Poly | Scalar, n: int) -> Poly:
     """(base)_{n,l} = prod_{i<n} (base - i*l)."""
-    return _product(base, n, -LAM)
+    return _product(base, n, _DEG_STEP)
 
 
 def falling_factorial(base: Poly | Scalar, n: int) -> Poly:
@@ -86,25 +97,9 @@ def rising_factorial(base: Poly | Scalar, n: int) -> Poly:
     return _product(base, n, 1)
 
 
-@cache
-def _falling_run(base: Poly) -> dict[int, Poly]:
-    """{j: (base)_{j,l}} for j = 0, 1, ..., the running list of one argument."""
-    return {0: ONE}
-
-
-def shared_falling_factorial_deg(base: Poly, n: int) -> Poly:
-    """(base)_{n,l}, read from base's running list, which is extended in a loop
-    and shared by every caller with an equal base.  Its keys stay 0..len-1, and
-    a racing extension only rewrites an entry with the same value."""
-    falling = _falling_run(base)
-    for i in range(len(falling) - 1, n):
-        falling[i + 1] = falling[i] * (base - i * LAM)
-    return falling[n]
-
-
 def unit_falling_factorial_deg(n: int) -> Poly:
     """(1)_{n,l}, the weight attached to x^k in the fully degenerate family."""
-    return shared_falling_factorial_deg(ONE, n)
+    return falling_factorial_deg(ONE, n)
 
 
 _STIRLING_DEG_ROWS: list[tuple[Poly, ...]] = [(Poly.one(),)]
@@ -164,7 +159,7 @@ def fubini_two_var_alpha(n: int, alpha: int, x: Poly = X, y: Poly = Y) -> Poly:
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
     return Poly.sum_of_products(
-        (comb(n, j), fubini_deg(j, alpha, x), shared_falling_factorial_deg(y, n - j))
+        (comb(n, j), fubini_deg(j, alpha, x), falling_factorial_deg(y, n - j))
         for j in range(n + 1)
     )
 

@@ -18,17 +18,22 @@ The central building block is the degenerate exponential
     e_l^w(s) = (1 + l*s)^(w/l) = sum_n (w)_{n,l} s^n / n!,
 
 whose EGF coefficients are the degenerate falling factorials
-(w)_{n,l} = w (w - l) (w - 2l) ... (w - (n-1)l).
+(w)_{n,l} = w (w - l) (w - 2l) ... (w - (n-1)l), read from
+`sequences.falling_factorial_deg`: a definition, not a family closed form,
+so the series route stays independent (S2_l's recurrence never reads it).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import LAM, ONE, Poly
+from .sequences import falling_factorial_deg
 
 DEFAULT_ORDER = 16
 
@@ -78,13 +83,7 @@ class Series:
     @classmethod
     def deg_exp(cls, exponent, order: int = DEFAULT_ORDER) -> "Series":
         """e_l^w(s) for polynomial exponent w: coefficients (w)_{n,l}."""
-        w = _as_coeff(exponent)
-        coeffs = [Poly.one()]
-        acc = Poly.one()
-        for n in range(order):
-            acc = acc * (w - n * LAM)
-            coeffs.append(acc)
-        return cls(coeffs)
+        return cls([falling_factorial_deg(exponent, n) for n in range(order + 1)])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -217,13 +216,10 @@ def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, Neste
     one_ff = Series.deg_exp(1, J + K).coeffs  # (1)_{n,l}
 
     def right_entry(j: int, k: int) -> Poly:
-        total, falling = Poly.zero(), 1  # falling = (-k)_i
-        for i in range(j + 1):
-            if not falling:  # (-k)_i vanishes for i >= 1 only when k = 0
-                break
-            total = total + comb(j, i) * falling * LAM**i * one_ff[j - i]
-            falling *= -k - i
-        return one_ff[k] * total
+        falling = accumulate(range(-k, -k - j, -1), mul, initial=1)  # (-k)_0 .. (-k)_j
+        return one_ff[k] * Poly.sum_of_products(
+            (comb(j, i), f, LAM**i, one_ff[j - i]) for i, f in enumerate(falling)
+        )
 
     left = tuple(tuple(one_ff[j + k] for k in range(K + 1)) for j in range(J + 1))
     right = tuple(tuple(right_entry(j, k) for k in range(K + 1)) for j in range(J + 1))

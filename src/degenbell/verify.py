@@ -28,9 +28,10 @@ Each family in the table is built at its argument by its own builder, the
 one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
 F^(k)_{j,l}(-l*t, k - m*l) is ``fubini_two_var_alpha(j, k, -LAM * T,
 _shift(k, m))``.  Each inner factor is built once per distinct argument,
-its (k - m*l)_{j,l} read from one running list per k - m*l that four
-identities share.  Only fubini-spivey's classical inner factor, the
-independent classical route, substitutes (x -> t, then y = k), once per (j, k).
+its (k - m*l)_{j,l} a plain ``falling_factorial_deg`` call, which reads
+the one running list per k - m*l that four identities share.  Only
+fubini-spivey's classical inner factor, the independent classical route,
+substitutes (x -> t, then y = k), once per (j, k).
 
 The other three have builders of their own:
 
@@ -78,7 +79,6 @@ from .sequences import (
     falling_factorial_deg,
     fubini_deg,
     fubini_two_var_alpha,
-    shared_falling_factorial_deg,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
@@ -157,7 +157,7 @@ def _spivey_sides(n: int, m: int, outer, weight, inner):
 @cache
 def _shift(k: int, m: int) -> Poly:
     """k - m*l, the shifted argument of the degenerate inner factors (memoized,
-    so the memo keys built from it, falling lists included, hash once)."""
+    so the memo keys built from it, running lists included, hash once)."""
     return Poly.const(k) - m * LAM
 
 
@@ -266,7 +266,7 @@ _SPECS = {
         (Var.LAMBDA, Var.X),
         outer=lambda j: bell_deg(j),
         weight=lambda m, k: stirling2_deg(m, k) * X**k,
-        inner=lambda j, k, m: shared_falling_factorial_deg(_shift(k, m), j),
+        inner=lambda j, k, m: falling_factorial_deg(_shift(k, m), j),
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),

@@ -1,8 +1,9 @@
 """Independent routes and readers that only the tests use to check the
-package's results: S2_l(n, k) by the change of basis, by the EGF route
-(e_l(s) - 1)^k / k! and by the plain recurrence, `Poly.eval` term by term,
-the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
-and views of a `Poly` through its public `terms`."""
+package's results: factorials as plain products, S2_l(n, k) by the change
+of basis, by the EGF route (e_l(s) - 1)^k / k! and by the plain
+recurrence, `Poly.eval` term by term, the inverses of `Poly.to_json`,
+`SeqTable.to_json` and `Series.to_json`, and views of a `Poly` through its
+public `terms`."""
 
 from fractions import Fraction
 from math import factorial
@@ -59,6 +60,15 @@ def eval_term_by_term(p: Poly, bindings: dict) -> Poly:
             rest[var] = 0
         out[tuple(rest)] = out.get(tuple(rest), 0) + c
     return Poly(out)
+
+
+def product_plain(base, n: int, step) -> Poly:
+    """prod_{i<n} (base + i*step) written with ring operators, keeping nothing:
+    the reference for every factorial of `sequences`."""
+    out = Poly.one()
+    for i in range(n):
+        out = out * (base + i * step)
+    return out
 
 
 def stirling2_deg_rows_plain(n_max: int) -> list[list[Poly]]:

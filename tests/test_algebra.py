@@ -68,6 +68,18 @@ class TestArithmetic:
     def test_truediv_scalar(self):
         assert (2 * X) / 4 == Fraction(1, 2) * X
 
+    def test_constant_hashes_as_its_scalar(self):
+        # equal objects must hash alike, so a constant and its scalar are one key
+        for scalar in (0, 1, 3, -7, 2**100, Fraction(1, 2), Fraction(-5, 3)):
+            const = Poly.const(scalar)
+            assert const == scalar and hash(const) == hash(scalar)
+            assert len({const, scalar}) == 1
+            assert {const: "v"}.get(scalar) == "v" and {scalar: "v"}.get(const) == "v"
+        assert len({ONE, 1}) == len({ZERO, 0}) == len({ZERO, Fraction(0)}) == 1
+        assert {Poly.const(3): "v"}.get(3) == "v"
+        assert hash(Poly.const(Fraction(4, 2))) == hash(2)
+        assert len({X, ONE, 1, ZERO, 0}) == 3
+
     @given(a=polys(), b=polys(), c=polys())
     @settings(max_examples=60)
     def test_ring_axioms(self, a, b, c):

@@ -10,6 +10,7 @@ import pytest
 
 from degenbell import classical, sequences
 from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, var_from_symbol
+from degenbell.cli import main
 from degenbell.sequences import (
     KINDS,
     LIMIT_KINDS,
@@ -25,7 +26,6 @@ from degenbell.sequences import (
     fubini_deg,
     fubini_two_var_alpha,
     rising_factorial,
-    shared_falling_factorial_deg,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
@@ -33,6 +33,7 @@ from degenbell.series import Series
 from oracles import (
     const_value,
     pow_over_factorial,
+    product_plain,
     stirling2_deg_basis_table,
     stirling2_deg_rows_plain,
     table_from_json,
@@ -64,9 +65,28 @@ class TestFactorials:
         assert falling_factorial_deg(2, 2) == 2 * (2 - LAM)
 
     def test_shared_list_reads_the_plain_product(self):
-        for base in (ONE, X, 3 - 2 * LAM):
-            for n in (4, 0, 6, 2):  # out of order: a read below the list's end extends nothing
-                assert shared_falling_factorial_deg(base, n) == falling_factorial_deg(base, n)
+        factorials = ((falling_factorial_deg, -LAM), (falling_factorial, -1), (rising_factorial, 1))
+        sequences._running.cache_clear()  # so each list starts at its first read
+        for base in (ONE, X, 3 - 2 * LAM, X + Y, 2, Fraction(1, 2)):
+            for fn, step in factorials:
+                for n in (4, 0, 6, 2):  # out of order: a read below the list's end extends nothing
+                    assert fn(base, n) == product_plain(base, n, step), (base, step, n)
+
+    def test_table_takes_one_product_per_n(self, monkeypatch, capsys):
+        calls, mul = [], Poly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        sequences._running.cache_clear()  # so (x)_{n,l} is built here, not read
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        n_max = 30
+        assert main(["table", "--kind", "deg-falling-factorial", "--n-max", str(n_max)]) == 0
+        assert f"\nn={n_max}: " in capsys.readouterr().out
+        # one step factor i*(-l) and one product per n
+        assert len(calls) <= 2 * n_max
 
     def test_shared_list_under_racing_threads(self):
         base = Y + 7 * T - 5 * LAM  # read by no other test, so its list starts at (base)_0
@@ -78,7 +98,7 @@ class TestFactorials:
             try:
                 start.wait(timeout=30)
                 for j in range(n + 1):
-                    shared_falling_factorial_deg(base, j)
+                    falling_factorial_deg(base, j)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -95,8 +115,8 @@ class TestFactorials:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         # a lost or doubled extension would leave a wrong or missing entry
-        assert sequences._falling_run(base) == {
-            j: falling_factorial_deg(base, j) for j in range(n + 1)
+        assert sequences._running(base, sequences._DEG_STEP) == {
+            j: product_plain(base, j, -LAM) for j in range(n + 1)
         }
 
 

@@ -15,7 +15,7 @@ from degenbell.series import (
     exp_of,
     exp_splitting_sides,
 )
-from oracles import const_value, pow_over_factorial, series_from_json
+from oracles import const_value, pow_over_factorial, product_plain, series_from_json
 from strategies import polys
 
 
@@ -162,6 +162,11 @@ class TestDegExp:
     def test_symbolic_exponent(self):
         s = Series.deg_exp(X, 4)
         assert s.coeff(2) == X * (X - LAM)
+
+    def test_coefficients_are_the_plain_products(self):
+        for w in (1, Y, X + Y):
+            expected = tuple(product_plain(w, n, -LAM) for n in range(13))
+            assert Series.deg_exp(w, 12).coeffs == expected
 
     def test_addition_law_symbolic(self):
         # e_l^x e_l^y = e_l^(x+y) coefficientwise

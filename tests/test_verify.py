@@ -10,7 +10,8 @@ from degenbell import classical, sequences, verify
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
 from degenbell.cli import _json_text
 from degenbell.sequences import (
-    _falling_run,
+    _DEG_STEP,
+    _running,
     bell_fully_deg,
     build_table,
     fubini_two_var_alpha,
@@ -374,15 +375,15 @@ class TestSharedMemos:
         for identity, extra in runs:
             _clear_memos()
             assert run_identity(identity, self.N, self.N).ok
-            assert _falling_run.cache_info().currsize == len(shifted | extra)
+            assert _running.cache_info().currsize == len(shifted | extra)
         # run after fully-deg-bell, deg-bell-spivey finds every list it reads
         assert run_identity(Identity.DEG_BELL_SPIVEY, self.N, self.N).ok
-        info = _falling_run.cache_info()
+        info = _running.cache_info()
         assert info.misses == info.currsize == len(shifted | {ONE})
         for arg in shifted:  # (k - m*l)_{j,l} for j <= n_max, extended as far as read
-            assert len(_falling_run(arg)) == self.N + 1
-        assert len(_falling_run(ONE)) == 2 * self.N + 1  # (1)_{k,l} up to Bel_{n+m,l}(1)
-        assert _falling_run.cache_info().misses == info.misses
+            assert len(_running(arg, _DEG_STEP)) == self.N + 1
+        assert len(_running(ONE, _DEG_STEP)) == 2 * self.N + 1  # (1)_{k,l} up to Bel_{n+m,l}(1)
+        assert _running.cache_info().misses == info.misses
 
     def test_classical_inner_factor_substituted_once_per_jk(self, monkeypatch):
         calls = []

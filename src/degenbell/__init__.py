@@ -18,7 +18,7 @@ from .sequences import (
     rising_factorial,
     stirling2_deg,
 )
-from .series import NestedSeries, Series, deg_exp_of, exp_of, exp_splitting_sides
+from .series import Series, deg_exp_of, exp_of, exp_splitting_sides
 from .verify import Identity, VerifyReport, run_identity
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Y",
     "ZERO",
     "Identity",
-    "NestedSeries",
     "Poly",
     "SeqTable",
     "Series",

@@ -256,13 +256,7 @@ class Poly:
             return Poly._trusted(
                 {m + key: v if type(v := x * k) is int else _canon(v) for m, x in long._terms.items()}
             )
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for k1, c1 in short._terms.items():
-            for k2, c2 in long._terms.items():
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
-        return _stored(out)
+        return Poly.sum_of_products(((short, long),))
 
     __rmul__ = __mul__
 

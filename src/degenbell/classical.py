@@ -28,8 +28,6 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, 0 outside 0 <= k <= n."""
-    if n == 0 and k == 0:
-        return 1
     if n < 0 or k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]

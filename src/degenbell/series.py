@@ -21,6 +21,8 @@ whose EGF coefficients are the degenerate falling factorials
 (w)_{n,l} = w (w - l) (w - 2l) ... (w - (n-1)l), read from
 `sequences.falling_factorial_deg`: a definition, not a family closed form,
 so the series route stays independent (S2_l's recurrence never reads it).
+`exp_splitting_sides` states e_l(u+v) = e_l(u) e_l(v / (1 + l*u)) through
+them too, one bivariate EGF entry at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import LAM, ONE, Poly
 from .sequences import falling_factorial_deg
@@ -189,21 +190,9 @@ def exp_of(a: Series) -> Series:
     return _weighted_exp(a, [1] * (a.order + 1))
 
 
-class NestedSeries(NamedTuple):
-    """Truncated bivariate EGF sum a_{j,k} u^j v^k / (j! k!).
-
-    Only used to state the exponential splitting identity; supports
-    construction and equality, nothing more.
-    """
-
-    rows: tuple[tuple[Poly, ...], ...]
-
-    def entry(self, j: int, k: int) -> Poly:
-        return self.rows[j][k]
-
-
-def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, NestedSeries]:
-    """Both sides of e_l(u+v) = e_l(u) * e_l(v / (1 + l*u)) as bivariate EGFs.
+def exp_splitting_sides(j: int, k: int) -> tuple[Poly, Poly]:
+    """Entry (j, k) of both sides of e_l(u+v) = e_l(u) * e_l(v / (1 + l*u)),
+    each side a bivariate EGF sum a_{j,k} u^j v^k / (j! k!).
 
     Left side: expanding (u+v)^n binomially inside sum_n (1)_{n,l} (u+v)^n / n!
     gives the entry (1)_{j+k,l}.  Right side: v^k / (1+l*u)^k expands as
@@ -212,15 +201,8 @@ def exp_splitting_sides(j_order: int, k_order: int) -> tuple[NestedSeries, Neste
     factorial of -k.  The left side needs no composition at all, so it
     serves as the oracle.
     """
-    J, K = j_order, k_order
-    one_ff = Series.deg_exp(1, J + K).coeffs  # (1)_{n,l}
-
-    def right_entry(j: int, k: int) -> Poly:
-        falling = accumulate(range(-k, -k - j, -1), mul, initial=1)  # (-k)_0 .. (-k)_j
-        return one_ff[k] * Poly.sum_of_products(
-            (comb(j, i), f, LAM**i, one_ff[j - i]) for i, f in enumerate(falling)
-        )
-
-    left = tuple(tuple(one_ff[j + k] for k in range(K + 1)) for j in range(J + 1))
-    right = tuple(tuple(right_entry(j, k) for k in range(K + 1)) for j in range(J + 1))
-    return NestedSeries(left), NestedSeries(right)
+    falling = accumulate(range(-k, -k - j, -1), mul, initial=1)  # (-k)_0 .. (-k)_j
+    right = Poly.sum_of_products(
+        (comb(j, i), f, LAM**i, falling_factorial_deg(ONE, j - i)) for i, f in enumerate(falling)
+    )
+    return falling_factorial_deg(ONE, j + k), falling_factorial_deg(ONE, k) * right

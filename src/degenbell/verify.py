@@ -36,7 +36,7 @@ substitutes (x -> t, then y = k), once per (j, k).
 The other three have builders of their own:
 
   deg-vandermonde  (x+y)_{n,l} = sum_j C(n,j) (x)_{j,l} (y)_{n-j,l}
-  exp-splitting    e_l(u+v) = e_l(u) e_l(v / (1 + l*u)) as nested series
+  exp-splitting    e_l(u+v) = e_l(u) e_l(v / (1 + l*u)), per bivariate EGF entry (j, k)
   fubini-x-zero    F^(a)_{n,l}(0, y) = (y)_{n,l}  and
                    F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
 
@@ -183,16 +183,6 @@ def _deg_vandermonde_sides(n: int):
     return falling_factorial_deg(X + Y, n), rhs
 
 
-@cache
-def _splitting_grids(j_order: int, k_order: int):
-    return exp_splitting_sides(j_order, k_order)
-
-
-def _exp_splitting_sides(j: int, k: int, j_order: int, k_order: int):
-    left, right = _splitting_grids(j_order, k_order)
-    return left.entry(j, k), right.entry(j, k)
-
-
 def _fubini_x_zero_sides(n: int, alpha: int, side: str):
     p = fubini_two_var_alpha(n, alpha)
     if side == "x=0":
@@ -205,8 +195,7 @@ def _fubini_x_zero_sides(n: int, alpha: int, side: str):
 
 class _Spec(NamedTuple):
     """One identity's check: each cell of ``cells(n_max, m_max)`` is checked as
-    ``sides(**cell, **context)``, with the grid bounds passed under the names
-    in ``orders``.  A mutation maps the keyword parts of ``sides`` that it
+    ``sides(**cell)``.  A mutation maps the keyword parts of ``sides`` that it
     swaps to their replacements.
     """
 
@@ -214,7 +203,6 @@ class _Spec(NamedTuple):
     sides: Callable[..., tuple[Poly, Poly]]
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
     mutations: Mapping[str, dict[str, Callable]] = MappingProxyType({})  # shared, so read-only
-    orders: tuple[str, ...] = ()
     unswept: tuple[Var, ...] = ()  # free in the sides but not swept
 
 
@@ -227,8 +215,8 @@ def _n_cells(n_max: int, m_max: int):
     return [{"n": n} for n in range(n_max + 1)]
 
 
-def _jk_cells(j_order: int, k_order: int):
-    return [{"j": j, "k": k} for k in range(k_order + 1) for j in range(j_order + 1)]
+def _jk_cells(j_max: int, k_max: int):
+    return [{"j": j, "k": k} for k in range(k_max + 1) for j in range(j_max + 1)]
 
 
 def _fubini_x_zero_cells(n_max: int, alpha_max: int):
@@ -247,8 +235,8 @@ def _spivey(spot_vars, outer, weight, inner, **fields) -> _Spec:
     return _Spec(_nm_cells, sides, spot_vars, **fields)
 
 
-# The parts are lambdas, so every call looks the family builders up by their
-# module-global names (which perfbench's tracer patches).
+# The parts, and exp-splitting's sides, are lambdas, so every call looks the
+# builders up by their module-global names (which perfbench's tracer patches).
 _SPECS = {
     Identity.SPIVEY_BELL: _spivey(
         (),
@@ -295,9 +283,7 @@ _SPECS = {
         inner=lambda j, k, m: _classical_inner(j, k),
     ),
     Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
-    Identity.EXP_SPLITTING: _Spec(
-        _jk_cells, _exp_splitting_sides, (Var.LAMBDA,), orders=("j_order", "k_order")
-    ),
+    Identity.EXP_SPLITTING: _Spec(_jk_cells, lambda j, k: exp_splitting_sides(j, k), (Var.LAMBDA,)),
     # x occurs only on the y = 0 side; the spot grid has never swept it
     Identity.FUBINI_X_ZERO: _Spec(
         _fubini_x_zero_cells, _fubini_x_zero_sides, (Var.LAMBDA, Var.Y), unswept=(Var.X,)
@@ -338,9 +324,9 @@ def run_identity(
     once for all passes; a pass evaluates only the difference, and a cell
     passes where it is zero.  The sides themselves are evaluated only for
     the first counterexample, which reports them, not their difference.
-    The second bound doubles as the order bound K for exp-splitting and as
-    alpha_max for fubini-x-zero.  ``corrupt`` names one of the identity's
-    mutations, which must make the check fail.
+    The two bounds bound (j, k) for exp-splitting and (n, alpha) for
+    fubini-x-zero.  ``corrupt`` names one of the identity's mutations,
+    which must make the check fail.
     Cells run in a fixed order (bindings outer, then the grid), so the
     first counterexample is deterministic.
     """
@@ -364,10 +350,9 @@ def run_identity(
         passes = [{}]
 
     cells = spec.cells(n_max, m_max)
-    context = dict(zip(spec.orders, (n_max, m_max)))
     built = []
     for cell in cells:
-        lhs, rhs = sides(**cell, **context)
+        lhs, rhs = sides(**cell)
         # equal sides, the common case, cost no subtraction
         built.append((lhs, rhs, ZERO if lhs == rhs else lhs - rhs))
     grid = []

@@ -5,7 +5,8 @@ and reads ``Poly._terms`` coefficients through ``numerator`` and
 ``denominator``; ``perfbench/workloads.py`` checks reports against its own
 list of identity names.  Both are read here, never changed, so that
 renaming or removing one of those names, or a coefficient type the tracer
-cannot read, fails a test instead of the traced run.
+cannot read, fails a test instead of the traced run.  So does a layer that
+the verify workloads require but a small traced ``verify --all`` never calls.
 """
 
 import importlib
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+import degenbell
+import degenbell.cli
 from degenbell.algebra import Poly
 from degenbell.verify import Identity
 
@@ -58,3 +61,22 @@ def test_tracer_reads_int_and_fraction_coefficients(perfbench):
     assert tracer.term_products == 2 * 1 + 1
     assert tracer.terms_max == 2
     assert tracer.coeff_bits_max == 6
+
+
+def test_every_verify_layer_is_reached(perfbench):
+    # the traced run fails a workload whose required layer shows no calls,
+    # for example a side builder held as a function object, not looked up
+    # by its module-global name when each cell runs
+    layers, workloads = perfbench
+    modules = [degenbell] + [getattr(degenbell, name) for name in layers.MODULES]
+    for fn in layers.distinct_caches(modules):
+        fn.cache_clear()
+    tracer = layers.Tracer(Poly)
+    patches = layers.Patches(modules)
+    try:
+        layers.install(tracer, patches, degenbell)
+        assert degenbell.cli.main(["verify", "--all", "--n-max", "2", "--m-max", "2"]) == 0
+    finally:
+        patches.restore()
+    stats = tracer.layer_stats()
+    assert [layer for layer in workloads.VERIFY_LAYERS if not stats[layer][0]] == []

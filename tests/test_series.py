@@ -201,31 +201,28 @@ class TestComposedExponentials:
 
 class TestSplitting:
     def test_corner_entries(self):
-        left, right = exp_splitting_sides(2, 2)
-        assert left.entry(0, 0) == ONE
-        assert right.entry(0, 0) == ONE
-        assert left.entry(1, 0) == ONE
-        assert right.entry(1, 0) == ONE
+        assert exp_splitting_sides(0, 0) == (ONE, ONE)
+        assert exp_splitting_sides(1, 0) == (ONE, ONE)
 
     def test_hand_entries(self):
         # left (j, k) is (1)_{j+k,l}; right (2, 1) is
         # (1)_{1,l} [(1)_{2,l} + 2 (-1) l (1)_{1,l} + (-1)(-2) l^2] = 1 - 3l + 2l^2
-        left, right = exp_splitting_sides(2, 2)
-        assert left.entry(1, 1) == right.entry(1, 1) == ONE - LAM
-        assert left.entry(2, 1) == right.entry(2, 1) == 1 - 3 * LAM + 2 * LAM**2
-        assert left.entry(0, 2) == right.entry(0, 2) == ONE - LAM
+        assert exp_splitting_sides(1, 1) == (ONE - LAM, ONE - LAM)
+        assert exp_splitting_sides(2, 1) == (1 - 3 * LAM + 2 * LAM**2,) * 2
+        assert exp_splitting_sides(0, 2) == (ONE - LAM, ONE - LAM)
 
     def test_full_grids_equal(self):
-        left, right = exp_splitting_sides(6, 6)
-        assert left == right
+        for j in range(7):
+            for k in range(7):
+                left, right = exp_splitting_sides(j, k)
+                assert left == right, (j, k)
 
     def test_classical_limit_grid(self):
         # at l = 0 both sides are e^(u+v), all EGF entries 1
-        left, right = exp_splitting_sides(4, 4)
         for j in range(5):
             for k in range(5):
-                assert left.entry(j, k).eval({Var.LAMBDA: 0}) == ONE
-                assert right.entry(j, k).eval({Var.LAMBDA: 0}) == ONE
+                for side in exp_splitting_sides(j, k):
+                    assert side.eval({Var.LAMBDA: 0}) == ONE
 
 
 class TestSerialization:

@@ -18,7 +18,6 @@ from degenbell.sequences import (
     stirling2_deg,
     unit_falling_factorial_deg,
 )
-from degenbell.series import exp_splitting_sides
 from degenbell.verify import (
     _SPECS,
     _classical_inner,
@@ -92,7 +91,6 @@ def _failing_report():
 # each builds a fresh instance of a public record type, the same value every call
 RECORDS = {
     "SeqTable": lambda: build_table("deg-stirling2", 3),
-    "NestedSeries": lambda: exp_splitting_sides(2, 2)[1],
     "VerifyReport": _failing_report,
     "Counterexample": lambda: _failing_report().first_counterexample,
 }
@@ -266,8 +264,20 @@ class TestVandermondeAndSplitting:
         report = run_identity(Identity.EXP_SPLITTING, 6, 6)
         assert report.ok
         assert len(report.grid) == 49
-        # the truncation orders reach the sides, not the grid records
+        # each record is the cell's entry (j, k), in k-outer order
         assert report.grid[-1] == {"j": 6, "k": 6}
+
+    def test_splitting_builds_each_cell_once(self, monkeypatch):
+        calls, build = [], verify.exp_splitting_sides
+
+        def counted(j, k):
+            calls.append((j, k))
+            return build(j, k)
+
+        monkeypatch.setattr(verify, "exp_splitting_sides", counted)
+        assert run_identity(Identity.EXP_SPLITTING, 3, 4).ok
+        # 4 x 5 cells, each built once, in the grid's order
+        assert calls == [(j, k) for k in range(5) for j in range(4)]
 
 
 class TestFubiniSpecializations:
@@ -479,7 +489,7 @@ class TestFreeVars:
         spec = _SPECS[identity]
         found = set()
         for cell in spec.cells(2, 2):
-            lhs, rhs = spec.sides(**cell, **dict(zip(spec.orders, (2, 2))))
+            lhs, rhs = spec.sides(**cell)
             found |= lhs.variables() | rhs.variables()
         assert free_vars(identity) == found
         # the spot grid sweeps them all, except x of fubini-x-zero's y = 0 side

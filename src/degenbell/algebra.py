@@ -163,6 +163,13 @@ class Poly:
         return p
 
     @classmethod
+    def _from_l_coeffs(cls, coeffs: list[int]) -> "Poly":
+        # sum_d coeffs[d] * l^d from ints, zeros dropped: the key of l^d is
+        # d times the key of l
+        key = _VAR_KEY[Var.LAMBDA]
+        return cls._trusted({d * key: c for d, c in enumerate(coeffs) if c})
+
+    @classmethod
     def const(cls, c: Scalar | str) -> "Poly":
         return cls({(0, 0, 0, 0): c})
 

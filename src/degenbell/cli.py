@@ -380,8 +380,10 @@ def _cmd_limit(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     parser = args._parser
+    if unknown:  # argparse would report these with the top-level usage line
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     for attr in ("n_max", "m_max", "k_max", "alpha", "order"):
         value = getattr(args, attr, None)
         if value is not None and value < 0:

@@ -16,24 +16,37 @@ parameter stays symbolic as the variable ``l``.  Definitions:
                                                  two-variable, order a
 
 Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
-w(k) = 1, (1)_{k,l} and <a>_k, and one helper, `_stirling_sum`, builds
-all three; the two-variable family sums the order-a Fubini polynomials
+w(k) = 1, (1)_{k,l} and <a>_k.  One helper, `_stirling_sum`, builds phi
+and F^(a); the two-variable family sums the order-a Fubini polynomials
 against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the polynomial
 arguments they are evaluated at (x and y when not given), so a value such
 as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its argument,
 never substituted into.  Every factorial (w)_{n,l}, (w)_n and <w>_n is
 read from one running list of prod_{i<n} (w + i*step) per (w, step), kept
 for the process and extended in a loop.  Each sum of products goes through
-`Poly.sum_of_products`.  S2_l is computed by the triangular recurrence
+`Poly.sum_of_products`.
+
+S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
+int coefficients, so their rows are plain int lists, entry d of a list the
+coefficient of l^d, and each entry of a step is one list comprehension.
+S2_l follows the triangular recurrence
 
     S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
 
-which follows from (x)_{n+1,l} = (x - n*l)(x)_{n,l} together with
-x (x)_k = (x)_{k+1} + k (x)_k.  Each entry is one `Poly.sum_of_products`
-whose factor (k - n*l) is the scalar k and a one-term l-shift, never built.
-Two independent routes in the test suite check it: the change-of-basis
-solve of that definition and the EGF coefficients of (e_l(s) - 1)^k / k!
-from the series engine.
+from (x)_{n+1,l} = (x - n*l)(x)_{n,l} and x (x)_k = (x)_{k+1} + k (x)_k.
+Its memo keeps every row up to the largest n read, and `stirling2_deg`
+builds the entry's `Poly` on each call.  The test suite checks it by two
+independent routes: the change-of-basis solve of that definition and the
+EGF coefficients of (e_l(s) - 1)^k / k! from the series engine.  The S2_l
+step times (1)_{k,l} = (1 - (k-1) l) (1)_{k-1,l} is
+
+    U_l(n+1, k) = (1 - (k-1) l) U_l(n, k-1) + (k - n*l) U_l(n, k),
+
+and Bel_{n,l}(x) = sum_k U_l(n,k) x^k, so a table of Bel_0..Bel_N takes
+Theta(N^3) int operations and no product of polynomials (a sum of
+(1)_{k,l} S2_l(n,k) products takes Theta(N^4) term products).  Only the
+top row of U_l is kept, Theta(n^2) ints; a request below it steps up again
+from row 1, and `bell_fully_deg` caches its values keyed (n, x).
 
 The closed form for F^(a) above is the Cauchy product of the two factors
 of its generating function (1 - x(e_l(s)-1))^(-a) e_l^y(s); it is not a
@@ -102,26 +115,33 @@ def unit_falling_factorial_deg(n: int) -> Poly:
     return falling_factorial_deg(ONE, n)
 
 
-_STIRLING_DEG_ROWS: list[tuple[Poly, ...]] = [(Poly.one(),)]
+# Row m of S2_l: entry k is the m - k + 1 l-coefficients of S2_l(m, k), and
+# S2_l(m, 0) = 0 is m + 1 zeros, so entry k - 1 is one longer than entry k.
+_STIRLING_DEG_ROWS: list[tuple[list[int], ...]] = [([1],)]
 
 
 def stirling2_deg(n: int, k: int) -> Poly:
     """Degenerate Stirling number of the second kind, via the recurrence.
 
     Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
-    The memoized rows are extended in a loop, never by recursion.
+    The memoized rows are extended in a loop, never by recursion.  Row m is
+    assigned to the slice at index m, so a racing extension rewrites an
+    equal row where an append would add a second copy.
     """
     rows = _STIRLING_DEG_ROWS
-    while len(rows) <= n:
-        prev, m = rows[-1], len(rows)
-        # S2_l(m, k) = S2_l(m-1, k-1) + (k - (m-1) l) S2_l(m-1, k); S2_l(m, 0) = 0, S2_l(m, m) = 1
-        step = (((prev[k - 1],), (k, prev[k]), (1 - m, LAM, prev[k])) for k in range(1, m))
-        rows.append((Poly.zero(), *map(Poly.sum_of_products, step), Poly.one()))
-    return rows[n][k] if 0 <= k <= n else Poly.zero()
+    while (m := len(rows)) <= n:
+        prev = (*rows[m - 1], [])  # S2_l(m-1, m) = 0
+        # S2_l(m, k) = S2_l(m-1, k-1) + (k - (m-1) l) S2_l(m-1, k)
+        step = (
+            [a + k * b - (m - 1) * c for a, b, c in zip(prev[k - 1], prev[k] + [0], [0] + prev[k])]
+            for k in range(1, m + 1)
+        )
+        rows[m : m + 1] = [([0] * (m + 1), *step)]
+    return Poly._from_l_coeffs(rows[n][k]) if 0 <= k <= n else Poly.zero()
 
 
 def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar], x: Poly = X) -> Poly:
-    """sum_k weight(k) S2_l(n,k) x^k, the shape of every family here."""
+    """sum_k weight(k) S2_l(n,k) x^k, the shape of phi and F^(a)."""
     return Poly.sum_of_products((weight(k), x**k, stirling2_deg(n, k)) for k in range(n + 1))
 
 
@@ -131,10 +151,40 @@ def bell_deg(n: int) -> Poly:
     return _stirling_sum(n, lambda k: 1)
 
 
+# The top row n >= 1 of U_l(n, k) = (1)_{k,l} S2_l(n, k): entry k - 1 holds the
+# n l-coefficients of U_l(n, k), k = 1..n.  The pair is replaced whole and no row
+# is changed in place, so a racing step only costs a repeat of work.
+_UNIT_TOP: tuple[int, tuple[list[int], ...]] = (1, ([1],))
+
+
+def _unit_row(n: int) -> tuple[list[int], ...]:
+    """Row n >= 1 of U_l, stepped up from the top row, or from row 1 when n is below it."""
+    global _UNIT_TOP
+    top, row = _UNIT_TOP
+    if n < top:
+        top, row = 1, ([1],)
+    for top in range(top, n):
+        zero = [0] * top
+        ext = (zero, *row, zero)  # U_l(top, 0) = U_l(top, top + 1) = 0
+        # U_l(top+1, k) = (1 - (k-1) l) U_l(top, k-1) + (k - top*l) U_l(top, k)
+        row = tuple(
+            [
+                a0 - (k - 1) * a1 + k * b0 - top * b1
+                for a0, a1, b0, b1 in zip(a + [0], [0] + a, b + [0], [0] + b)
+            ]
+            for k, a, b in zip(range(1, top + 2), ext, ext[1:])
+        )
+    _UNIT_TOP = (n, row)
+    return row
+
+
 @cache
 def bell_fully_deg(n: int, x: Poly = X) -> Poly:
-    """Fully degenerate Bell polynomial Bel_{n,l}(x), at the argument x."""
-    return _stirling_sum(n, unit_falling_factorial_deg, x)
+    """Fully degenerate Bell polynomial Bel_{n,l}(x) = sum_k U_l(n,k) x^k, at the argument x."""
+    if n < 1:
+        return ONE if n == 0 else Poly.zero()
+    row = _unit_row(n)
+    return Poly.sum_of_products((x**k, Poly._from_l_coeffs(u)) for k, u in enumerate(row, 1))
 
 
 def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:

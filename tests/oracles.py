@@ -1,15 +1,21 @@
 """Independent routes and readers that only the tests use to check the
 package's results: factorials as plain products, S2_l(n, k) by the change
 of basis, by the EGF route (e_l(s) - 1)^k / k! and by the plain
-recurrence, `Poly.eval` term by term, the inverses of `Poly.to_json`,
-`SeqTable.to_json` and `Series.to_json`, and views of a `Poly` through its
-public `terms`."""
+recurrence, Bel_{n,l}(x) as a sum of products, `Poly.eval` term by term,
+the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
+and views of a `Poly` through its public `terms`."""
 
 from fractions import Fraction
 from math import factorial
 
 from degenbell.algebra import LAM, Poly, Var, X, var_from_symbol
-from degenbell.sequences import SeqTable, falling_factorial, falling_factorial_deg
+from degenbell.sequences import (
+    SeqTable,
+    falling_factorial,
+    falling_factorial_deg,
+    stirling2_deg,
+    unit_falling_factorial_deg,
+)
 from degenbell.series import Series, ValuationError
 
 CONST_MONO = (0, 0, 0, 0)
@@ -80,6 +86,14 @@ def stirling2_deg_rows_plain(n_max: int) -> list[list[Poly]]:
         inner = [prev[k - 1] + (k - (m - 1) * LAM) * prev[k] for k in range(1, m)]
         rows.append([Poly.zero(), *inner, Poly.one()])
     return rows
+
+
+def bell_fully_deg_products(n: int, x: Poly) -> Poly:
+    """Bel_{n,l}(x) = sum_k (1)_{k,l} x^k S2_l(n,k), each term a product of
+    the weight, the power and the Stirling entry."""
+    return Poly.sum_of_products(
+        (unit_falling_factorial_deg(k), x**k, stirling2_deg(n, k)) for k in range(n + 1)
+    )
 
 
 def stirling2_deg_basis_table(n_max: int) -> SeqTable:

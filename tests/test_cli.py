@@ -434,6 +434,26 @@ class TestUsageLine:
         assert usage_lines[0].startswith(f"usage: degenbell {command} ")
         assert usage_lines[0] == usage_lines[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --kind deg-bell --n-max 2 --bogus",
+            "poly --kind deg-bell -n 2 --bogus",
+            "series --gf deg-exp --order 3 --bogus",
+            "verify --all --n-max 1 --m-max 1 --bogus",
+            "limit --kind deg-bell --n-max 2 --bogus",
+        ],
+    )
+    def test_unrecognized_argument_prints_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: degenbell {argv.split()[0]} ")
+        assert "unrecognized arguments: --bogus" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestLimit:
     @pytest.mark.parametrize(

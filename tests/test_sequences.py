@@ -3,6 +3,7 @@
 import inspect
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -31,6 +32,8 @@ from degenbell.sequences import (
 )
 from degenbell.series import Series
 from oracles import (
+    bell_fully_deg_products,
+    coefficient_of,
     const_value,
     pow_over_factorial,
     product_plain,
@@ -38,6 +41,35 @@ from oracles import (
     stirling2_deg_rows_plain,
     table_from_json,
 )
+
+
+def _read_in_racing_threads(read, n, workers=8):
+    """Calls read(j) for j = 0..n in each of `workers` threads started
+    together, switching threads every microsecond; every thread must finish
+    without an exception."""
+    start = threading.Barrier(workers)
+    errors = []
+
+    def reader():
+        try:
+            start.wait(timeout=30)
+            for j in range(n + 1):
+                read(j)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 class TestFactorials:
@@ -90,30 +122,8 @@ class TestFactorials:
 
     def test_shared_list_under_racing_threads(self):
         base = Y + 7 * T - 5 * LAM  # read by no other test, so its list starts at (base)_0
-        n, workers = 30, 8
-        start = threading.Barrier(workers)
-        errors = []
-
-        def reader():
-            try:
-                start.wait(timeout=30)
-                for j in range(n + 1):
-                    falling_factorial_deg(base, j)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=reader) for _ in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        n = 30
+        _read_in_racing_threads(lambda j: falling_factorial_deg(base, j), n)
         # a lost or doubled extension would leave a wrong or missing entry
         assert sequences._running(base, sequences._DEG_STEP) == {
             j: product_plain(base, j, -LAM) for j in range(n + 1)
@@ -147,7 +157,7 @@ class TestStirlingDeg:
     def test_row_past_lowered_recursion_limit(self, monkeypatch):
         # rows are built bottom-up: row 100 from a cold memo needs no deep stack
         expected = unit_falling_factorial_deg(100)
-        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", [(ONE,)])
+        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", [([1],)])
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
@@ -157,6 +167,33 @@ class TestStirlingDeg:
             sys.setrecursionlimit(limit)
         assert first == expected
         assert top == ONE
+
+    def test_rows_under_racing_threads(self, monkeypatch):
+        rows = [([1],)]
+        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", rows)
+        n = 60  # at 30 an appending memo still passed one run in three
+        _read_in_racing_threads(lambda j: stirling2_deg(j, 1), n)
+        # a doubled row would shift every row above it
+        assert len(rows) == n + 1
+        plain = stirling2_deg_rows_plain(n)
+        for m in range(n + 1):
+            assert [stirling2_deg(m, k) for k in range(m + 1)] == plain[m], m
+
+    def test_bell_fully_deg_past_lowered_recursion_limit(self, monkeypatch):
+        # the U_l rows are stepped up in a loop too: Bel_{100,l} from cold rows
+        expected = unit_falling_factorial_deg(100)
+        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            bell = bell_fully_deg.__wrapped__(100)  # past the functools cache
+        finally:
+            sys.setrecursionlimit(limit)
+        # U_l(100, 1) = U_l(100, 100) = (1)_{100,l}, and l = 0 gives phi_100(x)
+        assert coefficient_of(bell, Var.X, 1) == expected
+        assert coefficient_of(bell, Var.X, 100) == expected
+        assert bell.eval({Var.LAMBDA: 0}) == classical.bell_poly(100)
 
     def test_classical_limit_triangle(self):
         for n in range(9):
@@ -191,6 +228,44 @@ class TestStirlingOracles:
             gf = pow_over_factorial(em1, k)
             for n in range(order + 1):
                 assert gf.coeff(n) == stirling2_deg(n, k), (n, k)
+
+
+class TestUnitRows:
+    """U_l(n,k) = (1)_{k,l} S2_l(n,k), stepped up row by row, and the
+    Bel_{n,l}(x) = sum_k U_l(n,k) x^k built from them."""
+
+    N = 14
+
+    def test_rows_are_the_weighted_stirling_entries(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
+        for n in (*range(1, self.N + 1), 3, self.N, 1):  # up, then below the top
+            row = sequences._unit_row(n)
+            assert len(row) == n
+            for k, coeffs in enumerate(row, 1):
+                u = Poly({(d, 0, 0, 0): c for d, c in enumerate(coeffs)})
+                assert u == unit_falling_factorial_deg(k) * stirling2_deg(n, k), (n, k)
+
+    @pytest.mark.parametrize("x_arg", [X, T, ONE, -LAM * T], ids=["x", "t", "one", "-lt"])
+    def test_bell_against_products_out_of_order(self, monkeypatch, x_arg):
+        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
+        bell_fully_deg.cache_clear()
+        # the top first, then descending: every later request restarts at row 1
+        for n in range(self.N, -1, -1):
+            assert bell_fully_deg(n, x_arg) == bell_fully_deg_products(n, x_arg), n
+
+    def test_bell_memory_from_cold_memos(self, monkeypatch):
+        # a cold Bel_{40,l} keeps one row of U_l at a time: no S2_l rows and no
+        # (1)_{k,l} list, whose Poly terms took 1.4 MiB on the product route
+        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
+        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", sequences._STIRLING_DEG_ROWS[:1])
+        sequences._running.cache_clear()
+        tracemalloc.start()
+        try:
+            bell_fully_deg.__wrapped__(40)  # past the functools cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2**20
 
 
 class TestBellFamilies:

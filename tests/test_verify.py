@@ -392,7 +392,9 @@ class TestSharedMemos:
         assert info.misses == info.currsize == len(shifted | {ONE})
         for arg in shifted:  # (k - m*l)_{j,l} for j <= n_max, extended as far as read
             assert len(_running(arg, _DEG_STEP)) == self.N + 1
-        assert len(_running(ONE, _DEG_STEP)) == 2 * self.N + 1  # (1)_{k,l} up to Bel_{n+m,l}(1)
+        # (1)_{k,l} only as far as the weights read it, k <= m_max: Bel_{n+m,l}(1)
+        # comes from the rows of U_l(n,k) = (1)_{k,l} S2_l(n,k), not from this list
+        assert len(_running(ONE, _DEG_STEP)) == self.N + 1
         assert _running.cache_info().misses == info.misses
 
     def test_classical_inner_factor_substituted_once_per_jk(self, monkeypatch):

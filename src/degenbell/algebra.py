@@ -64,6 +64,7 @@ _W = 32  # bits per exponent field
 _MASK = (1 << _W) - 1
 _SHIFT = (3 * _W, 2 * _W, _W, 0)  # where the exponent of l, x, y, t sits
 _VAR_KEY = tuple((1 << 4 * _W) - (1 << s) for s in _SHIFT)  # the key of each variable
+_L_KEYS = [0]  # entry d is the key of l^d, for every d that `Poly._from_l_coeffs` has met
 MAX_DEGREE = 1 << (_W - 1)
 # The largest key of total degree at most MAX_DEGREE.  A key is D*2^(4w) - E
 # with 0 <= E <= D*2^(3w), and MAX_DEGREE < 2^w - 1, so a key exceeds it
@@ -164,10 +165,14 @@ class Poly:
 
     @classmethod
     def _from_l_coeffs(cls, coeffs: list[int]) -> "Poly":
-        # sum_d coeffs[d] * l^d from ints, zeros dropped: the key of l^d is
-        # d times the key of l
-        key = _VAR_KEY[Var.LAMBDA]
-        return cls._trusted({d * key: c for d, c in enumerate(coeffs) if c})
+        # sum_d coeffs[d] * l^d from ints, zeros dropped.  The key of l^d, d
+        # times the key of l, is read from _L_KEYS; the list is extended by
+        # slice, so a racing extension rewrites equal keys in place
+        keys = _L_KEYS
+        if (n := len(coeffs)) > (m := len(keys)):
+            step = _VAR_KEY[Var.LAMBDA]
+            keys[m:n] = range(m * step, n * step, step)
+        return cls._trusted({k: c for k, c in zip(keys, coeffs) if c})
 
     @classmethod
     def const(cls, c: Scalar | str) -> "Poly":
@@ -366,18 +371,18 @@ class Poly:
             if not (value := as_scalar(value)):
                 zeros |= _MASK << _SHIFT[var]
                 continue
-            powers = [1]  # value**0 .. value**degree
-            for _ in range(self.degree_in(var)):
-                powers.append(powers[-1] * value)
-            tables.append((_SHIFT[var], _VAR_KEY[var], powers))
+            # value**0 .. value**e for the largest exponent e met so far
+            tables.append((_SHIFT[var], _VAR_KEY[var], value, [1, value]))
         if not self._terms:
             return self
         out: dict[int, Scalar] = {}
         for key, c in self._terms.items():
             if (fields := -key) & zeros:
                 continue
-            for shift, var_key, powers in tables:
+            for shift, var_key, value, powers in tables:
                 if e := fields >> shift & _MASK:
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * value)
                     c = c * powers[e]
                     key -= e * var_key
             out[key] = out.get(key, 0) + c
@@ -427,20 +432,29 @@ class Poly:
             for mono, c in self.terms()
         ]
 
-    def json_text(self, indent: str = "\n") -> str:
-        """``json.dumps(self.to_json(), indent=2)`` byte for byte, nested at
-        ``indent``, the newline and indentation before this value's own line.
+    def _json_parts(self, indent: str, out: list[str]) -> None:
+        """Append to ``out`` the pieces of ``json.dumps(self.to_json(),
+        indent=2)``, nested at ``indent``, the newline and indentation before
+        this value's own line.
 
-        Each term is its monomial's text from `_json_head`, rendered once
-        per monomial and indent, then ``str(c)``; neither needs escaping.
+        Each term is three pieces: the separator before it, its monomial's
+        text up to the coefficient from `_json_heads`, and ``str(c)``; none
+        needs escaping.
         """
         terms = self._terms
         if not terms:
-            return "[]"
+            out.append("[]")
+            return
+        heads = _json_heads(indent)
         row = indent + "  "  # before each term's "{"
         tail = '"' + row + "}"
-        items = [_json_head(key, indent) + str(terms[key]) + tail for key in sorted(terms)]
-        return "[" + row + ("," + row).join(items) + indent + "]"
+        sep, between = "[" + row, tail + "," + row
+        for key in sorted(terms):
+            if (head := heads.get(key)) is None:
+                head = heads[key] = _json_head(key, indent)
+            out += (sep, head, str(terms[key]))
+            sep = between
+        out.append(tail + indent + "]")
 
 
 def _stored(out: dict[int, Scalar]) -> Poly:
@@ -452,10 +466,15 @@ def _stored(out: dict[int, Scalar]) -> Poly:
 
 
 @cache
-def _json_head(key: int, indent: str) -> str:
-    """A term of `Poly.json_text` up to its coefficient: ``{``, the "m"
-    object of the monomial ``key`` and ``"c": "``, for a value at indent.
+def _json_heads(indent: str) -> dict[int, str]:
+    """The `_json_head` of each monomial key written so far at ``indent``.
     Kept for the process, one short string per monomial and indent written."""
+    return {}
+
+
+def _json_head(key: int, indent: str) -> str:
+    """A term of `Poly._json_parts` up to its coefficient: ``{``, the "m"
+    object of the monomial ``key`` and ``"c": "``, for a value at indent."""
     field = indent + "    "  # before the term's "m" and "c"
     exps = [f'{field}  "{s}": {e}' for s, e in zip(_SYMBOLS, _unpack(key)) if e]
     m = "{" + ",".join(exps) + field + "}" if exps else "{}"
@@ -463,14 +482,7 @@ def _json_head(key: int, indent: str) -> str:
 
 
 def _mono_str(mono: tuple[int, int, int, int]) -> str:
-    factors = []
-    for v in Var:
-        e = mono[v]
-        if e == 1:
-            factors.append(v.symbol)
-        elif e > 1:
-            factors.append(f"{v.symbol}^{e}")
-    return "*".join(factors)
+    return "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(_SYMBOLS, mono) if e)
 
 
 ZERO = Poly.zero()

@@ -17,12 +17,14 @@ _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of S(n, k); memoized rows are extended in a loop, never by recursion."""
+    """Row n of S(n, k); memoized rows are extended in a loop, never by
+    recursion.  Row m is assigned to the slice at index m, so a racing
+    extension rewrites an equal row where an append would add a second copy."""
     rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        prev, m = rows[-1], len(rows)
+    while (m := len(rows)) <= n:
+        prev = rows[m - 1]
         # S(m, k) = S(m-1, k-1) + k * S(m-1, k); S(m, 0) = 0 and S(m, m) = 1
-        rows.append((0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, m)) + (1,))
+        rows[m : m + 1] = [(0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, m)) + (1,)]
     return rows[n]
 
 
@@ -46,11 +48,11 @@ _ORDERED_BELL: list[int] = [1]
 
 def ordered_bell_number(n: int) -> int:
     """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1; memoized values
-    are extended in a loop, never by recursion."""
+    are extended in a loop, never by recursion, each assigned at its index
+    as in `_stirling_row`."""
     a = _ORDERED_BELL
-    while len(a) <= n:
-        m = len(a)
-        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    while (m := len(a)) <= n:
+        a[m : m + 1] = [sum(comb(m, k) * a[m - k] for k in range(1, m + 1))]
     return a[n]
 
 

@@ -138,36 +138,64 @@ def _json_text(obj, indent: str = "\n") -> str:
     included, raises TypeError.
 
     The stdlib encoder runs its C speedup only without an indent; this is
-    one recursive pass that returns one string per container.  A `Poly` is
-    rendered by `Poly.json_text` straight from its term map, so no dict is
-    built per term.  ``indent`` is the newline and indentation that precede
-    the value's own line.
+    one recursive pass that appends str pieces to one list, joined once, so
+    no level copies the text of the levels below it.  A `Poly` appends its
+    terms straight from its term map, so no dict is built per term.
+    ``indent`` is the newline and indentation that precede the value's own
+    line.
     """
+    out: list[str] = []
+    _json_parts(obj, indent, out)
+    return "".join(out)
+
+
+def _json_parts(obj, indent: str, out: list[str]) -> None:
+    """Append the pieces of `_json_text` (obj, indent) to ``out``."""
     if type(obj) is Poly:
-        return obj.json_text(indent)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
+        obj._json_parts(indent, out)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        # _quote raises TypeError for a key that is not a str
-        items = [f"{_quote(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+        sep, between = "{" + inner, "," + inner
+        for key, value in obj.items():
+            # _quote raises TypeError for a key that is not a str
+            out += (sep, _quote(key), ": ")
+            _json_parts(value, inner, out)
+            sep = between
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"not JSON data: {obj!r} ({type(obj).__name__})")
+        sep, between = "[" + inner, "," + inner
+        for value in obj:
+            out.append(sep)
+            _json_parts(value, inner, out)
+            sep = between
+        out.append(indent + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"not JSON data: {obj!r} ({type(obj).__name__})")
+
+
+def _emit_json(data, output: str | None) -> None:
+    """`_emit` of `_json_text` (data) and a newline, joined in one pass."""
+    out: list[str] = []
+    _json_parts(data, "\n", out)
+    out.append("\n")
+    _emit("".join(out), output)
 
 
 def _poly_leaf(poly: Poly) -> Poly:
@@ -233,7 +261,7 @@ def _cmd_table(args, parser) -> int:
         _check_bindings(parser, args.bind, free, args.kind)
     table = _apply_bindings(table, args.bind)
     if args.format == "json":
-        _emit(_json_text(table.to_json(leaf=_poly_leaf)) + "\n", args.output)
+        _emit_json(table.to_json(leaf=_poly_leaf), args.output)
     elif args.format == "csv":
         _emit(_csv_text(table.to_csv_rows()), args.output)
     else:
@@ -260,7 +288,7 @@ def _cmd_poly(args, parser) -> int:
     _check_bindings(parser, args.bind, poly.variables(), f"{kind.name} {_label(index)}")
     poly = poly.eval(args.bind)
     if args.format == "json":
-        _emit(_json_text(poly) + "\n", args.output)
+        _emit_json(poly, args.output)
     else:
         _emit(_wrap_line(str(poly)) + "\n", args.output)
     return 0
@@ -285,8 +313,9 @@ def _named_series(name: str, order: int) -> Series:
             alpha = -1
         if alpha < 0:
             raise ValueError(f"two-var-fubini: alpha must be a nonnegative integer, got {raw!r}")
-        recip = (Series.unit(order) - x * em1).reciprocal()
-        return recip.int_pow(alpha) * Series.deg_exp(Poly.variable(Var.Y), order)
+        # (f^alpha)^-1, not (f^-1)^alpha: see the `series` module docstring
+        power = (Series.unit(order) - x * em1).int_pow(alpha)
+        return power.reciprocal() * Series.deg_exp(Poly.variable(Var.Y), order)
     raise ValueError(f"unknown generating function {name!r}")
 
 
@@ -300,7 +329,7 @@ def _cmd_series(args, parser) -> int:
         _check_bindings(parser, args.bind, free, args.gf)
         series = Series([c.eval(args.bind) for c in series.coeffs])
     if args.format == "json":
-        _emit(_json_text(series.to_json(leaf=_poly_leaf)) + "\n", args.output)
+        _emit_json(series.to_json(leaf=_poly_leaf), args.output)
     else:
         lines = [_wrap_line(f"{n}: {series.coeff(n)}") for n in range(series.order + 1)]
         _emit("\n".join(lines) + "\n", args.output)
@@ -332,7 +361,7 @@ def _cmd_verify(args, parser) -> int:
     ]
     if args.format == "json":
         payload = [r.to_json() for r in reports]
-        _emit(_json_text(payload[0] if not args.all else payload) + "\n", args.output)
+        _emit_json(payload[0] if not args.all else payload, args.output)
     else:
         _emit("".join(_report_text(r) for r in reports), args.output)
     return 0 if all(r.ok for r in reports) else 1
@@ -360,7 +389,7 @@ def _cmd_limit(args, parser) -> int:
                 for index, limit, ref, match in rows
             ],
         }
-        _emit(_json_text(payload) + "\n", args.output)
+        _emit_json(payload, args.output)
     elif args.format == "csv":
         triangular = any(len(index) > 1 for index, *_ in rows)
         header = (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]

@@ -13,6 +13,13 @@ by truncating to the smaller order.  A square ``a * a`` takes each
 unordered pair a_j a_{n-j} once, weighted 2 C(n,j), and `Series.int_pow`
 powers by repeated squaring, never multiplying by the unit.
 
+A negative power f^(-a) of a series with constant term 1 is taken as
+``f.int_pow(a).reciprocal()``, the same series as ``f.reciprocal().int_pow(a)``
+but cheaper when f's coefficients are small and its reciprocal's are large.
+For f = 1 - x(e_l(s) - 1), coefficient n of f^a has at most a*n terms, while
+coefficient n of 1/f has Theta(n^2): powering 1/f multiplies large
+coefficients by large ones, and inverting f^a multiplies small by large.
+
 The central building block is the degenerate exponential
 
     e_l^w(s) = (1 + l*s)^(w/l) = sum_n (w)_{n,l} s^n / n!,

@@ -3,7 +3,7 @@ package's results: factorials as plain products, S2_l(n, k) by the change
 of basis, by the EGF route (e_l(s) - 1)^k / k! and by the plain
 recurrence, Bel_{n,l}(x) as a sum of products, `Poly.eval` term by term,
 the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
-and views of a `Poly` through its public `terms`."""
+the text of `str(Poly)`, and views of a `Poly` through its public `terms`."""
 
 from fractions import Fraction
 from math import factorial
@@ -66,6 +66,30 @@ def eval_term_by_term(p: Poly, bindings: dict) -> Poly:
             rest[var] = 0
         out[tuple(rest)] = out.get(tuple(rest), 0) + c
     return Poly(out)
+
+
+def poly_str(p: Poly) -> str:
+    """The text `str(p)` must be, read off `terms()`: each term is the
+    magnitude of its coefficient (left out before a monomial when it is 1)
+    and its variables as ``v`` or ``v^e``, joined by ``*``; the first term
+    carries a leading ``-`` when negative, and each later term is joined by
+    `` + `` or `` - ``."""
+    text = ""
+    for mono, c in p.terms():
+        factors = []
+        for var in Var:
+            if mono[var] == 1:
+                factors.append(var.symbol)
+            elif mono[var] > 1:
+                factors.append(f"{var.symbol}^{mono[var]}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if not text:
+            text = body if c > 0 else "-" + body
+        else:
+            text += (" + " if c > 0 else " - ") + body
+    return text or "0"
 
 
 def product_plain(base, n: int, step) -> Poly:

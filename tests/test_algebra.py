@@ -19,7 +19,14 @@ from degenbell.algebra import (
     as_scalar,
     parse_rational,
 )
-from oracles import coefficient_of, const_value, eval_term_by_term, is_const, poly_from_json
+from oracles import (
+    coefficient_of,
+    const_value,
+    eval_term_by_term,
+    is_const,
+    poly_from_json,
+    poly_str,
+)
 from strategies import full_bindings, polys, rationals
 
 
@@ -432,6 +439,12 @@ class TestRendering:
         # ascending total degree, lambda-heaviest within a degree
         p = X**2 + LAM * X + X + 1
         assert str(p) == "1 + x + l*x + x^2"
+
+    @given(p=polys(max_terms=8, max_exp=12))
+    @settings(max_examples=200)
+    def test_equals_term_by_term_reference(self, p):
+        # constants, unit and Fraction coefficients, multi-digit exponents
+        assert str(p) == poly_str(p)
 
     @given(p=polys(max_terms=8, max_exp=3))
     @settings(max_examples=60)

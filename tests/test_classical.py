@@ -5,6 +5,7 @@ from math import factorial
 from degenbell import classical
 from degenbell.algebra import Poly, Var, X
 from oracles import const_value
+from test_sequences import _read_in_racing_threads
 
 
 def test_stirling_triangle():
@@ -36,6 +37,25 @@ def test_ordered_bell_past_recursion_limit(monkeypatch):
     monkeypatch.setattr(classical, "_ORDERED_BELL", [1])
     expected = sum(factorial(k) * classical.stirling2(400, k) for k in range(401))
     assert classical.ordered_bell_number(400) == expected
+
+
+def test_memos_under_racing_threads(monkeypatch):
+    rows, values = [(1,)], [1]
+    monkeypatch.setattr(classical, "_STIRLING_ROWS", rows)
+    monkeypatch.setattr(classical, "_ORDERED_BELL", values)
+    n = 199
+
+    def read(j):
+        classical.stirling2(j, 1)
+        classical.ordered_bell_number(j)
+
+    _read_in_racing_threads(read, n)
+    # a doubled row or value would shift every one above it
+    assert len(rows) == len(values) == n + 1
+    monkeypatch.setattr(classical, "_STIRLING_ROWS", [(1,)])
+    monkeypatch.setattr(classical, "_ORDERED_BELL", [1])
+    assert rows == [classical._stirling_row(m) for m in range(n + 1)]
+    assert values == [classical.ordered_bell_number(m) for m in range(n + 1)]
 
 
 def test_ordered_bell_numbers():

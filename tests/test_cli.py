@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenbell import algebra
 from degenbell.algebra import Poly
 from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
-from degenbell.sequences import KINDS, LINEAR_KINDS, TABLE_KINDS, build_table
+from degenbell.sequences import (
+    KINDS,
+    LINEAR_KINDS,
+    TABLE_KINDS,
+    build_table,
+    fubini_two_var_alpha,
+)
 from degenbell.series import Series
 from degenbell.verify import Identity
 from oracles import poly_from_json, series_from_json, table_from_json
@@ -212,6 +219,12 @@ class TestSeries:
         assert code == 0
         rows = json.loads(table)["values"]
         assert json.loads(series)["egf_coeffs"] == [row["poly"] for row in rows]
+
+    @pytest.mark.parametrize("alpha", range(5))
+    def test_two_var_fubini_equals_closed_form(self, alpha):
+        # the series inverts (1 - x(e_l - 1))^alpha; the closed form sums S2_l entries
+        series = _named_series(f"two-var-fubini:{alpha}", 10)
+        assert series.coeffs == tuple(fubini_two_var_alpha(n, alpha) for n in range(11))
 
     def test_unknown_gf_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -710,6 +723,13 @@ class TestJsonText:
     def test_cli_output_is_dump_of_library_to_json(self, capsys, argv, document):
         _, out = run_cli(capsys, *argv.split())
         assert out == json.dumps(document().to_json(), indent=2) + "\n"
+
+    def test_one_poly_at_two_depths(self):
+        # the term heads are memoised per indent, so each depth gets its own
+        algebra._json_heads.cache_clear()
+        p = Poly({(0, 0, 0, 0): Fraction(-1, 2), (1, 2, 0, 3): 5, (2, 0, 1, 0): 1})
+        data = {"top": p, "nested": [{"deeper": [p, Poly()]}], "again": p}
+        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2)
 
     def test_empty_and_nested_containers(self):
         data = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": None}]}

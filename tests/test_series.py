@@ -117,6 +117,16 @@ class TestPowers:
             product = product * a
         assert a.int_pow(e) == product
 
+    @given(
+        coeffs=st.lists(polys(max_terms=2, max_exp=1), min_size=1, max_size=5),
+        e=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reciprocal_of_power_is_power_of_reciprocal(self, coeffs, e):
+        # (f^e)^-1 = (f^-1)^e for f with constant term 1
+        f = Series([ONE, *coeffs])
+        assert f.int_pow(e).reciprocal() == f.reciprocal().int_pow(e)
+
     def test_huge_power_takes_logarithmically_many_products(self, monkeypatch):
         e, calls, mul = 10**20, [], Series.__mul__
 

@@ -11,27 +11,37 @@ Seven of the checked identities are Spivey-type, and one double sum,
 
     B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
 
-An identity is the choice of three parts: the outer family B, the weight
-W and the inner factor G.  With S2_l / phi / Bel / F as in `sequences`
-and S, phi_j, F_j their classical (l = 0) forms from `classical`:
+Its inner factor is a binomial convolution G(., k, m) = A_k <*> Y_{k,m},
+where (a <*> b)(n) = sum_i C(n,i) a(i) b(n-i).  The convolution is
+associative, so the sum is taken as
 
-  identity             B_j           W(m, k)                  G(j, k, m)
-  spivey-bell          phi_j(1)      S(m,k)                   k^j
-  spivey-bell-poly     phi_j(x)      S(m,k) x^k               k^j
-  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            (k - m*l)_{j,l}
-  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l, k - m*l)
-  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t, k - m*l)
-  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t, k - m*l)
-  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t, k)
+    B_{n+m} = sum_{k<=m} W(m,k) sum_{i<=n} C(n,i) H_k(i) Y_{k,m}(n-i),
+    H_k = B <*> A_k,
+
+the factorisation D^m B(u) = sum_k W(m,k) B(u) A_k(u) e_l^{k-m*l}(u) of
+the generating functions.  An identity is the choice of four parts: the
+outer family B, the weight W, the head A_k and the tail Y_{k,m}.  With
+S2_l / phi / Bel / F as in `sequences` and S, phi_j, F_j their classical
+(l = 0) forms from `classical` (a head "-" is the unit, so H_k = B):
+
+  identity             B_j           W(m, k)                  A_k(j)             Y_{k,m}(j)
+  spivey-bell          phi_j(1)      S(m,k)                   -                  k^j
+  spivey-bell-poly     phi_j(x)      S(m,k) x^k               -                  k^j
+  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            -                  (k - m*l)_{j,l}
+  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l)    (k - m*l)_{j,l}
+  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t)  (k - m*l)_{j,l}
+  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t)     (k - m*l)_{j,l}
+  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t)         k^j
 
 Each family in the table is built at its argument by its own builder, the
 one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
-F^(k)_{j,l}(-l*t, k - m*l) is ``fubini_two_var_alpha(j, k, -LAM * T,
-_shift(k, m))``.  Each inner factor is built once per distinct argument,
-its (k - m*l)_{j,l} a plain ``falling_factorial_deg`` call, which reads
-the one running list per k - m*l that four identities share.  Only
-fubini-spivey's classical inner factor, the independent classical route,
-substitutes (x -> t, then y = k), once per (j, k).
+F^(k)_{j,l}(-l*t) is ``fubini_deg(j, k, -LAM * T)``.  Each H_k(i) is
+built once per (i, k) and read by every m, and each W(m, k) once per
+(m, k), in two module-level memos.  Each tail (k - m*l)_{j,l} is a plain
+``falling_factorial_deg`` call, which reads the one running list per
+k - m*l that four identities share.  Only fubini-spivey's classical head,
+the independent classical route, substitutes (y = 0, then x -> t), once
+per (j, k).
 
 The other three have builders of their own:
 
@@ -44,7 +54,8 @@ Each identity has one entry in a registry: its grid cells, its side
 builder, the variables its sides contain (all swept by its rational spot
 grid, except x of fubini-x-zero) and its named mutations.  A mutation is data: it swaps one part of the side builder.
 ``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
-``unshifted-y-arg`` replaces G of deg-fubini-spivey by F^(k)_{j,l}(t, k).
+``unshifted-y-arg`` replaces Y of deg-fubini-spivey by (k)_{j,l}, so that
+its G becomes F^(k)_{j,l}(t, k).
 `run_identity` is the single entry point.  It builds each cell's sides
 once and their difference lhs - rhs once.  Bindings given to it are
 evaluated in either mode; without them, ``rational`` mode evaluates the
@@ -135,41 +146,63 @@ Bindings = dict[Var, Fraction]
 # -- the Spivey-type double sum and its parts ----------------------------------
 
 
-def _spivey_sides(n: int, m: int, outer, weight, inner):
-    """Both sides of B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l.
+def _spivey_sides(n: int, m: int, outer, weight, head, tail):
+    """Both sides of B_{n+m} = sum_{k<=m} W(m,k) sum_{i<=n} C(n,i) H_k(i) Y_{k,m}(n-i).
 
-    The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k)
-    and ``inner(j, k, m)`` = G(j, k, m).  W multiplies the inner sum over l
-    once per k, and a k whose weight is zero is skipped.  Both sums go
-    through `Poly.sum_of_products`, which takes int parts (the classical
-    numbers) as scalars.
+    The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k),
+    ``head(j, k)`` = A_k(j) and ``tail(j, k, m)`` = Y_{k,m}(j); a head of
+    None is the unit, so H_k = B.  W and H_k are read from `_weight` and
+    `_head_sum`, so each is built once for every cell that reads it.  W
+    multiplies the inner sum over i once per k, and a k whose weight is
+    zero is skipped.  Both sums go through `Poly.sum_of_products`, which
+    takes int parts (the classical numbers) as scalars.
     """
-    weighted = []  # (W(m,k), the inner sum over l) per k
+    h = (lambda i, k: outer(i)) if head is None else partial(_head_sum, outer, head)
+    weighted = []  # (W(m,k), the inner sum over i) per k
     for k in range(m, -1, -1):
-        w = weight(m, k)
+        w = _weight(weight, m, k)
         if w != 0:
-            terms = ((comb(n, l), outer(l), inner(n - l, k, m)) for l in range(n, -1, -1))
+            terms = ((comb(n, i), h(i, k), tail(n - i, k, m)) for i in range(n, -1, -1))
             weighted.append((w, Poly.sum_of_products(terms)))
     # adding the zero polynomial makes an int side a Poly
     return outer(n + m) + Poly.zero(), Poly.sum_of_products(weighted)
 
 
 @cache
-def _shift(k: int, m: int) -> Poly:
-    """k - m*l, the shifted argument of the degenerate inner factors (memoized,
-    so the memo keys built from it, running lists included, hash once)."""
-    return Poly.const(k) - m * LAM
-
-
-def _two_var_inner(x_arg: Poly, shifted: bool = True):
-    """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), or F^(k)_{j,l}(x_arg, k) unshifted."""
-    return lambda j, k, m: fubini_two_var_alpha(j, k, x_arg, _shift(k, m if shifted else 0))
+def _weight(weight, m: int, k: int) -> Poly | int:
+    """W(m, k), built once per (weight, m, k)."""
+    return weight(m, k)
 
 
 @cache
-def _classical_inner(j: int, k: int) -> Poly:
-    """F^(k)_j(t, k), fubini-spivey's G(j, k, m) for every m: substituted once per (j, k)."""
-    return classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})
+def _head_sum(outer, head, i: int, k: int) -> Poly:
+    """H_k(i) = sum_{l<=i} C(i,l) B_l A_k(i-l), built once per (outer, head, i, k)
+    and shared by every m."""
+    return Poly.sum_of_products((comb(i, l), outer(l), head(i - l, k)) for l in range(i, -1, -1))
+
+
+@cache
+def _shift(k: int, m: int) -> Poly:
+    """k - m*l, the shifted argument of the degenerate tails (memoized, so the
+    memo keys built from it, running lists included, hash once)."""
+    return Poly.const(k) - m * LAM
+
+
+# the arguments of the fully degenerate heads, one object each, so the
+# fubini_deg memo keys hash once
+_NEG_LAM = -LAM
+_NEG_LAM_T = -LAM * T
+
+
+@cache
+def _classical_head(j: int, k: int) -> Poly:
+    """F^(k)_j(t), fubini-spivey's A_k(j): substituted once per (j, k)."""
+    return classical.two_var_fubini_poly(j, k).eval({Var.Y: 0}).substitute(Var.X, T)
+
+
+def _shifted_tail(j: int, k: int, m: int) -> Poly:
+    """Y_{k,m}(j) = (k - m*l)_{j,l}."""
+    return falling_factorial_deg(_shift(k, m), j)
 
 
 # -- the other identities' builders --------------------------------------------
@@ -228,59 +261,65 @@ def _fubini_x_zero_cells(n_max: int, alpha_max: int):
     ]
 
 
-def _spivey(spot_vars, outer, weight, inner, **fields) -> _Spec:
-    """A Spivey-type identity from its parts B (outer), W (weight) and G (inner);
-    further `_Spec` fields (its mutations) pass through."""
-    sides = partial(_spivey_sides, outer=outer, weight=weight, inner=inner)
+def _spivey(spot_vars, outer, weight, tail, head=None, **fields) -> _Spec:
+    """A Spivey-type identity from its parts B (outer), W (weight), Y (tail) and
+    A (head, None for the unit); further `_Spec` fields (its mutations) pass
+    through."""
+    sides = partial(_spivey_sides, outer=outer, weight=weight, head=head, tail=tail)
     return _Spec(_nm_cells, sides, spot_vars, **fields)
 
 
-# The parts, and exp-splitting's sides, are lambdas, so every call looks the
-# builders up by their module-global names (which perfbench's tracer patches).
+# The parts, and exp-splitting's sides, are lambdas or module functions, so
+# every call looks the builders up by their module-global names (which
+# perfbench's tracer patches).
 _SPECS = {
     Identity.SPIVEY_BELL: _spivey(
         (),
         outer=lambda j: classical.bell_number(j),
         weight=lambda m, k: classical.stirling2(m, k),
-        inner=lambda j, k, m: k**j,
+        tail=lambda j, k, m: k**j,
     ),
     Identity.SPIVEY_BELL_POLY: _spivey(
         (Var.X,),
         outer=lambda j: classical.bell_poly(j),
         weight=lambda m, k: classical.stirling2(m, k) * X**k,
-        inner=lambda j, k, m: k**j,
+        tail=lambda j, k, m: k**j,
     ),
     Identity.DEG_BELL_SPIVEY: _spivey(
         (Var.LAMBDA, Var.X),
         outer=lambda j: bell_deg(j),
         weight=lambda m, k: stirling2_deg(m, k) * X**k,
-        inner=lambda j, k, m: falling_factorial_deg(_shift(k, m), j),
+        tail=_shifted_tail,
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),
         outer=lambda j: bell_fully_deg(j, ONE),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
-        inner=_two_var_inner(-LAM),
+        head=lambda j, k: fubini_deg(j, k, _NEG_LAM),
+        tail=_shifted_tail,
         mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
     ),
     Identity.FULLY_DEG_BELL_POLY: _spivey(
         (Var.LAMBDA, Var.T),
         outer=lambda j: bell_fully_deg(j, T),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
-        inner=_two_var_inner(-LAM * T),
+        head=lambda j, k: fubini_deg(j, k, _NEG_LAM_T),
+        tail=_shifted_tail,
     ),
     Identity.DEG_FUBINI_SPIVEY: _spivey(
         (Var.LAMBDA, Var.T),
         outer=lambda j: fubini_deg(j, 1, T),
         weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
-        inner=_two_var_inner(T),
-        mutations={"unshifted-y-arg": {"inner": _two_var_inner(T, shifted=False)}},
+        head=lambda j, k: fubini_deg(j, k, T),
+        tail=_shifted_tail,
+        mutations={"unshifted-y-arg": {"tail": lambda j, k, m: _shifted_tail(j, k, 0)}},
     ),
     Identity.FUBINI_SPIVEY: _spivey(
         (Var.T,),
         outer=lambda j: classical.fubini_poly(j, T),
         weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
-        inner=lambda j, k, m: _classical_inner(j, k),
+        head=_classical_head,
+        tail=lambda j, k, m: k**j,
     ),
     Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
     Identity.EXP_SPLITTING: _Spec(_jk_cells, lambda j, k: exp_splitting_sides(j, k), (Var.LAMBDA,)),
@@ -325,13 +364,16 @@ def run_identity(
     passes where it is zero.  The sides themselves are evaluated only for
     the first counterexample, which reports them, not their difference.
     The two bounds bound (j, k) for exp-splitting and (n, alpha) for
-    fubini-x-zero.  ``corrupt`` names one of the identity's mutations,
-    which must make the check fail.
+    fubini-x-zero, and a negative bound raises ValueError.  ``corrupt``
+    names one of the identity's mutations, which must make the check fail.
     Cells run in a fixed order (bindings outer, then the grid), so the
     first counterexample is deterministic.
     """
     if mode not in ("symbolic", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, bound in (("n_max", n_max), ("m_max", m_max)):
+        if bound < 0:
+            raise ValueError(f"{name} must be nonnegative")
     spec = _SPECS[identity]
     sides = spec.sides
     if corrupt is not None:

@@ -3,16 +3,22 @@ package's results: factorials as plain products, S2_l(n, k) by the change
 of basis, by the EGF route (e_l(s) - 1)^k / k! and by the plain
 recurrence, Bel_{n,l}(x) as a sum of products, `Poly.eval` term by term,
 the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
-the text of `str(Poly)`, and views of a `Poly` through its public `terms`."""
+the text of `str(Poly)`, views of a `Poly` through its public `terms`,
+and the Spivey-type identities as the plain double sum over (k, l)."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from degenbell.algebra import LAM, Poly, Var, X, var_from_symbol
+from degenbell import classical
+from degenbell.algebra import LAM, ONE, Poly, T, Var, X, var_from_symbol
 from degenbell.sequences import (
     SeqTable,
+    bell_deg,
+    bell_fully_deg,
     falling_factorial,
     falling_factorial_deg,
+    fubini_deg,
+    fubini_two_var_alpha,
     stirling2_deg,
     unit_falling_factorial_deg,
 )
@@ -173,3 +179,66 @@ def series_from_json(data: dict) -> Series:
     if len(coeffs) != data["order"] + 1:
         raise ValueError("coefficient count does not match declared order")
     return Series(coeffs)
+
+
+def _two_var_inner(x_arg: Poly):
+    """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), built whole at its arguments."""
+    return lambda j, k, m: fubini_two_var_alpha(j, k, x_arg, k - m * LAM)
+
+
+def _classical_inner(j: int, k: int, m: int) -> Poly:
+    """G(j, k, m) = F^(k)_j(t, k), the classical two-variable Fubini polynomial."""
+    return classical.two_var_fubini_poly(j, k).substitute(Var.X, T).eval({Var.Y: k})
+
+
+# The seven Spivey-type identities by name: (B_j, W(m, k), G(j, k, m)).
+SPIVEY_PARTS = {
+    "spivey-bell": (
+        classical.bell_number,
+        classical.stirling2,
+        lambda j, k, m: k**j,
+    ),
+    "spivey-bell-poly": (
+        classical.bell_poly,
+        lambda m, k: classical.stirling2(m, k) * X**k,
+        lambda j, k, m: k**j,
+    ),
+    "deg-bell-spivey": (
+        bell_deg,
+        lambda m, k: stirling2_deg(m, k) * X**k,
+        lambda j, k, m: falling_factorial_deg(k - m * LAM, j),
+    ),
+    "fully-deg-bell": (
+        lambda j: bell_fully_deg(j, ONE),
+        lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
+        _two_var_inner(-LAM),
+    ),
+    "fully-deg-bell-poly": (
+        lambda j: bell_fully_deg(j, T),
+        lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
+        _two_var_inner(-LAM * T),
+    ),
+    "deg-fubini-spivey": (
+        lambda j: fubini_deg(j, 1, T),
+        lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
+        _two_var_inner(T),
+    ),
+    "fubini-spivey": (
+        lambda j: classical.fubini_poly(j, T),
+        lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
+        _classical_inner,
+    ),
+}
+
+
+def spivey_double_sum(identity: str, n: int, m: int) -> tuple[Poly, Poly]:
+    """Both sides of B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
+    for the Spivey-type identity named ``identity``, with the parts of
+    `SPIVEY_PARTS`: each term a product written with ring operators, its
+    inner factor G built whole, and nothing shared between terms."""
+    outer, weight, inner = SPIVEY_PARTS[identity]
+    rhs = Poly.zero()
+    for k in range(m + 1):
+        for l in range(n + 1):
+            rhs = rhs + comb(n, l) * weight(m, k) * outer(l) * inner(n - l, k, m)
+    return outer(n + m) + Poly.zero(), rhs

@@ -20,15 +20,18 @@ from degenbell.sequences import (
 )
 from degenbell.verify import (
     _SPECS,
-    _classical_inner,
+    _classical_head,
+    _head_sum,
+    _weight,
     Identity,
     VerifyReport,
     free_vars,
     run_identity,
     spot_grid,
 )
+from functools import partial
 from math import comb
-from oracles import const_value, is_const, poly_from_json
+from oracles import SPIVEY_PARTS, const_value, is_const, poly_from_json, spivey_double_sum
 from strategies import sides
 
 
@@ -375,6 +378,40 @@ def _weighted_km(m_max):
     return [(k, m) for m in range(m_max + 1) for k in range(m + 1) if k or not m]
 
 
+SPIVEY_IDENTITIES = [Identity(name) for name in SPIVEY_PARTS]
+# the identities whose head A_k is not the unit, so H_k = B <*> A_k is built
+HEAD_IDENTITIES = [
+    Identity.FULLY_DEG_BELL,
+    Identity.FULLY_DEG_BELL_POLY,
+    Identity.DEG_FUBINI_SPIVEY,
+    Identity.FUBINI_SPIVEY,
+]
+UNIT_HEAD_IDENTITIES = [i for i in SPIVEY_IDENTITIES if i not in HEAD_IDENTITIES]
+
+
+class TestAssociativeSums:
+    # the sides regroup the plain double sum by associativity of the binomial
+    # convolution; the reference builds each inner factor G whole
+    CELLS = [(n, m) for m in range(6) for n in range(6)]
+
+    @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
+    def test_sides_equal_plain_double_sum(self, identity):
+        sides = _SPECS[identity].sides
+        for n, m in self.CELLS:
+            assert sides(n=n, m=m) == spivey_double_sum(identity.value, n, m), (n, m)
+
+    @pytest.mark.parametrize(
+        "identity,mutation",
+        [(i, name) for i in SPIVEY_IDENTITIES for name in _SPECS[i].mutations],
+    )
+    def test_mutated_sides_differ_from_plain_double_sum(self, identity, mutation):
+        spec = _SPECS[identity]
+        sides = partial(spec.sides, **spec.mutations[mutation])
+        assert any(
+            sides(n=n, m=m) != spivey_double_sum(identity.value, n, m) for n, m in self.CELLS
+        )
+
+
 class TestSharedMemos:
     N = 4
 
@@ -397,7 +434,7 @@ class TestSharedMemos:
         assert len(_running(ONE, _DEG_STEP)) == self.N + 1
         assert _running.cache_info().misses == info.misses
 
-    def test_classical_inner_factor_substituted_once_per_jk(self, monkeypatch):
+    def test_classical_head_substituted_once_per_jk(self, monkeypatch):
         calls = []
         substitute = Poly.substitute
 
@@ -409,11 +446,47 @@ class TestSharedMemos:
         _clear_memos()
         assert run_identity(Identity.FUBINI_SPIVEY, self.N, self.N).ok
         pairs = {(j, k) for k, _ in _weighted_km(self.N) for j in range(self.N + 1)}
-        info = _classical_inner.cache_info()
+        info = _classical_head.cache_info()
         assert info.misses == info.currsize == len(pairs)
         assert info.hits > 0
         # the classical route still substitutes, once per (j, k)
         assert calls == [Var.X] * len(pairs)
+
+    @pytest.mark.parametrize("identity", HEAD_IDENTITIES)
+    def test_head_sum_built_once_per_ik_and_shared_over_m(self, identity):
+        _clear_memos()
+        assert run_identity(identity, self.N, self.N).ok
+        weighted = _weighted_km(self.N)
+        pairs = {(i, k) for k, _ in weighted for i in range(self.N + 1)}
+        # each cell (n, m) reads H_k(i) for i <= n and every k of nonzero weight
+        reads = len(weighted) * sum(n + 1 for n in range(self.N + 1))
+        info = _head_sum.cache_info()
+        assert info.misses == info.currsize == len(pairs)
+        assert info.hits == reads - len(pairs) > 0
+
+    @pytest.mark.parametrize("identity", UNIT_HEAD_IDENTITIES)
+    def test_unit_head_reads_outer_family_directly(self, identity):
+        _clear_memos()
+        assert run_identity(identity, self.N, self.N).ok
+        assert _head_sum.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
+    def test_weight_built_once_per_mk(self, identity):
+        _clear_memos()
+        built = []
+
+        def counted(m, k):
+            built.append((m, k))
+            return weight(m, k)
+
+        spec = _SPECS[identity]
+        weight = spec.sides.keywords["weight"]
+        sides = partial(spec.sides, weight=counted)
+        for cell in spec.cells(self.N, self.N):
+            sides(**cell)
+        expected = [(m, k) for m in range(self.N + 1) for k in range(m + 1)]
+        assert sorted(built) == expected
+        assert _weight.cache_info().currsize == len(expected)
 
 
 class TestRationalPointSemantics:
@@ -529,6 +602,13 @@ class TestDispatch:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_identity(Identity.SPIVEY_BELL, mode="numeric")
+
+    @pytest.mark.parametrize("identity", list(Identity))
+    @pytest.mark.parametrize("n_max,m_max,bad", [(-1, 3, "n_max"), (3, -1, "m_max")])
+    def test_negative_bound_rejected(self, identity, n_max, m_max, bad):
+        # an empty grid would pass vacuously
+        with pytest.raises(ValueError, match=f"{bad} must be nonnegative"):
+            run_identity(identity, n_max, m_max)
 
 
 def _cells_for(identity, n_max, m_max):

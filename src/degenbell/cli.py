@@ -13,20 +13,23 @@ All numbers are exact rationals; the deformation parameter is spelled
 variable that the output contains (for ``verify``, one that the identity
 contains; it then applies in either mode), or the command exits 2.  Exit
 codes: 0 success / all cells pass, 1 identity or limit violation, 2 usage
-error or failed ``--output`` write.  Identical invocations produce
-identical bytes, and JSON output is exactly ``json.dumps(data, indent=2)``
-of the library's ``to_json()`` data, although each polynomial in it is
-written straight from its term map.  The only environment knob is
-DEGENBELL_WIDTH, a width hint for wrapping long polynomials in text output.
+error or failed write, of ``--output`` or of stdout.  Identical
+invocations produce identical bytes, and JSON output is exactly
+``json.dumps(data, indent=2)`` of the library's ``to_json()`` data,
+although each polynomial in it is written straight from its term map.
+The only environment knob is DEGENBELL_WIDTH, a width hint for wrapping
+long polynomials in text output.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 try:  # the stdlib's C escaper, without loading the json package
     from _json import encode_basestring_ascii as _quote
@@ -119,16 +122,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_failed(target: str, exc: OSError) -> int:
+    """Report on stderr that writing to ``target`` failed; returns exit code 2."""
+    try:
+        sys.stderr.write(f"degenbell: error: cannot write {target}: {exc.strerror or exc}\n")
+    except (AttributeError, OSError):
+        pass  # stderr is closed too (None if fd 2 was): the exit code is all that is left
+    return 2
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
+    try:
+        if output:
             with open(output, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"degenbell: error: cannot write {output}: {exc.strerror or exc}\n")
-            sys.exit(2)
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        sys.exit(_write_failed(output or "stdout", exc))
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -433,5 +446,39 @@ def main(argv=None) -> int:
     return commands[args.command](args, parser)
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry point of ``python -m degenbell.cli`` and of the
+    ``degenbell`` script: `main` (argv), then flush stdout and stderr and end
+    the process with ``os._exit``, so no interpreter teardown frees what the
+    OS reclaims anyway.
+
+    A `SystemExit` maps to an exit code as the interpreter maps it: None to
+    0, an int to itself, anything else is printed to stderr and gives 1.  A
+    failed flush of stdout exits 2, as a failed write does.  Any other
+    exception propagates, with its traceback and normal teardown.  Never
+    call it in-process: it ends the process; call `main` there.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            code = 0
+        elif not isinstance(code, int):
+            sys.stderr.write(f"{code}\n")
+            code = 1
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _write_failed("stdout", exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -401,11 +401,11 @@ def run_identity(
     pass_count = fail_count = 0
     first = None
     for bound in passes:
+        labels = {v.symbol: str(c) for v, c in bound.items()}
         for cell, (lhs, rhs, diff) in zip(cells, built):
-            record = dict(cell)
+            record = {**cell, **labels}
             if bound:
                 diff = diff.eval(bound)
-                record.update({v.symbol: str(c) for v, c in bound.items()})
             grid.append(record)
             if diff.is_zero():
                 pass_count += 1

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, deterministic output, round-trips."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
@@ -814,7 +815,115 @@ class TestFuzz:
         assert code in (0, 1, 2), (argv, err.getvalue())
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# block-buffered stdout, as perfbench's children have it, and a fixed help width
+CHILD_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": SRC,
+    "COLUMNS": "80",
+}
+ONE_LINE = ["series", "--gf", "deg-exp", "--order", "0"]
+FIVE_MB = ["table", "--kind", "deg-stirling2", "--n-max", "60", "--format", "json"]
+
+
+def run_child(argv, **kwargs):
+    """`python -m degenbell.cli` (argv) in a child, which exits through `run`."""
+    return subprocess.run(
+        [sys.executable, "-m", "degenbell.cli", *argv], env=CHILD_ENV, **kwargs
+    )
+
+
 class TestEntryPoint:
+    """`run` ends its process, so it is only ever exercised in a child."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["table", "--kind", "deg-stirling2", "--n-max", "3", "--format", "json"],
+            ["verify", "--id", "deg-vandermonde", "--n-max", "2"],
+            ["verify", "--id", "no-such-identity"],
+            ["table", "--kind", "deg-bell", "--n-max", "2", "--output", "missing/out.txt"],
+        ],
+        ids=["help", "json-table", "verify-text", "usage-error", "failed-output"],
+    )
+    def test_child_matches_in_process_main(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # where missing/ is missing, for both runs
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        proc = run_child(argv, capture_output=True, text=True, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
+
+    def test_teardown_is_skipped(self):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write('teardown ran\\n'))\n"
+            f"sys.argv = ['degenbell', *{ONE_LINE!r}]\n"
+            "runpy.run_module('degenbell.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0: 1\n", "")
+
+    @staticmethod
+    def _assert_failed_stdout(proc, strerror):
+        assert proc.returncode == 2
+        assert proc.stderr == f"degenbell: error: cannot write stdout: {strerror}\n"
+
+    @pytest.mark.parametrize("argv", [ONE_LINE, FIVE_MB], ids=["one-line", "5MB"])
+    def test_closed_pipe_exits_2_with_one_line(self, argv):
+        # one line fails at run's flush; 5 MB fails inside _emit's write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_child(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        self._assert_failed_stdout(proc, os.strerror(errno.EPIPE))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("argv", [ONE_LINE, FIVE_MB], ids=["one-line", "5MB"])
+    def test_full_device_exits_2_with_one_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = run_child(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        self._assert_failed_stdout(proc, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no /bin/sh here")
+    def test_closed_stdout_descriptor(self):
+        # started with fd 1 closed, Python has no sys.stdout at all
+        def with_fd1_closed(argv):
+            script = 'exec "$0" -m degenbell.cli "$@" >&-'
+            return subprocess.run(
+                ["/bin/sh", "-c", script, sys.executable, *argv],
+                stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+            )
+
+        self._assert_failed_stdout(with_fd1_closed(ONE_LINE), os.strerror(errno.EBADF))
+        # with no stdout, argparse writes --help to stderr, and that stays exit 0
+        proc = with_fd1_closed(["--help"])
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("usage: degenbell")
+
+    def test_failed_stdout_write_in_process_exits_2(self):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(FullStdout()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(ONE_LINE)
+        assert exc.value.code == 2
+        assert err.getvalue() == (
+            f"degenbell: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        )
+
     def test_import_loads_no_module_only_some_commands_use(self):
         # dataclasses pulls in inspect; csv and textwrap serve --format csv and long
         # lines; the JSON writer needs only the C escaper of _json, not json

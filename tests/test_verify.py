@@ -586,6 +586,20 @@ class TestDispatch:
         expected = len(spot_grid(identity)) * _cells_for(identity, 2, 2)
         assert len(report.grid) == expected
 
+    def test_spot_grid_records_are_cell_then_point_labels(self):
+        # the labels of a pass are built once and merged into a fresh record per cell
+        identity = Identity.DEG_BELL_SPIVEY
+        report = run_identity(identity, 2, 2, mode="rational")
+        cells = verify._SPECS[identity].cells(2, 2)
+        expected = [
+            {**cell, **{v.symbol: str(c) for v, c in point.items()}}
+            for point in spot_grid(identity)
+            for cell in cells
+        ]
+        assert list(report.grid) == expected
+        assert [list(r) for r in report.grid] == [list(r) for r in expected]
+        assert len({id(r) for r in report.grid}) == len(report.grid)
+
     def test_explicit_bindings(self):
         report = run_identity(
             Identity.DEG_BELL_SPIVEY, 2, 2, mode="rational", bindings={"l": "1/2", "x": 2}

@@ -64,7 +64,7 @@ _W = 32  # bits per exponent field
 _MASK = (1 << _W) - 1
 _SHIFT = (3 * _W, 2 * _W, _W, 0)  # where the exponent of l, x, y, t sits
 _VAR_KEY = tuple((1 << 4 * _W) - (1 << s) for s in _SHIFT)  # the key of each variable
-_L_KEYS = [0]  # entry d is the key of l^d, for every d that `Poly._from_l_coeffs` has met
+_L_KEYS = [0]  # entry d is the key of l^d, for every d that `_l_keys` has met
 MAX_DEGREE = 1 << (_W - 1)
 # The largest key of total degree at most MAX_DEGREE.  A key is D*2^(4w) - E
 # with 0 <= E <= D*2^(3w), and MAX_DEGREE < 2^w - 1, so a key exceeds it
@@ -89,6 +89,18 @@ def _pack(mono: tuple[int, int, int, int]) -> int:
     if key > _KEY_MAX:
         raise _past_range()
     return key
+
+
+def _l_keys(n: int) -> list[int]:
+    """The keys of l^0 .. l^(n-1) and maybe more, each int made once for the
+    process, so the S2_l entries built from rows share their key objects.
+    The list is extended by slice, so a racing extension rewrites equal keys
+    in place."""
+    keys = _L_KEYS
+    if n > (m := len(keys)):
+        step = _VAR_KEY[Var.LAMBDA]
+        keys[m:n] = range(m * step, n * step, step)
+    return keys
 
 
 def _unpack(key: int) -> tuple[int, int, int, int]:
@@ -165,14 +177,37 @@ class Poly:
 
     @classmethod
     def _from_l_coeffs(cls, coeffs: list[int]) -> "Poly":
-        # sum_d coeffs[d] * l^d from ints, zeros dropped.  The key of l^d, d
-        # times the key of l, is read from _L_KEYS; the list is extended by
-        # slice, so a racing extension rewrites equal keys in place
-        keys = _L_KEYS
-        if (n := len(coeffs)) > (m := len(keys)):
-            step = _VAR_KEY[Var.LAMBDA]
-            keys[m:n] = range(m * step, n * step, step)
-        return cls._trusted({k: c for k, c in zip(keys, coeffs) if c})
+        # sum_d coeffs[d] * l^d from ints, zeros dropped
+        return cls._trusted({k: c for k, c in zip(_l_keys(len(coeffs)), coeffs) if c})
+
+    @classmethod
+    def _from_l_rows(cls, rows, arg, weights=None) -> "Poly":
+        """sum_k weights[k] * rows[k](l) * arg^k, where rows[k] lists the int
+        coefficients of l^0, l^1, ... of entry k, weights are exact scalars
+        (all 1 when None) and arg is one term.
+
+        One term times l^d is one key, so the whole sum is one pass over the
+        rows with no product of polynomials.  ValueError for an arg of any
+        other size: the families are built at a monomial argument only.
+        """
+        p = cls._promote(arg)
+        if p is None or len(p._terms) != 1:
+            raise ValueError(f"not a one-term argument: {arg}")
+        ((key, c),) = p._terms.items()
+        keys = _l_keys(max(map(len, rows), default=0))
+        out: dict[int, Scalar] = {}
+        get = out.get
+        power = 1  # c^k
+        for k, row in enumerate(rows):
+            scale = power if weights is None else weights[k] * power
+            base = k * key
+            for l_key, v in zip(keys, row):
+                if v:
+                    # at base 0 the shared key object is stored, as in _from_l_coeffs
+                    d_key = l_key + base if base else l_key
+                    out[d_key] = get(d_key, 0) + scale * v
+            power *= c
+        return _stored(out)
 
     @classmethod
     def const(cls, c: Scalar | str) -> "Poly":
@@ -276,7 +311,7 @@ class Poly:
     def sum_of_products(products) -> "Poly":
         """The sum over ``products`` of the product of each tuple's factors.
 
-        A factor is a `Poly` or an exact scalar (int or Fraction).  The
+        A factor is a `Poly` or an exact scalar (int, bool or Fraction).  The
         scalars of a tuple fold into one coefficient; its `Poly` factors
         before the last are multiplied with ``*`` and the result times the
         last goes straight into one accumulating term map.  So a sum of
@@ -286,28 +321,33 @@ class Poly:
         out: dict[int, Scalar] = {}
         get = out.get
         for factors in products:
-            scale, polys = 1, []
+            scale, head, last = 1, None, None  # head: the product of the Polys before last
             for f in factors:
-                if isinstance(f, Poly):
-                    polys.append(f)
+                kind = type(f)
+                if kind is int or kind is Fraction:
+                    scale *= f
+                elif kind is Poly or isinstance(f, Poly):
+                    if last is not None:
+                        head = last if head is None else head * last
+                    last = f
                 elif isinstance(f, (int, Fraction)):
                     scale *= f
                 else:
                     raise TypeError(f"not a Poly or an exact scalar: {f!r}")
             if not scale:
                 continue
-            if not polys:
+            if last is None:
                 out[0] = get(0, 0) + scale
                 continue
-            last = polys.pop()._terms
-            if not polys:
-                for k, c in last.items():
-                    out[k] = get(k, 0) + scale * c
+            if head is None:
+                if scale == 1:
+                    for k, c in last._terms.items():
+                        out[k] = get(k, 0) + c
+                else:
+                    for k, c in last._terms.items():
+                        out[k] = get(k, 0) + scale * c
                 continue
-            head = polys[0]
-            for p in polys[1:]:
-                head = head * p
-            short, long = head._terms, last
+            short, long = head._terms, last._terms
             if len(short) > len(long):
                 short, long = long, short
             for k1, c1 in short.items():

@@ -57,8 +57,20 @@ def _bind_pair(text: str) -> tuple[Var, Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes through `_emit`, so a help that
+    cannot be written to stdout exits 2 as any other output does (argparse
+    would fall back to stderr, or drop a failed write)."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degenbell",
         description="Exact tables and identity checks for degenerate Bell/Fubini families.",
     )

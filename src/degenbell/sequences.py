@@ -16,14 +16,19 @@ parameter stays symbolic as the variable ``l``.  Definitions:
                                                  two-variable, order a
 
 Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
-w(k) = 1, (1)_{k,l} and <a>_k.  One helper, `_stirling_sum`, builds phi
-and F^(a); the two-variable family sums the order-a Fubini polynomials
-against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the polynomial
-arguments they are evaluated at (x and y when not given), so a value such
-as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its argument,
-never substituted into.  Every factorial (w)_{n,l}, (w)_n and <w>_n is
-read from one running list of prod_{i<n} (w + i*step) per (w, step), kept
-for the process and extended in a loop.  Each sum of products goes through
+w(k) = 1, (1)_{k,l} and <a>_k.  phi, Bel and F^(a) are built straight
+from a row of l-coefficients, of S2_l for phi and F^(a) and of
+U_l(n,k) = (1)_{k,l} S2_l(n,k) for Bel, by `Poly._from_l_rows`, with no
+product of polynomials; the two-variable family sums the order-a Fubini
+polynomials against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the
+polynomial arguments they are evaluated at (x and y when not given), so a
+value such as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its
+argument, never substituted into.  The argument x of Bel and F^(a) must
+be one term (x, t, 1, -l and -l*t are the ones used), since x^k times
+l^d is then one term; any other raises ValueError.  Every factorial
+(w)_{n,l}, (w)_n and <w>_n is read from one running list of
+prod_{i<n} (w + i*step) per (w, step), kept for the process and extended
+in a loop.  Each other sum of products goes through
 `Poly.sum_of_products`.
 
 S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
@@ -120,10 +125,9 @@ def unit_falling_factorial_deg(n: int) -> Poly:
 _STIRLING_DEG_ROWS: list[tuple[list[int], ...]] = [([1],)]
 
 
-def stirling2_deg(n: int, k: int) -> Poly:
-    """Degenerate Stirling number of the second kind, via the recurrence.
+def _stirling_row(n: int) -> tuple[list[int], ...]:
+    """Row n of S2_l, entry k the l-coefficients of S2_l(n, k); empty for n < 0.
 
-    Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
     The memoized rows are extended in a loop, never by recursion.  Row m is
     assigned to the slice at index m, so a racing extension rewrites an
     equal row where an append would add a second copy.
@@ -137,18 +141,21 @@ def stirling2_deg(n: int, k: int) -> Poly:
             for k in range(1, m + 1)
         )
         rows[m : m + 1] = [([0] * (m + 1), *step)]
-    return Poly._from_l_coeffs(rows[n][k]) if 0 <= k <= n else Poly.zero()
+    return rows[n] if n >= 0 else ()
 
 
-def _stirling_sum(n: int, weight: Callable[[int], Poly | Scalar], x: Poly = X) -> Poly:
-    """sum_k weight(k) S2_l(n,k) x^k, the shape of phi and F^(a)."""
-    return Poly.sum_of_products((weight(k), x**k, stirling2_deg(n, k)) for k in range(n + 1))
+def stirling2_deg(n: int, k: int) -> Poly:
+    """Degenerate Stirling number of the second kind, via the recurrence.
+
+    Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
+    """
+    return Poly._from_l_coeffs(_stirling_row(n)[k]) if 0 <= k <= n else Poly.zero()
 
 
 @cache
 def bell_deg(n: int) -> Poly:
-    """Degenerate Bell polynomial phi_{n,l}(x)."""
-    return _stirling_sum(n, lambda k: 1)
+    """Degenerate Bell polynomial phi_{n,l}(x) = sum_k S2_l(n,k) x^k."""
+    return Poly._from_l_rows(_stirling_row(n), X)
 
 
 # The top row n >= 1 of U_l(n, k) = (1)_{k,l} S2_l(n, k): entry k - 1 holds the
@@ -180,18 +187,18 @@ def _unit_row(n: int) -> tuple[list[int], ...]:
 
 @cache
 def bell_fully_deg(n: int, x: Poly = X) -> Poly:
-    """Fully degenerate Bell polynomial Bel_{n,l}(x) = sum_k U_l(n,k) x^k, at the argument x."""
-    if n < 1:
-        return ONE if n == 0 else Poly.zero()
-    row = _unit_row(n)
-    return Poly.sum_of_products((x**k, Poly._from_l_coeffs(u)) for k, u in enumerate(row, 1))
+    """Fully degenerate Bell polynomial Bel_{n,l}(x) = sum_k U_l(n,k) x^k, at the
+    one-term argument x (ValueError for any other)."""
+    rows = ([], *_unit_row(n)) if n > 0 else ([1],) if n == 0 else ()
+    return Poly._from_l_rows(rows, x)
 
 
 def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
     """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
 
     alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
-    Both spellings of alpha = 1 share one memo entry, keyed (n, alpha, x).
+    x must be one term (ValueError otherwise).  Both spellings of alpha = 1
+    share one memo entry, keyed (n, alpha, x).
     """
     return _fubini_deg(n, alpha, x)
 
@@ -199,7 +206,7 @@ def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
 @cache
 def _fubini_deg(n: int, alpha: int, x: Poly) -> Poly:
     rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
-    return _stirling_sum(n, rising.__getitem__, x)
+    return Poly._from_l_rows(_stirling_row(n), x, rising)
 
 
 @cache

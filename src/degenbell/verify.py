@@ -6,42 +6,50 @@ check is exact symbolic equality of both sides as `Poly` values.  Rational
 mode is a view of the same exact sides at rational points, not an
 independent route: it checks strictly less than symbolic mode.
 
-Seven of the checked identities are Spivey-type, and one double sum,
+Seven of the checked identities are Spivey-type, and one sum,
 `_spivey_sides`, builds both sides of each of them:
 
     B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
 
 Its inner factor is a binomial convolution G(., k, m) = A_k <*> Y_{k,m},
-where (a <*> b)(n) = sum_i C(n,i) a(i) b(n-i).  The convolution is
-associative, so the sum is taken as
+where (a <*> b)(n) = sum_i C(n,i) a(i) b(n-i), the factorisation
+D^m B(u) = sum_k W(m,k) B(u) A_k(u) e_l^{k-m*l}(u) of the generating
+functions.  Since e_l^{k-m*l}(u) = e_l^k(u) (1 + l*u)^{-m}, the degenerate
+tail splits as Y_{k,m} = T_k <*> P_m, with T_k(j) = (k)_{j,l} and the
+one-term shift P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r (deg-vandermonde
+at x = k, y = -m*l).  The convolution is associative and commutative, so
+the sum is taken as
 
-    B_{n+m} = sum_{k<=m} W(m,k) sum_{i<=n} C(n,i) H_k(i) Y_{k,m}(n-i),
-    H_k = B <*> A_k,
+    B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
+    Q_m = sum_{k<=m} W(m,k) K_k,   K_k = H_k <*> T_k,   H_k = B <*> A_k,
 
-the factorisation D^m B(u) = sum_k W(m,k) B(u) A_k(u) e_l^{k-m*l}(u) of
-the generating functions.  An identity is the choice of four parts: the
-outer family B, the weight W, the head A_k and the tail Y_{k,m}.  With
-S2_l / phi / Bel / F as in `sequences` and S, phi_j, F_j their classical
-(l = 0) forms from `classical` (a head "-" is the unit, so H_k = B):
+in which only the weights depend on m.  A classical tail k^j has no
+shift, so its right side is Q_m(n).  An identity is the choice of five
+parts: the outer family B, the weight W, the head A_k, the tail T_k and
+the shift P_m.  With S2_l / phi / Bel / F as in `sequences` and S, phi_j,
+F_j their classical (l = 0) forms from `classical` (a head "-" is the
+unit, so H_k = B, and a shift "-" is none):
 
-  identity             B_j           W(m, k)                  A_k(j)             Y_{k,m}(j)
-  spivey-bell          phi_j(1)      S(m,k)                   -                  k^j
-  spivey-bell-poly     phi_j(x)      S(m,k) x^k               -                  k^j
-  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            -                  (k - m*l)_{j,l}
-  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l)    (k - m*l)_{j,l}
-  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t)  (k - m*l)_{j,l}
-  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t)     (k - m*l)_{j,l}
-  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t)         k^j
+  identity             B_j           W(m, k)                  A_k(j)             T_k(j)     P_m(r)
+  spivey-bell          phi_j(1)      S(m,k)                   -                  k^j        -
+  spivey-bell-poly     phi_j(x)      S(m,k) x^k               -                  k^j        -
+  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            -                  (k)_{j,l}  (-m*l)_{r,l}
+  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l)    (k)_{j,l}  (-m*l)_{r,l}
+  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t)  (k)_{j,l}  (-m*l)_{r,l}
+  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t)     (k)_{j,l}  (-m*l)_{r,l}
+  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t)         k^j        -
 
 Each family in the table is built at its argument by its own builder, the
 one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
 F^(k)_{j,l}(-l*t) is ``fubini_deg(j, k, -LAM * T)``.  Each H_k(i) is
-built once per (i, k) and read by every m, and each W(m, k) once per
-(m, k), in two module-level memos.  Each tail (k - m*l)_{j,l} is a plain
-``falling_factorial_deg`` call, which reads the one running list per
-k - m*l that four identities share.  Only fubini-spivey's classical head,
-the independent classical route, substitutes (y = 0, then x -> t), once
-per (j, k).
+built once per (i, k), each K_k(s) once per (s, k), each Q_m(s) once per
+(m, s) and each W(m, k) once per (m, k), in module-level memos whose keys
+name one identity's parts; `run_identity` clears them when it returns.
+Each tail (k)_{j,l} is a ``falling_factorial_deg`` call, made once per
+(j, k), which reads the one running list of each k that four identities
+share, and each shift P_m(r) is built once per (r, m).  Only
+fubini-spivey's classical head, the independent classical route,
+substitutes (y = 0, then x -> t), once per (j, k).
 
 The other three have builders of their own:
 
@@ -54,10 +62,11 @@ Each identity has one entry in a registry: its grid cells, its side
 builder, the variables its sides contain (all swept by its rational spot
 grid, except x of fubini-x-zero) and its named mutations.  A mutation is data: it swaps one part of the side builder.
 ``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
-``unshifted-y-arg`` replaces Y of deg-fubini-spivey by (k)_{j,l}, so that
-its G becomes F^(k)_{j,l}(t, k).
+``unshifted-y-arg`` drops the shift P of deg-fubini-spivey, so that its
+tail is (k)_{j,l} and its G becomes F^(k)_{j,l}(t, k).
 `run_identity` is the single entry point.  It builds each cell's sides
-once and their difference lhs - rhs once.  Bindings given to it are
+once and keeps only their difference lhs - rhs; the sides of the first
+counterexample are built again for its report.  Bindings given to it are
 evaluated in either mode; without them, ``rational`` mode evaluates the
 difference at every point of `spot_grid` and ``symbolic`` mode compares
 the exact polynomials.  A point where a nonzero difference vanishes
@@ -78,7 +87,7 @@ import itertools
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial
+from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -146,26 +155,42 @@ Bindings = dict[Var, Fraction]
 # -- the Spivey-type double sum and its parts ----------------------------------
 
 
-def _spivey_sides(n: int, m: int, outer, weight, head, tail):
-    """Both sides of B_{n+m} = sum_{k<=m} W(m,k) sum_{i<=n} C(n,i) H_k(i) Y_{k,m}(n-i).
+def _spivey_sides(n: int, m: int, outer, weight, head, tail, shift):
+    """Both sides of B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r).
 
     The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k),
-    ``head(j, k)`` = A_k(j) and ``tail(j, k, m)`` = Y_{k,m}(j); a head of
-    None is the unit, so H_k = B.  W and H_k are read from `_weight` and
-    `_head_sum`, so each is built once for every cell that reads it.  W
-    multiplies the inner sum over i once per k, and a k whose weight is
-    zero is skipped.  Both sums go through `Poly.sum_of_products`, which
-    takes int parts (the classical numbers) as scalars.
+    ``head(j, k)`` = A_k(j), ``tail(j, k)`` = T_k(j) and ``shift(r, m)`` =
+    P_m(r); a head of None is the unit, so H_k = B, and a shift of None
+    is the unit, so the right side is Q_m(n).  Q_m is read from
+    `_weighted_sum`, so each Q_m(s) is built once for every cell that reads
+    it.  The sum goes through `Poly.sum_of_products`, which takes int parts
+    (the classical numbers) as scalars.
     """
-    h = (lambda i, k: outer(i)) if head is None else partial(_head_sum, outer, head)
-    weighted = []  # (W(m,k), the inner sum over i) per k
-    for k in range(m, -1, -1):
-        w = _weight(weight, m, k)
-        if w != 0:
-            terms = ((comb(n, i), h(i, k), tail(n - i, k, m)) for i in range(n, -1, -1))
-            weighted.append((w, Poly.sum_of_products(terms)))
+    q = partial(_weighted_sum, outer, weight, head, tail, m)
+    if shift is None:
+        rhs = q(n)
+    else:
+        rhs = Poly.sum_of_products((comb(n, r), shift(r, m), q(n - r)) for r in range(n, -1, -1))
     # adding the zero polynomial makes an int side a Poly
-    return outer(n + m) + Poly.zero(), Poly.sum_of_products(weighted)
+    return outer(n + m) + Poly.zero(), rhs
+
+
+@cache
+def _weighted_sum(outer, weight, head, tail, m: int, s: int) -> Poly:
+    """Q_m(s) = sum_{k<=m} W(m,k) K_k(s), built once per (m, s).  A zero
+    weight, W(m, 0) for m > 0, adds nothing, and its K_0(s) is the one m = 0
+    reads."""
+    return Poly.sum_of_products(
+        (_weight(weight, m, k), _tail_sum(outer, head, tail, s, k)) for k in range(m, -1, -1)
+    )
+
+
+@cache
+def _tail_sum(outer, head, tail, s: int, k: int) -> Poly:
+    """K_k(s) = sum_{i<=s} C(s,i) H_k(i) T_k(s-i), built once per (s, k) and
+    shared by every m."""
+    h = (lambda i, k: outer(i)) if head is None else partial(_head_sum, outer, head)
+    return Poly.sum_of_products((comb(s, i), h(i, k), tail(s - i, k)) for i in range(s, -1, -1))
 
 
 @cache
@@ -176,17 +201,13 @@ def _weight(weight, m: int, k: int) -> Poly | int:
 
 @cache
 def _head_sum(outer, head, i: int, k: int) -> Poly:
-    """H_k(i) = sum_{l<=i} C(i,l) B_l A_k(i-l), built once per (outer, head, i, k)
-    and shared by every m."""
+    """H_k(i) = sum_{l<=i} C(i,l) B_l A_k(i-l), built once per (outer, head, i, k)."""
     return Poly.sum_of_products((comb(i, l), outer(l), head(i - l, k)) for l in range(i, -1, -1))
 
 
-@cache
-def _shift(k: int, m: int) -> Poly:
-    """k - m*l, the shifted argument of the degenerate tails (memoized, so the
-    memo keys built from it, running lists included, hash once)."""
-    return Poly.const(k) - m * LAM
-
+# The memos of the Spivey sums.  Their keys name one identity's parts, so no
+# other identity reads them, and `run_identity` clears them when it returns.
+_SPIVEY_MEMOS = (_weighted_sum, _tail_sum, _weight, _head_sum)
 
 # the arguments of the fully degenerate heads, one object each, so the
 # fubini_deg memo keys hash once
@@ -200,9 +221,17 @@ def _classical_head(j: int, k: int) -> Poly:
     return classical.two_var_fubini_poly(j, k).eval({Var.Y: 0}).substitute(Var.X, T)
 
 
-def _shifted_tail(j: int, k: int, m: int) -> Poly:
-    """Y_{k,m}(j) = (k - m*l)_{j,l}."""
-    return falling_factorial_deg(_shift(k, m), j)
+@cache
+def _deg_tail(j: int, k: int) -> Poly:
+    """T_k(j) = (k)_{j,l}, read once per (j, k) from the one running list of
+    each k."""
+    return falling_factorial_deg(k, j)
+
+
+@cache
+def _deg_shift(r: int, m: int) -> Poly:
+    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, one term, built once per (r, m)."""
+    return _NEG_LAM**r * prod(range(m, m + r))
 
 
 # -- the other identities' builders --------------------------------------------
@@ -261,11 +290,13 @@ def _fubini_x_zero_cells(n_max: int, alpha_max: int):
     ]
 
 
-def _spivey(spot_vars, outer, weight, tail, head=None, **fields) -> _Spec:
-    """A Spivey-type identity from its parts B (outer), W (weight), Y (tail) and
-    A (head, None for the unit); further `_Spec` fields (its mutations) pass
-    through."""
-    sides = partial(_spivey_sides, outer=outer, weight=weight, head=head, tail=tail)
+def _spivey(spot_vars, outer, weight, tail, head=None, shift=None, **fields) -> _Spec:
+    """A Spivey-type identity from its parts B (outer), W (weight), T (tail),
+    A (head, None for the unit) and P (shift, None for the unit); further
+    `_Spec` fields (its mutations) pass through."""
+    sides = partial(
+        _spivey_sides, outer=outer, weight=weight, head=head, tail=tail, shift=shift
+    )
     return _Spec(_nm_cells, sides, spot_vars, **fields)
 
 
@@ -277,26 +308,28 @@ _SPECS = {
         (),
         outer=lambda j: classical.bell_number(j),
         weight=lambda m, k: classical.stirling2(m, k),
-        tail=lambda j, k, m: k**j,
+        tail=lambda j, k: k**j,
     ),
     Identity.SPIVEY_BELL_POLY: _spivey(
         (Var.X,),
         outer=lambda j: classical.bell_poly(j),
         weight=lambda m, k: classical.stirling2(m, k) * X**k,
-        tail=lambda j, k, m: k**j,
+        tail=lambda j, k: k**j,
     ),
     Identity.DEG_BELL_SPIVEY: _spivey(
         (Var.LAMBDA, Var.X),
         outer=lambda j: bell_deg(j),
         weight=lambda m, k: stirling2_deg(m, k) * X**k,
-        tail=_shifted_tail,
+        tail=_deg_tail,
+        shift=_deg_shift,
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),
         outer=lambda j: bell_fully_deg(j, ONE),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
         head=lambda j, k: fubini_deg(j, k, _NEG_LAM),
-        tail=_shifted_tail,
+        tail=_deg_tail,
+        shift=_deg_shift,
         mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
     ),
     Identity.FULLY_DEG_BELL_POLY: _spivey(
@@ -304,22 +337,24 @@ _SPECS = {
         outer=lambda j: bell_fully_deg(j, T),
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
         head=lambda j, k: fubini_deg(j, k, _NEG_LAM_T),
-        tail=_shifted_tail,
+        tail=_deg_tail,
+        shift=_deg_shift,
     ),
     Identity.DEG_FUBINI_SPIVEY: _spivey(
         (Var.LAMBDA, Var.T),
         outer=lambda j: fubini_deg(j, 1, T),
         weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
         head=lambda j, k: fubini_deg(j, k, T),
-        tail=_shifted_tail,
-        mutations={"unshifted-y-arg": {"tail": lambda j, k, m: _shifted_tail(j, k, 0)}},
+        tail=_deg_tail,
+        shift=_deg_shift,
+        mutations={"unshifted-y-arg": {"shift": None}},
     ),
     Identity.FUBINI_SPIVEY: _spivey(
         (Var.T,),
         outer=lambda j: classical.fubini_poly(j, T),
         weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
         head=_classical_head,
-        tail=lambda j, k, m: k**j,
+        tail=lambda j, k: k**j,
     ),
     Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
     Identity.EXP_SPLITTING: _Spec(_jk_cells, lambda j, k: exp_splitting_sides(j, k), (Var.LAMBDA,)),
@@ -359,10 +394,11 @@ def run_identity(
     Given bindings are evaluated in either mode; their values go through
     `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
     mode sweeps the identity's `spot_grid` and symbolic mode compares the
-    exact polynomials.  Each cell's sides and their difference are built
-    once for all passes; a pass evaluates only the difference, and a cell
-    passes where it is zero.  The sides themselves are evaluated only for
-    the first counterexample, which reports them, not their difference.
+    exact polynomials.  Each cell's sides are built once and only their
+    difference is kept for all passes; a pass evaluates only the difference,
+    and a cell passes where it is zero.  The sides of the first
+    counterexample are built again and evaluated for its report.  The
+    Spivey memos are cleared on return.
     The two bounds bound (j, k) for exp-splitting and (n, alpha) for
     fubini-x-zero, and a negative bound raises ValueError.  ``corrupt``
     names one of the identity's mutations, which must make the check fail.
@@ -392,25 +428,30 @@ def run_identity(
         passes = [{}]
 
     cells = spec.cells(n_max, m_max)
-    built = []
-    for cell in cells:
-        lhs, rhs = sides(**cell)
-        # equal sides, the common case, cost no subtraction
-        built.append((lhs, rhs, ZERO if lhs == rhs else lhs - rhs))
-    grid = []
-    pass_count = fail_count = 0
-    first = None
-    for bound in passes:
-        labels = {v.symbol: str(c) for v, c in bound.items()}
-        for cell, (lhs, rhs, diff) in zip(cells, built):
-            record = {**cell, **labels}
-            if bound:
-                diff = diff.eval(bound)
-            grid.append(record)
-            if diff.is_zero():
-                pass_count += 1
-            else:
-                fail_count += 1
-                if first is None:
-                    first = Counterexample(record, lhs.eval(bound), rhs.eval(bound))
+    try:
+        diffs = []
+        for cell in cells:
+            lhs, rhs = sides(**cell)
+            # equal sides, the common case, cost no subtraction
+            diffs.append(ZERO if lhs == rhs else lhs - rhs)
+        grid = []
+        pass_count = fail_count = 0
+        first = None
+        for bound in passes:
+            labels = {v.symbol: str(c) for v, c in bound.items()}
+            for cell, diff in zip(cells, diffs):
+                record = {**cell, **labels}
+                if bound:
+                    diff = diff.eval(bound)
+                grid.append(record)
+                if diff.is_zero():
+                    pass_count += 1
+                else:
+                    fail_count += 1
+                    if first is None:
+                        lhs, rhs = sides(**cell)
+                        first = Counterexample(record, lhs.eval(bound), rhs.eval(bound))
+    finally:
+        for memo in _SPIVEY_MEMOS:
+            memo.cache_clear()
     return VerifyReport(identity, tuple(grid), pass_count, fail_count, first)

@@ -904,11 +904,10 @@ class TestEntryPoint:
                 stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
             )
 
-        self._assert_failed_stdout(with_fd1_closed(ONE_LINE), os.strerror(errno.EBADF))
-        # with no stdout, argparse writes --help to stderr, and that stays exit 0
-        proc = with_fd1_closed(["--help"])
-        assert proc.returncode == 0
-        assert proc.stderr.startswith("usage: degenbell")
+        # a help, top-level or a subcommand's, is stdout output too: argparse
+        # alone would print it to stderr and exit 0
+        for argv in (ONE_LINE, ["--help"], ["table", "--help"]):
+            self._assert_failed_stdout(with_fd1_closed(argv), os.strerror(errno.EBADF))
 
     def test_failed_stdout_write_in_process_exits_2(self):
         class FullStdout(io.StringIO):

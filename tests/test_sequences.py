@@ -443,6 +443,22 @@ class TestFamiliesAtArguments:
                     expected = plain.substitute(Var.Y, y_arg)
                     assert fubini_two_var_alpha(j, k, x_arg, y_arg) == expected
 
+    @pytest.mark.parametrize("x_arg", [X + T, ONE - LAM, ZERO], ids=["x+t", "1-l", "zero"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: bell_fully_deg(3, x),
+            lambda x: bell_fully_deg(0, x),
+            lambda x: fubini_deg(3, 2, x),
+            lambda x: fubini_two_var_alpha(3, 1, x),
+        ],
+        ids=["bell", "bell-0", "fubini", "two-var"],
+    )
+    def test_argument_of_other_than_one_term_rejected(self, build, x_arg):
+        # a family is built from its rows at a one-term argument only
+        with pytest.raises(ValueError, match="one-term argument"):
+            build(x_arg)
+
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_classical_fubini_poly(self, x_arg):
         for j in range(7):

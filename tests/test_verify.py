@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -416,22 +417,21 @@ class TestSharedMemos:
     N = 4
 
     def test_one_falling_list_per_shifted_argument(self):
-        shifted = {Poly.const(k) - m * LAM for k, m in _weighted_km(self.N)}
-        # each alone reads one list per shifted argument; fully-deg-bell also (1)_{k,l}
-        runs = ((Identity.DEG_BELL_SPIVEY, set()), (Identity.FULLY_DEG_BELL, {ONE}))
-        for identity, extra in runs:
+        # the tail (k - m*l)_{j,l} is split into (k)_{j-r,l} and the one-term
+        # shift (-m*l)_{r,l}, so the lists read are one per k, none per k - m*l;
+        # k = 1 is (1)_{.,l}, which fully-deg-bell's weights read too
+        bases = {Poly.const(k) for k, _ in _weighted_km(self.N)}
+        for identity in (Identity.DEG_BELL_SPIVEY, Identity.FULLY_DEG_BELL):
             _clear_memos()
             assert run_identity(identity, self.N, self.N).ok
-            assert _running.cache_info().currsize == len(shifted | extra)
+            assert _running.cache_info().currsize == len(bases)
         # run after fully-deg-bell, deg-bell-spivey finds every list it reads
         assert run_identity(Identity.DEG_BELL_SPIVEY, self.N, self.N).ok
         info = _running.cache_info()
-        assert info.misses == info.currsize == len(shifted | {ONE})
-        for arg in shifted:  # (k - m*l)_{j,l} for j <= n_max, extended as far as read
-            assert len(_running(arg, _DEG_STEP)) == self.N + 1
-        # (1)_{k,l} only as far as the weights read it, k <= m_max: Bel_{n+m,l}(1)
-        # comes from the rows of U_l(n,k) = (1)_{k,l} S2_l(n,k), not from this list
-        assert len(_running(ONE, _DEG_STEP)) == self.N + 1
+        assert info.misses == info.currsize == len(bases)
+        # (k)_{j,l} for j <= n_max, and (1)_{k,l} for k <= m_max, as far as read
+        for base in bases:
+            assert len(_running(base, _DEG_STEP)) == self.N + 1
         assert _running.cache_info().misses == info.misses
 
     def test_classical_head_substituted_once_per_jk(self, monkeypatch):
@@ -453,19 +453,38 @@ class TestSharedMemos:
         assert calls == [Var.X] * len(pairs)
 
     @pytest.mark.parametrize("identity", HEAD_IDENTITIES)
-    def test_head_sum_built_once_per_ik_and_shared_over_m(self, identity):
+    def test_head_sum_built_once_per_ik_and_shared_over_m(self, identity, monkeypatch):
+        # counted inside one run, whose memos are otherwise cleared on return
+        monkeypatch.setattr(verify, "_SPIVEY_MEMOS", ())
         _clear_memos()
         assert run_identity(identity, self.N, self.N).ok
         weighted = _weighted_km(self.N)
-        pairs = {(i, k) for k, _ in weighted for i in range(self.N + 1)}
-        # each cell (n, m) reads H_k(i) for i <= n and every k of nonzero weight
-        reads = len(weighted) * sum(n + 1 for n in range(self.N + 1))
-        info = _head_sum.cache_info()
-        assert info.misses == info.currsize == len(pairs)
-        assert info.hits == reads - len(pairs) > 0
+        ks = {k for k, _ in weighted}
+        grid = range(self.N + 1)
+        # K_k(s) reads H_k(i) for i <= s; Q_m(s) reads K_k(s) for k <= m;
+        # cell (n, m) reads Q_m(s) for s <= n, or Q_m(n) alone when the
+        # identity has no shift
+        shifted = _SPECS[identity].sides.keywords["shift"] is not None
+        q_reads = sum(n + 1 for n in grid) if shifted else self.N + 1
+        expected = {
+            verify._head_sum: (len(ks) * (self.N + 1), len(ks) * sum(s + 1 for s in grid)),
+            verify._tail_sum: (len(ks) * (self.N + 1), sum(m + 1 for m in grid) * (self.N + 1)),
+            verify._weighted_sum: ((self.N + 1) ** 2, (self.N + 1) * q_reads),
+        }
+        for memo, (built, reads) in expected.items():
+            info = memo.cache_info()
+            assert info.misses == info.currsize == built, memo
+            assert info.hits == reads - built, memo
+        # H_k(i) and K_k(s) are shared, by every s and every m
+        assert all(memo.cache_info().hits for memo in (verify._head_sum, verify._tail_sum))
+        monkeypatch.undo()
+        assert run_identity(identity, self.N, self.N).ok
+        assert all(memo.cache_info().currsize == 0 for memo in verify._SPIVEY_MEMOS)
 
     @pytest.mark.parametrize("identity", UNIT_HEAD_IDENTITIES)
-    def test_unit_head_reads_outer_family_directly(self, identity):
+    def test_unit_head_reads_outer_family_directly(self, identity, monkeypatch):
+        # kept through the run, or its clearing would pass this for any identity
+        monkeypatch.setattr(verify, "_SPIVEY_MEMOS", ())
         _clear_memos()
         assert run_identity(identity, self.N, self.N).ok
         assert _head_sum.cache_info().currsize == 0
@@ -487,6 +506,71 @@ class TestSharedMemos:
         expected = [(m, k) for m in range(self.N + 1) for k in range(m + 1)]
         assert sorted(built) == expected
         assert _weight.cache_info().currsize == len(expected)
+
+
+class TestScopedMemos:
+    """The Spivey memos (H, K, Q and W) live for one `run_identity` call, and
+    a run keeps each cell's difference, not its sides."""
+
+    N = 4
+
+    def test_identity_memory_from_cold_memos(self):
+        # the peak holds one identity's sums; what stays is the shared family
+        # memos and the report, about 0.8 MiB when H and every cell's sides
+        # outlived the run
+        _clear_memos()
+        tracemalloc.start()
+        try:
+            assert run_identity(Identity.FULLY_DEG_BELL_POLY, 8, 8).ok
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 2**20
+        assert held < 0.55 * 2**20
+
+    @pytest.mark.parametrize("mode", ["symbolic", "rational"])
+    @pytest.mark.parametrize(
+        "identity,mutation",
+        [
+            (Identity.FULLY_DEG_BELL, "drop-unit-weight"),
+            (Identity.DEG_FUBINI_SPIVEY, "unshifted-y-arg"),
+        ],
+    )
+    def test_no_memo_left_after_failing_run(self, identity, mutation, mode, monkeypatch):
+        spec = _SPECS[identity]
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs)
+            return spec.sides(**kwargs)
+
+        monkeypatch.setitem(verify._SPECS, identity, spec._replace(sides=counted))
+        report = run_identity(identity, self.N, self.N, mode=mode, corrupt=mutation)
+        ce = report.first_counterexample
+        assert ce is not None
+        # each cell's sides once, then the first failing cell's again for its report
+        cells = spec.cells(self.N, self.N)
+        assert len(built) == len(cells) + 1
+        cell = {key: ce.bindings[key] for key in cells[0]}
+        assert built[-1] == {**cell, **spec.mutations[mutation]}
+        assert all(memo.cache_info().currsize == 0 for memo in verify._SPIVEY_MEMOS)
+
+    def test_unshifted_y_arg_drops_the_shift(self):
+        # without the shift (-m*l)_{r,l} the tail is (k)_{j,l}, so the inner
+        # factor is F^(k)_{j,l}(t, k); the report's pinned counts and digests
+        # (TestMutationDetection, TestRationalPointSemantics) are unchanged
+        spec = _SPECS[Identity.DEG_FUBINI_SPIVEY]
+        assert spec.mutations == {"unshifted-y-arg": {"shift": None}}
+        outer, weight, _ = SPIVEY_PARTS[Identity.DEG_FUBINI_SPIVEY.value]
+        for m in range(self.N + 1):
+            for n in range(self.N + 1):
+                expected = sum(
+                    comb(n, j) * weight(m, k) * outer(j)
+                    * fubini_two_var_alpha(n - j, k, T, Poly.const(k))
+                    for k in range(m + 1)
+                    for j in range(n + 1)
+                )
+                assert spec.sides(n=n, m=m, shift=None)[1] == expected, (n, m)
 
 
 class TestRationalPointSemantics:

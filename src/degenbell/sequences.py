@@ -20,12 +20,12 @@ w(k) = 1, (1)_{k,l} and <a>_k.  phi, Bel and F^(a) are built straight
 from a row of l-coefficients, of S2_l for phi and F^(a) and of
 U_l(n,k) = (1)_{k,l} S2_l(n,k) for Bel, by `Poly._from_l_rows`, with no
 product of polynomials; the two-variable family sums the order-a Fubini
-polynomials against (y)_{n-j,l}.  Bel, F^(a) and F^(a)(x,y) take the
-polynomial arguments they are evaluated at (x and y when not given), so a
-value such as Bel_{n,l}(t) or F^(k)_{n,l}(-l*t, k - m*l) is built at its
-argument, never substituted into.  The argument x of Bel and F^(a) must
-be one term (x, t, 1, -l and -l*t are the ones used), since x^k times
-l^d is then one term; any other raises ValueError.  Every factorial
+polynomials against (y)_{n-j,l}.  Bel and F^(a) take the polynomial
+argument they are evaluated at (x when not given), so a value such as
+Bel_{n,l}(t) or F^(k)_{n,l}(-l*t) is built at its argument, never
+substituted into.  That argument must be one term (x, t, 1, -l and -l*t
+are the ones used), since x^k times l^d is then one term; any other
+raises ValueError.  Every factorial
 (w)_{n,l}, (w)_n and <w>_n is read from one running list of
 prod_{i<n} (w + i*step) per (w, step), kept for the process and extended
 in a loop.  Each other sum of products goes through
@@ -210,14 +210,13 @@ def _fubini_deg(n: int, alpha: int, x: Poly) -> Poly:
 
 
 @cache
-def fubini_two_var_alpha(n: int, alpha: int, x: Poly = X, y: Poly = Y) -> Poly:
+def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     """Two-variable degenerate Fubini polynomial of nonnegative integer order,
-    F^(alpha)_{n,l}(x, y) at the arguments x and y."""
+    F^(alpha)_{n,l}(x, y)."""
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
     return Poly.sum_of_products(
-        (comb(n, j), fubini_deg(j, alpha, x), falling_factorial_deg(y, n - j))
-        for j in range(n + 1)
+        (comb(n, j), fubini_deg(j, alpha), falling_factorial_deg(Y, n - j)) for j in range(n + 1)
     )
 
 
@@ -265,9 +264,12 @@ class _Kind(NamedTuple):
     ordered: bool = False  # takes an order alpha, 1 when not given
 
     def order(self, alpha: int | None) -> int | None:
-        """alpha for this kind's entries; ValueError if given to a kind without an order."""
+        """alpha for this kind's entries; ValueError if given to a kind without an
+        order, or if negative."""
         if alpha is not None and not self.ordered:
             raise ValueError(f"alpha applies only to kinds with an order, not {self.name}")
+        if alpha is not None and alpha < 0:
+            raise ValueError("alpha must be nonnegative")
         return (1 if alpha is None else alpha) if self.ordered else None
 
 
@@ -308,8 +310,9 @@ LIMIT_KINDS = tuple(name for name in KINDS if KINDS[name].limit)
 
 def _table(kind: _Kind, n_max: int, k_max: int | None, alpha: int | None) -> SeqTable:
     """kind's entries in index order: (n, k) up to k_max if triangular, else (n,)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    for name, bound in (("n_max", n_max), ("k_max", k_max)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be nonnegative")
     bounds: dict = {"n_max": n_max}
     if kind.triangular:
         top = n_max if k_max is None else k_max
@@ -332,7 +335,8 @@ def build_table(
 
     k_max caps the column index of triangular kinds and alpha is the
     order of two-var-deg-fubini (1 when not given); giving either to a
-    kind it does not apply to raises ValueError.
+    kind it does not apply to raises ValueError, as does a negative bound
+    or order.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown table kind {kind!r}")

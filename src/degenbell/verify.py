@@ -6,8 +6,8 @@ check is exact symbolic equality of both sides as `Poly` values.  Rational
 mode is a view of the same exact sides at rational points, not an
 independent route: it checks strictly less than symbolic mode.
 
-Seven of the checked identities are Spivey-type, and one sum,
-`_spivey_sides`, builds both sides of each of them:
+Seven of the checked identities are Spivey-type, and one generator,
+`_spivey_grid`, builds both sides of every cell of each of them:
 
     B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
 
@@ -41,39 +41,41 @@ unit, so H_k = B, and a shift "-" is none):
 
 Each family in the table is built at its argument by its own builder, the
 one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
-F^(k)_{j,l}(-l*t) is ``fubini_deg(j, k, -LAM * T)``.  Each H_k(i) is
-built once per (i, k), each K_k(s) once per (s, k), each Q_m(s) once per
-(m, s) and each W(m, k) once per (m, k), in module-level memos whose keys
-name one identity's parts; `run_identity` clears them when it returns.
-Each tail (k)_{j,l} is a ``falling_factorial_deg`` call, made once per
-(j, k), which reads the one running list of each k that four identities
-share, and each shift P_m(r) is built once per (r, m).  Only
-fubini-spivey's classical head, the independent classical route,
-substitutes (y = 0, then x -> t), once per (j, k).
+F^(k)_{j,l}(-l*t) is ``fubini_deg(j, k, -LAM * T)``.  One grid pass reads
+each B_j, A_k(j), T_k(j), W(m, k) and P_m(r) once, into local lists, and
+builds each H_k(i), K_k(s) and Q_m(s) once.  The grid runs m outer, so
+K_m is built when m is reached and kept to the end of the pass, and the
+Q_m(s) of one m are dropped when its cells are done.  Nothing outlives
+the pass but what the family builders keep themselves: each tail
+(k)_{j,l} is a ``falling_factorial_deg`` call, which reads the one running
+list of each k that four identities share.  Only fubini-spivey's
+classical head, the independent classical route, substitutes (y = 0,
+then x -> t), once per (j, k).
 
-The other three have builders of their own:
+The other three have grids of their own:
 
   deg-vandermonde  (x+y)_{n,l} = sum_j C(n,j) (x)_{j,l} (y)_{n-j,l}
   exp-splitting    e_l(u+v) = e_l(u) e_l(v / (1 + l*u)), per bivariate EGF entry (j, k)
   fubini-x-zero    F^(a)_{n,l}(0, y) = (y)_{n,l}  and
                    F^(a)_{n,l}(x, 0) = sum_k <a>_k S2_l(n,k) x^k
 
-Each identity has one entry in a registry: its grid cells, its side
-builder, the variables its sides contain (all swept by its rational spot
-grid, except x of fubini-x-zero) and its named mutations.  A mutation is data: it swaps one part of the side builder.
+Each identity has one entry in a registry: its grid, which yields each
+cell with its two sides, the variables its sides contain (all swept by
+its rational spot grid, except x of fubini-x-zero) and its named
+mutations.  A mutation is data: it swaps one part of the grid.
 ``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
 ``unshifted-y-arg`` drops the shift P of deg-fubini-spivey, so that its
 tail is (k)_{j,l} and its G becomes F^(k)_{j,l}(t, k).
-`run_identity` is the single entry point.  It builds each cell's sides
-once and keeps only their difference lhs - rhs; the sides of the first
-counterexample are built again for its report.  Bindings given to it are
-evaluated in either mode; without them, ``rational`` mode evaluates the
-difference at every point of `spot_grid` and ``symbolic`` mode compares
-the exact polynomials.  A point where a nonzero difference vanishes
-counts as a pass there.  fubini-x-zero's grid sweeps only (l, y), so in
-rational mode without a binding of x its y = 0 difference is still a
-polynomial in x at each point: for that side the check stays symbolic in
-x, not a point check.
+`run_identity` is the single entry point.  It walks the identity's grid
+once and checks each cell at every binding pass as the cell is built;
+of the sides it keeps only those of the first counterexample.  Bindings
+given to it are evaluated in either mode; without them, ``rational`` mode
+evaluates the difference at every point of `spot_grid` and ``symbolic``
+mode compares the exact polynomials.  A point where a nonzero difference
+vanishes counts as a pass there.  fubini-x-zero's grid sweeps only
+(l, y), so in rational mode without a binding of x its y = 0 difference
+is still a polynomial in x at each point: for that side the check stays
+symbolic in x, not a point check.
 
 A failing cell is reported, never raised: the harness must also be able
 to demonstrate that a wrong identity fails, which ``run_identity(...,
@@ -84,15 +86,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
     bell_deg,
     bell_fully_deg,
@@ -150,64 +152,49 @@ class VerifyReport(NamedTuple):
 
 
 Bindings = dict[Var, Fraction]
+Cell = tuple[dict, Poly, Poly]  # a grid cell's record and its two sides
 
 
 # -- the Spivey-type double sum and its parts ----------------------------------
 
 
-def _spivey_sides(n: int, m: int, outer, weight, head, tail, shift):
-    """Both sides of B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r).
+def _convolve(a, b, n: int) -> Poly:
+    """(a <*> b)(n) = sum_{i<=n} C(n,i) a(i) b(n-i), for lists a and b."""
+    return Poly.sum_of_products((comb(n, i), a[i], b[n - i]) for i in range(n, -1, -1))
+
+
+def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=None):
+    """Each cell (n, m) with both sides of B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
+    m outer and n inner.
 
     The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k),
     ``head(j, k)`` = A_k(j), ``tail(j, k)`` = T_k(j) and ``shift(r, m)`` =
-    P_m(r); a head of None is the unit, so H_k = B, and a shift of None
-    is the unit, so the right side is Q_m(n).  Q_m is read from
-    `_weighted_sum`, so each Q_m(s) is built once for every cell that reads
-    it.  The sum goes through `Poly.sum_of_products`, which takes int parts
-    (the classical numbers) as scalars.
+    P_m(r), each once per index; a head of None is the unit, so H_k = B,
+    and a shift of None is the unit, so the right side is Q_m(n).  K_k is
+    built when m reaches k and kept for the pass; Q_m lives for m's cells.
+    The sums go through `Poly.sum_of_products`, which takes int parts (the
+    classical numbers) as scalars.
     """
-    q = partial(_weighted_sum, outer, weight, head, tail, m)
-    if shift is None:
-        rhs = q(n)
-    else:
-        rhs = Poly.sum_of_products((comb(n, r), shift(r, m), q(n - r)) for r in range(n, -1, -1))
-    # adding the zero polynomial makes an int side a Poly
-    return outer(n + m) + Poly.zero(), rhs
+    js = range(n_max + 1)
+    b = [outer(j) for j in range(n_max + m_max + 1)]
+    tail_sums = []  # K_k(s) for k <= m: each m adds K_m, so its parts are read at k = m
+    for m in range(m_max + 1):
+        if head is None:
+            h = b
+        else:
+            a = [head(j, m) for j in js]
+            h = [_convolve(b, a, i) for i in js]
+        t = [tail(j, m) for j in js]
+        tail_sums.append([_convolve(h, t, s) for s in js])
+        # a zero weight, W(m, 0) for m > 0, adds nothing
+        w = [weight(m, k) for k in range(m + 1)]
+        q = [Poly.sum_of_products((w[k], tail_sums[k][s]) for k in range(m, -1, -1)) for s in js]
+        p = None if shift is None else [shift(r, m) for r in js]
+        for n in js:
+            rhs = q[n] if p is None else _convolve(p, q, n)
+            # adding the zero polynomial makes an int side a Poly
+            yield {"n": n, "m": m}, b[n + m] + Poly.zero(), rhs
 
-
-@cache
-def _weighted_sum(outer, weight, head, tail, m: int, s: int) -> Poly:
-    """Q_m(s) = sum_{k<=m} W(m,k) K_k(s), built once per (m, s).  A zero
-    weight, W(m, 0) for m > 0, adds nothing, and its K_0(s) is the one m = 0
-    reads."""
-    return Poly.sum_of_products(
-        (_weight(weight, m, k), _tail_sum(outer, head, tail, s, k)) for k in range(m, -1, -1)
-    )
-
-
-@cache
-def _tail_sum(outer, head, tail, s: int, k: int) -> Poly:
-    """K_k(s) = sum_{i<=s} C(s,i) H_k(i) T_k(s-i), built once per (s, k) and
-    shared by every m."""
-    h = (lambda i, k: outer(i)) if head is None else partial(_head_sum, outer, head)
-    return Poly.sum_of_products((comb(s, i), h(i, k), tail(s - i, k)) for i in range(s, -1, -1))
-
-
-@cache
-def _weight(weight, m: int, k: int) -> Poly | int:
-    """W(m, k), built once per (weight, m, k)."""
-    return weight(m, k)
-
-
-@cache
-def _head_sum(outer, head, i: int, k: int) -> Poly:
-    """H_k(i) = sum_{l<=i} C(i,l) B_l A_k(i-l), built once per (outer, head, i, k)."""
-    return Poly.sum_of_products((comb(i, l), outer(l), head(i - l, k)) for l in range(i, -1, -1))
-
-
-# The memos of the Spivey sums.  Their keys name one identity's parts, so no
-# other identity reads them, and `run_identity` clears them when it returns.
-_SPIVEY_MEMOS = (_weighted_sum, _tail_sum, _weight, _head_sum)
 
 # the arguments of the fully degenerate heads, one object each, so the
 # fubini_deg memo keys hash once
@@ -215,94 +202,74 @@ _NEG_LAM = -LAM
 _NEG_LAM_T = -LAM * T
 
 
-@cache
 def _classical_head(j: int, k: int) -> Poly:
-    """F^(k)_j(t), fubini-spivey's A_k(j): substituted once per (j, k)."""
+    """F^(k)_j(t), fubini-spivey's A_k(j), by substitution."""
     return classical.two_var_fubini_poly(j, k).eval({Var.Y: 0}).substitute(Var.X, T)
 
 
-@cache
 def _deg_tail(j: int, k: int) -> Poly:
-    """T_k(j) = (k)_{j,l}, read once per (j, k) from the one running list of
-    each k."""
+    """T_k(j) = (k)_{j,l}, read from the one running list of each k."""
     return falling_factorial_deg(k, j)
 
 
-@cache
 def _deg_shift(r: int, m: int) -> Poly:
-    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, one term, built once per (r, m)."""
+    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, one term."""
     return _NEG_LAM**r * prod(range(m, m + r))
 
 
-# -- the other identities' builders --------------------------------------------
+# -- the other identities' grids -----------------------------------------------
 
 
-def _deg_vandermonde_sides(n: int):
-    rhs = Poly.sum_of_products(
-        (comb(n, j), falling_factorial_deg(X, j), falling_factorial_deg(Y, n - j))
-        for j in range(n + 1)
-    )
-    return falling_factorial_deg(X + Y, n), rhs
+def _deg_vandermonde_grid(n_max: int, m_max: int) -> Iterator[Cell]:
+    for n in range(n_max + 1):
+        rhs = Poly.sum_of_products(
+            (comb(n, j), falling_factorial_deg(X, j), falling_factorial_deg(Y, n - j))
+            for j in range(n + 1)
+        )
+        yield {"n": n}, falling_factorial_deg(X + Y, n), rhs
 
 
-def _fubini_x_zero_sides(n: int, alpha: int, side: str):
-    p = fubini_two_var_alpha(n, alpha)
-    if side == "x=0":
-        return p.eval({Var.X: 0}), falling_factorial_deg(Y, n)
-    return p.eval({Var.Y: 0}), fubini_deg(n, alpha)
+def _exp_splitting_grid(j_max: int, k_max: int) -> Iterator[Cell]:
+    for k in range(k_max + 1):
+        for j in range(j_max + 1):
+            yield {"j": j, "k": k}, *exp_splitting_sides(j, k)
+
+
+def _fubini_x_zero_grid(n_max: int, alpha_max: int) -> Iterator[Cell]:
+    for a in range(alpha_max + 1):
+        for n in range(n_max + 1):
+            p = fubini_two_var_alpha(n, a)
+            cell = {"n": n, "alpha": a}
+            yield {**cell, "side": "x=0"}, p.eval({Var.X: 0}), falling_factorial_deg(Y, n)
+            yield {**cell, "side": "y=0"}, p.eval({Var.Y: 0}), fubini_deg(n, a)
 
 
 # -- registry and runner -------------------------------------------------------
 
 
 class _Spec(NamedTuple):
-    """One identity's check: each cell of ``cells(n_max, m_max)`` is checked as
-    ``sides(**cell)``.  A mutation maps the keyword parts of ``sides`` that it
-    swaps to their replacements.
+    """One identity's check: ``grid(n_max, m_max)`` yields each cell's record
+    and its two sides, in the documented order.  A mutation maps the keyword
+    parts of ``grid`` that it swaps to their replacements.
     """
 
-    cells: Callable[[int, int], list[dict]]
-    sides: Callable[..., tuple[Poly, Poly]]
+    grid: Callable[[int, int], Iterator[Cell]]
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
     mutations: Mapping[str, dict[str, Callable]] = MappingProxyType({})  # shared, so read-only
     unswept: tuple[Var, ...] = ()  # free in the sides but not swept
-
-
-def _nm_cells(n_max: int, m_max: int):
-    # m outer, n inner: the documented counterexample ordering
-    return [{"n": n, "m": m} for m in range(m_max + 1) for n in range(n_max + 1)]
-
-
-def _n_cells(n_max: int, m_max: int):
-    return [{"n": n} for n in range(n_max + 1)]
-
-
-def _jk_cells(j_max: int, k_max: int):
-    return [{"j": j, "k": k} for k in range(k_max + 1) for j in range(j_max + 1)]
-
-
-def _fubini_x_zero_cells(n_max: int, alpha_max: int):
-    return [
-        {"n": n, "alpha": a, "side": side}
-        for a in range(alpha_max + 1)
-        for n in range(n_max + 1)
-        for side in ("x=0", "y=0")
-    ]
 
 
 def _spivey(spot_vars, outer, weight, tail, head=None, shift=None, **fields) -> _Spec:
     """A Spivey-type identity from its parts B (outer), W (weight), T (tail),
     A (head, None for the unit) and P (shift, None for the unit); further
     `_Spec` fields (its mutations) pass through."""
-    sides = partial(
-        _spivey_sides, outer=outer, weight=weight, head=head, tail=tail, shift=shift
-    )
-    return _Spec(_nm_cells, sides, spot_vars, **fields)
+    grid = partial(_spivey_grid, outer=outer, weight=weight, tail=tail, head=head, shift=shift)
+    return _Spec(grid, spot_vars, **fields)
 
 
-# The parts, and exp-splitting's sides, are lambdas or module functions, so
-# every call looks the builders up by their module-global names (which
-# perfbench's tracer patches).
+# The parts and the grids are lambdas or module functions, so every call
+# looks the builders up by their module-global names (which perfbench's
+# tracer patches).
 _SPECS = {
     Identity.SPIVEY_BELL: _spivey(
         (),
@@ -356,12 +323,10 @@ _SPECS = {
         head=_classical_head,
         tail=lambda j, k: k**j,
     ),
-    Identity.DEG_VANDERMONDE: _Spec(_n_cells, _deg_vandermonde_sides, (Var.LAMBDA, Var.X, Var.Y)),
-    Identity.EXP_SPLITTING: _Spec(_jk_cells, lambda j, k: exp_splitting_sides(j, k), (Var.LAMBDA,)),
+    Identity.DEG_VANDERMONDE: _Spec(_deg_vandermonde_grid, (Var.LAMBDA, Var.X, Var.Y)),
+    Identity.EXP_SPLITTING: _Spec(_exp_splitting_grid, (Var.LAMBDA,)),
     # x occurs only on the y = 0 side; the spot grid has never swept it
-    Identity.FUBINI_X_ZERO: _Spec(
-        _fubini_x_zero_cells, _fubini_x_zero_sides, (Var.LAMBDA, Var.Y), unswept=(Var.X,)
-    ),
+    Identity.FUBINI_X_ZERO: _Spec(_fubini_x_zero_grid, (Var.LAMBDA, Var.Y), unswept=(Var.X,)),
 }
 
 LAMBDA_SPOT = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2))
@@ -394,16 +359,17 @@ def run_identity(
     Given bindings are evaluated in either mode; their values go through
     `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
     mode sweeps the identity's `spot_grid` and symbolic mode compares the
-    exact polynomials.  Each cell's sides are built once and only their
-    difference is kept for all passes; a pass evaluates only the difference,
-    and a cell passes where it is zero.  The sides of the first
-    counterexample are built again and evaluated for its report.  The
-    Spivey memos are cleared on return.
+    exact polynomials.  The grid is walked once, and each cell is checked
+    at every binding pass as it is built: equal sides pass everywhere, and
+    otherwise their difference is evaluated at each pass and passes where
+    it is zero.  Only the sides of the first counterexample are kept, and
+    evaluated for its report; no cell is built twice.
     The two bounds bound (j, k) for exp-splitting and (n, alpha) for
     fubini-x-zero, and a negative bound raises ValueError.  ``corrupt``
     names one of the identity's mutations, which must make the check fail.
-    Cells run in a fixed order (bindings outer, then the grid), so the
-    first counterexample is deterministic.
+    The report lists the cells in a fixed order (bindings outer, then the
+    grid), and the first counterexample is the first failure in that
+    order, so it is deterministic.
     """
     if mode not in ("symbolic", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -411,12 +377,12 @@ def run_identity(
         if bound < 0:
             raise ValueError(f"{name} must be nonnegative")
     spec = _SPECS[identity]
-    sides = spec.sides
+    grid = spec.grid
     if corrupt is not None:
         if corrupt not in spec.mutations:
             known = ", ".join(spec.mutations) or "none"
             raise ValueError(f"unknown mutation {corrupt!r} for {identity.value} (known: {known})")
-        sides = partial(sides, **spec.mutations[corrupt])
+        grid = partial(grid, **spec.mutations[corrupt])
     if bindings:
         given = {}
         for key, value in bindings.items():
@@ -427,31 +393,21 @@ def run_identity(
     else:
         passes = [{}]
 
-    cells = spec.cells(n_max, m_max)
-    try:
-        diffs = []
-        for cell in cells:
-            lhs, rhs = sides(**cell)
-            # equal sides, the common case, cost no subtraction
-            diffs.append(ZERO if lhs == rhs else lhs - rhs)
-        grid = []
-        pass_count = fail_count = 0
-        first = None
-        for bound in passes:
-            labels = {v.symbol: str(c) for v, c in bound.items()}
-            for cell, diff in zip(cells, diffs):
-                record = {**cell, **labels}
-                if bound:
-                    diff = diff.eval(bound)
-                grid.append(record)
-                if diff.is_zero():
-                    pass_count += 1
-                else:
-                    fail_count += 1
-                    if first is None:
-                        lhs, rhs = sides(**cell)
-                        first = Counterexample(record, lhs.eval(bound), rhs.eval(bound))
-    finally:
-        for memo in _SPIVEY_MEMOS:
-            memo.cache_clear()
-    return VerifyReport(identity, tuple(grid), pass_count, fail_count, first)
+    labels = [{v.symbol: str(c) for v, c in bound.items()} for bound in passes]
+    records = [[] for _ in passes]  # per pass, in grid order
+    fail_count = 0
+    first = None  # (pass index, record, lhs, rhs) of the first failure
+    for cell, lhs, rhs in grid(n_max, m_max):
+        # equal sides, the common case, cost no subtraction
+        diff = None if lhs == rhs else lhs - rhs
+        for i, bound in enumerate(passes):
+            records[i].append(record := {**cell, **labels[i]})
+            if diff is not None and not diff.eval(bound).is_zero():
+                fail_count += 1
+                if first is None or i < first[0]:
+                    first = (i, record, lhs, rhs)
+    if first is not None:
+        i, record, lhs, rhs = first
+        first = Counterexample(record, lhs.eval(passes[i]), rhs.eval(passes[i]))
+    checked = tuple(itertools.chain.from_iterable(records))
+    return VerifyReport(identity, checked, len(checked) - fail_count, fail_count, first)

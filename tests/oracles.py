@@ -182,8 +182,11 @@ def series_from_json(data: dict) -> Series:
 
 
 def _two_var_inner(x_arg: Poly):
-    """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), built whole at its arguments."""
-    return lambda j, k, m: fubini_two_var_alpha(j, k, x_arg, k - m * LAM)
+    """G(j, k, m) = F^(k)_{j,l}(x_arg, k - m*l), the two-variable family built
+    whole and substituted at its arguments."""
+    return lambda j, k, m: (
+        fubini_two_var_alpha(j, k).substitute(Var.X, x_arg).substitute(Var.Y, k - m * LAM)
+    )
 
 
 def _classical_inner(j: int, k: int, m: int) -> Poly:

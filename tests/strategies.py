@@ -1,5 +1,5 @@
 """Shared test helpers: hypothesis strategies for exact polynomials and
-series, and the registry accessor for one cell of a Spivey-type identity."""
+series, and the registry accessor for one cell of an identity's grid."""
 
 from fractions import Fraction
 
@@ -31,5 +31,7 @@ def full_bindings(draw):
 
 
 def sides(identity, n, m):
-    """Both sides of cell (n, m) of a Spivey-type identity, as run_identity builds them."""
-    return _SPECS[identity].sides(n=n, m=m)
+    """Both sides of the last cell of an identity's grid up to (n, m), as
+    run_identity builds them: cell (n, m) of a Spivey-type identity."""
+    *_, (_, lhs, rhs) = _SPECS[identity].grid(n, m)
+    return lhs, rhs

@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -315,7 +315,7 @@ class TestFubiniFamilies:
             )
 
     def test_order_one_spellings_share_one_memo_entry(self):
-        # the deg-fubini kind calls fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1, X)
+        # the deg-fubini kind calls fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1)
         sequences._fubini_deg.cache_clear()
         for j in range(6):
             first = fubini_deg(j)
@@ -392,7 +392,8 @@ class TestSeriesOracleAgreement:
 class TestSpecialize:
     # an argument is given to the family builder; rational values go to Poly.eval
     def test_polynomial_argument(self):
-        assert fubini_two_var_alpha(1, 1, -LAM, ONE - LAM) == 1 - 2 * LAM
+        two_var = fubini_two_var_alpha(1, 1)
+        assert two_var.substitute(Var.X, -LAM).substitute(Var.Y, ONE - LAM) == 1 - 2 * LAM
 
     def test_rational_binding(self):
         assert bell_fully_deg(2).eval({Var.X: 1}) == 2 - 2 * LAM
@@ -435,13 +436,22 @@ class TestFamiliesAtArguments:
 
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_fubini_two_var_alpha(self, x_arg):
+        # F^(k)_{j,l}(x, y) = sum_i C(j,i) F^(k)_{i,l}(x) (y)_{j-i,l} at the
+        # arguments of the Spivey sums, the factorisation G = A_k <*> Y_{k,m}
+        # that their heads and tails are built from
         for k in range(4):
             y_args = [Y] + [Poly.const(k) - m * LAM for m in range(4)]
             for j in range(7):
                 plain = fubini_two_var_alpha(j, k).substitute(Var.X, x_arg)
-                for y_arg in y_args:
-                    expected = plain.substitute(Var.Y, y_arg)
-                    assert fubini_two_var_alpha(j, k, x_arg, y_arg) == expected
+                for y in y_args:
+                    convolution = sum(
+                        (
+                            comb(j, i) * fubini_deg(i, k, x_arg) * falling_factorial_deg(y, j - i)
+                            for i in range(j + 1)
+                        ),
+                        Poly.zero(),
+                    )
+                    assert plain.substitute(Var.Y, y) == convolution
 
     @pytest.mark.parametrize("x_arg", [X + T, ONE - LAM, ZERO], ids=["x+t", "1-l", "zero"])
     @pytest.mark.parametrize(
@@ -450,9 +460,8 @@ class TestFamiliesAtArguments:
             lambda x: bell_fully_deg(3, x),
             lambda x: bell_fully_deg(0, x),
             lambda x: fubini_deg(3, 2, x),
-            lambda x: fubini_two_var_alpha(3, 1, x),
         ],
-        ids=["bell", "bell-0", "fubini", "two-var"],
+        ids=["bell", "bell-0", "fubini"],
     )
     def test_argument_of_other_than_one_term_rejected(self, build, x_arg):
         # a family is built from its rows at a one-term argument only
@@ -508,6 +517,19 @@ class TestTables:
             build_table("nope", 3)
         with pytest.raises(ValueError):
             build_table("deg-bell", -1)
+
+    def test_negative_k_max_rejected(self):
+        # an empty table would pass vacuously, as the CLI's --k-max check says
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            build_table("deg-stirling2", 3, k_max=-1)
+        assert build_table("deg-stirling2", 3, k_max=0).values[-1] == ((3, 0), Poly.zero())
+
+    def test_negative_alpha_rejected_by_both_routes(self):
+        # the degenerate table and its classical counterpart reject the same order
+        for build in (build_table, classical_counterpart):
+            with pytest.raises(ValueError, match="alpha must be nonnegative"):
+                build("two-var-deg-fubini", 3, alpha=-1)
+        assert classical_counterpart("two-var-deg-fubini", 3, alpha=0).bounds["alpha"] == 0
 
     def test_json_round_trip(self):
         table = build_table("deg-stirling2", 4)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from degenbell import classical, sequences, verify
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y
+from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, var_from_symbol
 from degenbell.cli import _json_text
 from degenbell.sequences import (
     _DEG_STEP,
@@ -21,9 +21,6 @@ from degenbell.sequences import (
 )
 from degenbell.verify import (
     _SPECS,
-    _classical_head,
-    _head_sum,
-    _weight,
     Identity,
     VerifyReport,
     free_vars,
@@ -249,20 +246,16 @@ class TestVandermondeAndSplitting:
         assert run_identity(Identity.DEG_VANDERMONDE, 10).ok
 
     def test_vandermonde_n2(self):
-        from degenbell.verify import _deg_vandermonde_sides
-
-        lhs, rhs = _deg_vandermonde_sides(2)
+        lhs, rhs = sides(Identity.DEG_VANDERMONDE, 2, 0)
         assert lhs == (X + Y) * (X + Y - LAM)
         assert lhs == rhs
 
     def test_vandermonde_second_argument_zero(self):
         # only the j = n summand survives at y = 0
         from degenbell.sequences import falling_factorial_deg
-        from degenbell.verify import _deg_vandermonde_sides
 
-        for n in range(6):
-            _, rhs = _deg_vandermonde_sides(n)
-            assert rhs.eval({Var.Y: 0}) == falling_factorial_deg(X, n)
+        for cell, _, rhs in _SPECS[Identity.DEG_VANDERMONDE].grid(5, 0):
+            assert rhs.eval({Var.Y: 0}) == falling_factorial_deg(X, cell["n"])
 
     def test_splitting_grid(self):
         report = run_identity(Identity.EXP_SPLITTING, 6, 6)
@@ -289,18 +282,20 @@ class TestFubiniSpecializations:
         assert run_identity(Identity.FUBINI_X_ZERO, 8, 4).ok
 
     def test_hand_cell(self):
-        from degenbell.verify import _fubini_x_zero_sides
-
-        lhs, rhs = _fubini_x_zero_sides(2, 3, "x=0")
+        cells = {
+            tuple(cell.values()): (lhs, rhs)
+            for cell, lhs, rhs in _SPECS[Identity.FUBINI_X_ZERO].grid(2, 3)
+        }
+        lhs, rhs = cells[2, 3, "x=0"]
         assert lhs == Y * (Y - LAM)
         assert rhs == Y * (Y - LAM)
 
     def test_alpha_zero_column(self):
-        from degenbell.verify import _fubini_x_zero_sides
-
-        for n in range(5):
-            lhs, rhs = _fubini_x_zero_sides(n, 0, "x=0")
-            assert lhs == rhs
+        grid = list(_SPECS[Identity.FUBINI_X_ZERO].grid(4, 0))
+        assert [cell["n"] for cell, _, _ in grid if cell["side"] == "x=0"] == list(range(5))
+        for cell, lhs, rhs in grid:
+            if cell["side"] == "x=0":
+                assert lhs == rhs
 
 
 class TestMutationDetection:
@@ -397,9 +392,11 @@ class TestAssociativeSums:
 
     @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
     def test_sides_equal_plain_double_sum(self, identity):
-        sides = _SPECS[identity].sides
-        for n, m in self.CELLS:
-            assert sides(n=n, m=m) == spivey_double_sum(identity.value, n, m), (n, m)
+        grid = list(_SPECS[identity].grid(5, 5))
+        assert [(cell["n"], cell["m"]) for cell, _, _ in grid] == self.CELLS
+        for cell, lhs, rhs in grid:
+            n, m = cell["n"], cell["m"]
+            assert (lhs, rhs) == spivey_double_sum(identity.value, n, m), (n, m)
 
     @pytest.mark.parametrize(
         "identity,mutation",
@@ -407,13 +404,55 @@ class TestAssociativeSums:
     )
     def test_mutated_sides_differ_from_plain_double_sum(self, identity, mutation):
         spec = _SPECS[identity]
-        sides = partial(spec.sides, **spec.mutations[mutation])
+        grid = partial(spec.grid, **spec.mutations[mutation])
         assert any(
-            sides(n=n, m=m) != spivey_double_sum(identity.value, n, m) for n, m in self.CELLS
+            (lhs, rhs) != spivey_double_sum(identity.value, cell["n"], cell["m"])
+            for cell, lhs, rhs in grid(5, 5)
         )
 
 
+PARTS = ("outer", "weight", "head", "tail", "shift")
+
+
+def _counted_pass(identity, n_max, m_max):
+    """One grid pass with each part counted: ({part: [index, ...]}, replay), where
+    replay() walks the grid again with each part returning its recorded value,
+    so that the only arithmetic left is the grid's own sums."""
+    grid = _SPECS[identity].grid
+    calls, values, counted = {name: [] for name in PARTS}, {}, {}
+    for name in PARTS:
+        if (build := grid.keywords[name]) is None:
+            continue
+
+        def part(*index, name=name, build=build):
+            calls[name].append(index)
+            values[name, index] = build(*index)
+            return values[name, index]
+
+        counted[name] = part
+    list(grid(n_max, m_max, **counted))
+    recorded = {name: partial(lambda name, *index: values[name, index], name) for name in counted}
+    return calls, lambda: list(grid(n_max, m_max, **recorded))
+
+
+def _sums_in(monkeypatch, run):
+    """The number of `Poly.sum_of_products` calls that run() makes."""
+    count, total = [0], Poly.sum_of_products
+
+    def counted(products):
+        count[0] += 1
+        return total(products)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "sum_of_products", staticmethod(counted))
+        run()
+    return count[0]
+
+
 class TestSharedMemos:
+    # one grid pass reads each part once per index and builds each sum once,
+    # with no memo: H_k(i) and K_k(s) per (i, k) and (s, k), shared over
+    # every m, Q_m(s) per (m, s), and one sum per cell when there is a shift
     N = 4
 
     def test_one_falling_list_per_shifted_argument(self):
@@ -446,78 +485,58 @@ class TestSharedMemos:
         _clear_memos()
         assert run_identity(Identity.FUBINI_SPIVEY, self.N, self.N).ok
         pairs = {(j, k) for k, _ in _weighted_km(self.N) for j in range(self.N + 1)}
-        info = _classical_head.cache_info()
-        assert info.misses == info.currsize == len(pairs)
-        assert info.hits > 0
         # the classical route still substitutes, once per (j, k)
         assert calls == [Var.X] * len(pairs)
 
+    def _expected_sums(self, identity, heads):
+        # H_k(i) per (i, k) when the head is not the unit, K_k(s) per (s, k),
+        # Q_m(s) per (m, s), and one sum per cell (n, m) when there is a shift
+        per_index = (self.N + 1) ** 2
+        shifted = _SPECS[identity].grid.keywords["shift"] is not None
+        return per_index * (heads + 2 + shifted)
+
     @pytest.mark.parametrize("identity", HEAD_IDENTITIES)
     def test_head_sum_built_once_per_ik_and_shared_over_m(self, identity, monkeypatch):
-        # counted inside one run, whose memos are otherwise cleared on return
-        monkeypatch.setattr(verify, "_SPIVEY_MEMOS", ())
-        _clear_memos()
-        assert run_identity(identity, self.N, self.N).ok
-        weighted = _weighted_km(self.N)
-        ks = {k for k, _ in weighted}
+        calls, replay = _counted_pass(identity, self.N, self.N)
         grid = range(self.N + 1)
-        # K_k(s) reads H_k(i) for i <= s; Q_m(s) reads K_k(s) for k <= m;
-        # cell (n, m) reads Q_m(s) for s <= n, or Q_m(n) alone when the
-        # identity has no shift
-        shifted = _SPECS[identity].sides.keywords["shift"] is not None
-        q_reads = sum(n + 1 for n in grid) if shifted else self.N + 1
-        expected = {
-            verify._head_sum: (len(ks) * (self.N + 1), len(ks) * sum(s + 1 for s in grid)),
-            verify._tail_sum: (len(ks) * (self.N + 1), sum(m + 1 for m in grid) * (self.N + 1)),
-            verify._weighted_sum: ((self.N + 1) ** 2, (self.N + 1) * q_reads),
-        }
-        for memo, (built, reads) in expected.items():
-            info = memo.cache_info()
-            assert info.misses == info.currsize == built, memo
-            assert info.hits == reads - built, memo
-        # H_k(i) and K_k(s) are shared, by every s and every m
-        assert all(memo.cache_info().hits for memo in (verify._head_sum, verify._tail_sum))
-        monkeypatch.undo()
-        assert run_identity(identity, self.N, self.N).ok
-        assert all(memo.cache_info().currsize == 0 for memo in verify._SPIVEY_MEMOS)
+        assert sorted(calls["head"]) == [(j, k) for j in grid for k in grid]
+        assert _sums_in(monkeypatch, replay) == self._expected_sums(identity, heads=1)
 
     @pytest.mark.parametrize("identity", UNIT_HEAD_IDENTITIES)
     def test_unit_head_reads_outer_family_directly(self, identity, monkeypatch):
-        # kept through the run, or its clearing would pass this for any identity
-        monkeypatch.setattr(verify, "_SPIVEY_MEMOS", ())
-        _clear_memos()
-        assert run_identity(identity, self.N, self.N).ok
-        assert _head_sum.cache_info().currsize == 0
+        calls, replay = _counted_pass(identity, self.N, self.N)
+        # B_j once per j, for both sides, and no H_k = B <*> A_k is summed
+        assert calls["outer"] == [(j,) for j in range(2 * self.N + 1)]
+        assert calls["head"] == []
+        assert _sums_in(monkeypatch, replay) == self._expected_sums(identity, heads=0)
 
     @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
     def test_weight_built_once_per_mk(self, identity):
-        _clear_memos()
-        built = []
+        calls, _ = _counted_pass(identity, self.N, self.N)
+        grid = range(self.N + 1)
+        assert sorted(calls["weight"]) == [(m, k) for m in grid for k in range(m + 1)]
 
-        def counted(m, k):
-            built.append((m, k))
-            return weight(m, k)
-
-        spec = _SPECS[identity]
-        weight = spec.sides.keywords["weight"]
-        sides = partial(spec.sides, weight=counted)
-        for cell in spec.cells(self.N, self.N):
-            sides(**cell)
-        expected = [(m, k) for m in range(self.N + 1) for k in range(m + 1)]
-        assert sorted(built) == expected
-        assert _weight.cache_info().currsize == len(expected)
+    @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
+    def test_tail_shift_and_outer_read_once_per_index(self, identity):
+        calls, _ = _counted_pass(identity, self.N, self.N)
+        grid = range(self.N + 1)
+        assert sorted(calls["tail"]) == [(j, k) for j in grid for k in grid]
+        shifted = _SPECS[identity].grid.keywords["shift"] is not None
+        assert sorted(calls["shift"]) == ([(r, m) for r in grid for m in grid] if shifted else [])
+        assert calls["outer"] == [(j,) for j in range(2 * self.N + 1)]
 
 
 class TestScopedMemos:
-    """The Spivey memos (H, K, Q and W) live for one `run_identity` call, and
-    a run keeps each cell's difference, not its sides."""
+    """A run walks each identity's grid once, and the Spivey sums (H, K and
+    one m's Q) are that pass's local lists, so none outlives the run; of the
+    sides it keeps only the first counterexample's."""
 
     N = 4
 
     def test_identity_memory_from_cold_memos(self):
-        # the peak holds one identity's sums; what stays is the shared family
-        # memos and the report, about 0.8 MiB when H and every cell's sides
-        # outlived the run
+        # the peak holds one identity's K_k(s) and one m's Q_m(s); what stays
+        # is the shared family memos and the report.  With memos for H, K, Q
+        # and W that lived to the end of the run the peak was 1.71 MiB.
         _clear_memos()
         tracemalloc.start()
         try:
@@ -525,7 +544,7 @@ class TestScopedMemos:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * 2**20
+        assert peak < 1.3 * 2**20
         assert held < 0.55 * 2**20
 
     @pytest.mark.parametrize("mode", ["symbolic", "rational"])
@@ -538,22 +557,30 @@ class TestScopedMemos:
     )
     def test_no_memo_left_after_failing_run(self, identity, mutation, mode, monkeypatch):
         spec = _SPECS[identity]
-        built = []
+        passes, built = [], []
 
-        def counted(**kwargs):
-            built.append(kwargs)
-            return spec.sides(**kwargs)
+        def counted(n_max, m_max, **parts):
+            passes.append(parts)
+            for cell in spec.grid(n_max, m_max, **parts):
+                built.append(cell)
+                yield cell
 
-        monkeypatch.setitem(verify._SPECS, identity, spec._replace(sides=counted))
+        monkeypatch.setitem(verify._SPECS, identity, spec._replace(grid=counted))
         report = run_identity(identity, self.N, self.N, mode=mode, corrupt=mutation)
         ce = report.first_counterexample
         assert ce is not None
-        # each cell's sides once, then the first failing cell's again for its report
-        cells = spec.cells(self.N, self.N)
-        assert len(built) == len(cells) + 1
-        cell = {key: ce.bindings[key] for key in cells[0]}
-        assert built[-1] == {**cell, **spec.mutations[mutation]}
-        assert all(memo.cache_info().currsize == 0 for memo in verify._SPIVEY_MEMOS)
+        # one pass over the mutated grid, each cell built once: no rebuild
+        assert passes == [spec.mutations[mutation]]
+        assert [c for c, _, _ in built] == [c for c, _, _ in spec.grid(self.N, self.N)]
+        # the counterexample's sides are its cell's sides from that pass, at its point
+        ((lhs, rhs),) = [(lhs, rhs) for c, lhs, rhs in built if c.items() <= ce.bindings.items()]
+        labels = {v: c for v, c in ce.bindings.items() if v not in ("n", "m")}
+        point = {var_from_symbol(v): Fraction(c) for v, c in labels.items()}
+        assert (ce.lhs, ce.rhs) == (lhs.eval(point), rhs.eval(point))
+        # and verify keeps no memo of its own
+        memos = [v for v in vars(verify).values() if hasattr(v, "cache_clear")]
+        assert [v for v in memos if v.__module__ == verify.__name__] == []
+        assert sequences.bell_deg in memos
 
     def test_unshifted_y_arg_drops_the_shift(self):
         # without the shift (-m*l)_{r,l} the tail is (k)_{j,l}, so the inner
@@ -562,15 +589,17 @@ class TestScopedMemos:
         spec = _SPECS[Identity.DEG_FUBINI_SPIVEY]
         assert spec.mutations == {"unshifted-y-arg": {"shift": None}}
         outer, weight, _ = SPIVEY_PARTS[Identity.DEG_FUBINI_SPIVEY.value]
-        for m in range(self.N + 1):
-            for n in range(self.N + 1):
-                expected = sum(
-                    comb(n, j) * weight(m, k) * outer(j)
-                    * fubini_two_var_alpha(n - j, k, T, Poly.const(k))
-                    for k in range(m + 1)
-                    for j in range(n + 1)
-                )
-                assert spec.sides(n=n, m=m, shift=None)[1] == expected, (n, m)
+        for cell, _, rhs in spec.grid(self.N, self.N, shift=None):
+            n, m = cell["n"], cell["m"]
+            inner = lambda j, k: (
+                fubini_two_var_alpha(j, k).substitute(Var.X, T).substitute(Var.Y, Poly.const(k))
+            )
+            expected = sum(
+                comb(n, j) * weight(m, k) * outer(j) * inner(n - j, k)
+                for k in range(m + 1)
+                for j in range(n + 1)
+            )
+            assert rhs == expected, (n, m)
 
 
 class TestRationalPointSemantics:
@@ -647,8 +676,7 @@ class TestFreeVars:
     def test_free_vars_are_the_variables_of_the_sides(self, identity):
         spec = _SPECS[identity]
         found = set()
-        for cell in spec.cells(2, 2):
-            lhs, rhs = spec.sides(**cell)
+        for _, lhs, rhs in spec.grid(2, 2):
             found |= lhs.variables() | rhs.variables()
         assert free_vars(identity) == found
         # the spot grid sweeps them all, except x of fubini-x-zero's y = 0 side
@@ -674,7 +702,7 @@ class TestDispatch:
         # the labels of a pass are built once and merged into a fresh record per cell
         identity = Identity.DEG_BELL_SPIVEY
         report = run_identity(identity, 2, 2, mode="rational")
-        cells = verify._SPECS[identity].cells(2, 2)
+        cells = [cell for cell, _, _ in _SPECS[identity].grid(2, 2)]
         expected = [
             {**cell, **{v.symbol: str(c) for v, c in point.items()}}
             for point in spot_grid(identity)

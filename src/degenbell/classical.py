@@ -49,20 +49,20 @@ _ORDERED_BELL: list[int] = [1]
 def ordered_bell_number(n: int) -> int:
     """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1; memoized values
     are extended in a loop, never by recursion, each assigned at its index
-    as in `_stirling_row`."""
+    as in `_stirling_row`; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     a = _ORDERED_BELL
     while (m := len(a)) <= n:
         a[m : m + 1] = [sum(comb(m, k) * a[m - k] for k in range(1, m + 1))]
     return a[n]
 
 
-@cache
 def bell_poly(n: int) -> Poly:
     """phi_n(x) = sum_k S(n,k) x^k."""
     return Poly.sum_of_products((stirling2(n, k), X**k) for k in range(n + 1))
 
 
-@cache
 def fubini_poly(n: int, x: Poly = X) -> Poly:
     """F_n(x) = sum_k k! S(n,k) x^k at the argument x; F_n(1) is the ordered Bell number."""
     return Poly.sum_of_products((factorial(k) * stirling2(n, k), x**k) for k in range(n + 1))
@@ -76,7 +76,6 @@ def rising_factorial_int(a: int, k: int) -> int:
     return out
 
 
-@cache
 def two_var_fubini_poly(n: int, alpha: int) -> Poly:
     """Order-alpha two-variable Fubini polynomial in x and y.
 

@@ -33,25 +33,22 @@ in a loop.  Each other sum of products goes through
 
 S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
 int coefficients, so their rows are plain int lists, entry d of a list the
-coefficient of l^d, and each entry of a step is one list comprehension.
-S2_l follows the triangular recurrence
+coefficient of l^d.  Both follow one triangular recurrence,
 
-    S2_l(n+1, k) = S2_l(n, k-1) + (k - n*l) S2_l(n, k),
+    T(n+1, k) = (1 - c(k-1) l) T(n, k-1) + (k - n*l) T(n, k),
 
-from (x)_{n+1,l} = (x - n*l)(x)_{n,l} and x (x)_k = (x)_{k+1} + k (x)_k.
-Its memo keeps every row up to the largest n read, and `stirling2_deg`
-builds the entry's `Poly` on each call.  The test suite checks it by two
-independent routes: the change-of-basis solve of that definition and the
-EGF coefficients of (e_l(s) - 1)^k / k! from the series engine.  The S2_l
-step times (1)_{k,l} = (1 - (k-1) l) (1)_{k-1,l} is
-
-    U_l(n+1, k) = (1 - (k-1) l) U_l(n, k-1) + (k - n*l) U_l(n, k),
-
-and Bel_{n,l}(x) = sum_k U_l(n,k) x^k, so a table of Bel_0..Bel_N takes
+with c = 0 for S2_l, from (x)_{n+1,l} = (x - n*l)(x)_{n,l} and
+x (x)_k = (x)_{k+1} + k (x)_k, and c = 1 for U_l, the S2_l step times
+(1)_{k,l} = (1 - (k-1) l) (1)_{k-1,l}.  One stepper takes both, each entry
+of a step one list comprehension.  Each triangle keeps only its top row,
+Theta(n^2) ints; a request below it steps up again from row 0, and
+S2_l(n,k), phi and Bel build their `Poly` on each call.  The test suite
+checks S2_l by two independent routes: the change-of-basis solve of its
+definition and the EGF coefficients of (e_l(s) - 1)^k / k! from the
+series engine.  As
+Bel_{n,l}(x) = sum_k U_l(n,k) x^k, a table of Bel_0..Bel_N takes
 Theta(N^3) int operations and no product of polynomials (a sum of
-(1)_{k,l} S2_l(n,k) products takes Theta(N^4) term products).  Only the
-top row of U_l is kept, Theta(n^2) ints; a request below it steps up again
-from row 1, and `bell_fully_deg` caches its values keyed (n, x).
+(1)_{k,l} S2_l(n,k) products takes Theta(N^4) term products).
 
 The closed form for F^(a) above is the Cauchy product of the two factors
 of its generating function (1 - x(e_l(s)-1))^(-a) e_l^y(s); it is not a
@@ -69,7 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -120,28 +117,34 @@ def unit_falling_factorial_deg(n: int) -> Poly:
     return falling_factorial_deg(ONE, n)
 
 
-# Row m of S2_l: entry k is the m - k + 1 l-coefficients of S2_l(m, k), and
-# S2_l(m, 0) = 0 is m + 1 zeros, so entry k - 1 is one longer than entry k.
-_STIRLING_DEG_ROWS: list[tuple[list[int], ...]] = [([1],)]
+# Triangle c (0: S2_l, 1: U_l) as (n, row n): entry k of row n holds the
+# l-coefficients of T(n, k), k = 0..n, n - k + 1 of them for S2_l and n + 1
+# for U_l, the last 0 when n > 0.  Each pair is replaced whole and no row is
+# changed in place, so a racing step only costs a repeat of work.
+_TOP: list[tuple[int, tuple[list[int], ...]]] = [(0, ([1],)), (0, ([1],))]
 
 
-def _stirling_row(n: int) -> tuple[list[int], ...]:
-    """Row n of S2_l, entry k the l-coefficients of S2_l(n, k); empty for n < 0.
-
-    The memoized rows are extended in a loop, never by recursion.  Row m is
-    assigned to the slice at index m, so a racing extension rewrites an
-    equal row where an append would add a second copy.
-    """
-    rows = _STIRLING_DEG_ROWS
-    while (m := len(rows)) <= n:
-        prev = (*rows[m - 1], [])  # S2_l(m-1, m) = 0
-        # S2_l(m, k) = S2_l(m-1, k-1) + (k - (m-1) l) S2_l(m-1, k)
-        step = (
-            [a + k * b - (m - 1) * c for a, b, c in zip(prev[k - 1], prev[k] + [0], [0] + prev[k])]
-            for k in range(1, m + 1)
+def _row(c: int, n: int) -> tuple[list[int], ...]:
+    """Row n >= 0 of triangle c, stepped up in a loop from the top row, or
+    from row 0 when n is below it; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    top, row = _TOP[c]
+    if n < top:
+        top, row = 0, ([1],)
+    for top in range(top, n):
+        ext = (*row, [0] * c * (top + 1))  # T(top, top+1) = 0
+        lo, hi = [e + [0] for e in ext], [[0] + e for e in ext]  # times 1 and l
+        # T(top+1, k) = (1 - w l) T(top, k-1) + (k - top*l) T(top, k), w = c(k-1)
+        row = (
+            [0] * (top + 2),  # T(top+1, 0) = 0
+            *(
+                [a0 - w * a1 + k * b0 - top * b1 for a0, a1, b0, b1 in zip(a, la, b, lb)]
+                for k, w, a, la, b, lb in zip(count(1), count(0, c), lo, hi, lo[1:], hi[1:])
+            ),
         )
-        rows[m : m + 1] = [([0] * (m + 1), *step)]
-    return rows[n] if n >= 0 else ()
+    _TOP[c] = (n, row)
+    return row
 
 
 def stirling2_deg(n: int, k: int) -> Poly:
@@ -149,56 +152,27 @@ def stirling2_deg(n: int, k: int) -> Poly:
 
     Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
     """
-    return Poly._from_l_coeffs(_stirling_row(n)[k]) if 0 <= k <= n else Poly.zero()
+    return Poly._from_l_coeffs(_row(0, n)[k]) if 0 <= k <= n else Poly.zero()
 
 
-@cache
 def bell_deg(n: int) -> Poly:
-    """Degenerate Bell polynomial phi_{n,l}(x) = sum_k S2_l(n,k) x^k."""
-    return Poly._from_l_rows(_stirling_row(n), X)
+    """Degenerate Bell polynomial phi_{n,l}(x) = sum_k S2_l(n,k) x^k; ValueError
+    for n < 0."""
+    return Poly._from_l_rows(_row(0, n), X)
 
 
-# The top row n >= 1 of U_l(n, k) = (1)_{k,l} S2_l(n, k): entry k - 1 holds the
-# n l-coefficients of U_l(n, k), k = 1..n.  The pair is replaced whole and no row
-# is changed in place, so a racing step only costs a repeat of work.
-_UNIT_TOP: tuple[int, tuple[list[int], ...]] = (1, ([1],))
-
-
-def _unit_row(n: int) -> tuple[list[int], ...]:
-    """Row n >= 1 of U_l, stepped up from the top row, or from row 1 when n is below it."""
-    global _UNIT_TOP
-    top, row = _UNIT_TOP
-    if n < top:
-        top, row = 1, ([1],)
-    for top in range(top, n):
-        zero = [0] * top
-        ext = (zero, *row, zero)  # U_l(top, 0) = U_l(top, top + 1) = 0
-        # U_l(top+1, k) = (1 - (k-1) l) U_l(top, k-1) + (k - top*l) U_l(top, k)
-        row = tuple(
-            [
-                a0 - (k - 1) * a1 + k * b0 - top * b1
-                for a0, a1, b0, b1 in zip(a + [0], [0] + a, b + [0], [0] + b)
-            ]
-            for k, a, b in zip(range(1, top + 2), ext, ext[1:])
-        )
-    _UNIT_TOP = (n, row)
-    return row
-
-
-@cache
 def bell_fully_deg(n: int, x: Poly = X) -> Poly:
     """Fully degenerate Bell polynomial Bel_{n,l}(x) = sum_k U_l(n,k) x^k, at the
-    one-term argument x (ValueError for any other)."""
-    rows = ([], *_unit_row(n)) if n > 0 else ([1],) if n == 0 else ()
-    return Poly._from_l_rows(rows, x)
+    one-term argument x (ValueError for any other, and for n < 0)."""
+    return Poly._from_l_rows(_row(1, n), x)
 
 
 def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
     """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
 
     alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
-    x must be one term (ValueError otherwise).  Both spellings of alpha = 1
-    share one memo entry, keyed (n, alpha, x).
+    x must be one term and n nonnegative (ValueError otherwise).  Both
+    spellings of alpha = 1 share one memo entry, keyed (n, alpha, x).
     """
     return _fubini_deg(n, alpha, x)
 
@@ -206,15 +180,16 @@ def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
 @cache
 def _fubini_deg(n: int, alpha: int, x: Poly) -> Poly:
     rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
-    return Poly._from_l_rows(_stirling_row(n), x, rising)
+    return Poly._from_l_rows(_row(0, n), x, rising)
 
 
-@cache
 def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     """Two-variable degenerate Fubini polynomial of nonnegative integer order,
-    F^(alpha)_{n,l}(x, y)."""
+    F^(alpha)_{n,l}(x, y); ValueError for n < 0."""
     if alpha < 0:
         raise ValueError("order must be a nonnegative integer")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return Poly.sum_of_products(
         (comb(n, j), fubini_deg(j, alpha), falling_factorial_deg(Y, n - j)) for j in range(n + 1)
     )

@@ -2,6 +2,8 @@
 
 from math import factorial
 
+import pytest
+
 from degenbell import classical
 from degenbell.algebra import Poly, Var, X
 from oracles import const_value
@@ -60,6 +62,14 @@ def test_memos_under_racing_threads(monkeypatch):
 
 def test_ordered_bell_numbers():
     assert [classical.ordered_bell_number(n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+
+
+def test_ordered_bell_negative_n_rejected():
+    # not a read of the memo from its end: a[-1] is 4683 after a(6)
+    classical.ordered_bell_number(6)
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            classical.ordered_bell_number(n)
 
 
 def test_bell_poly():

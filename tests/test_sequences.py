@@ -43,6 +43,12 @@ from oracles import (
 )
 
 
+@pytest.fixture
+def cold_rows(monkeypatch):
+    """Both degenerate triangles back at row 0 for one test."""
+    monkeypatch.setattr(sequences, "_TOP", [(0, ([1],)), (0, ([1],))])
+
+
 def _read_in_racing_threads(read, n, workers=8):
     """Calls read(j) for j = 0..n in each of `workers` threads started
     together, switching threads every microsecond; every thread must finish
@@ -154,10 +160,9 @@ class TestStirlingDeg:
             for k in range(n + 1):
                 assert stirling2_deg(n, k).degree_in(Var.LAMBDA) <= n - k
 
-    def test_row_past_lowered_recursion_limit(self, monkeypatch):
+    def test_row_past_lowered_recursion_limit(self, cold_rows):
         # rows are built bottom-up: row 100 from a cold memo needs no deep stack
         expected = unit_falling_factorial_deg(100)
-        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", [([1],)])
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
@@ -168,26 +173,47 @@ class TestStirlingDeg:
         assert first == expected
         assert top == ONE
 
-    def test_rows_under_racing_threads(self, monkeypatch):
-        rows = [([1],)]
-        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", rows)
-        n = 60  # at 30 an appending memo still passed one run in three
-        _read_in_racing_threads(lambda j: stirling2_deg(j, 1), n)
-        # a doubled row would shift every row above it
-        assert len(rows) == n + 1
+    def test_rows_under_racing_threads(self, cold_rows):
+        n = 60
+        reads = []
+        _read_in_racing_threads(
+            lambda j: reads.append((j, stirling2_deg(j, 1), stirling2_deg(j, j // 2))), n
+        )
+        # a torn (n, row) pair or a row changed in place would give a wrong entry
         plain = stirling2_deg_rows_plain(n)
-        for m in range(n + 1):
+        assert len(reads) == 8 * (n + 1)
+        for j, first, middle in reads:
+            assert (first, middle) == ((plain[j] + [ZERO])[1], plain[j][j // 2]), j
+        top, row = sequences._TOP[0]
+        assert [Poly._from_l_coeffs(coeffs) for coeffs in row] == plain[top]
+
+    def test_rows_read_descending_then_ascending(self, cold_rows):
+        # every read below the top row restarts the stepper at row 0
+        n = 14
+        plain = stirling2_deg_rows_plain(n)
+        for m in (*range(n, -1, -1), *range(n + 1)):
             assert [stirling2_deg(m, k) for k in range(m + 1)] == plain[m], m
 
-    def test_bell_fully_deg_past_lowered_recursion_limit(self, monkeypatch):
+    def test_single_entry_memory_from_cold_memo(self, cold_rows):
+        # one entry keeps one row of S2_l at a time: every row up to 120 took
+        # 25 MiB at peak when the memo kept them all
+        tracemalloc.start()
+        try:
+            entry = stirling2_deg(120, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entry.eval({Var.LAMBDA: 0}) == Poly.const(classical.stirling2(120, 60))
+        assert peak < 4 * 2**20
+
+    def test_bell_fully_deg_past_lowered_recursion_limit(self, cold_rows):
         # the U_l rows are stepped up in a loop too: Bel_{100,l} from cold rows
         expected = unit_falling_factorial_deg(100)
-        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
-            bell = bell_fully_deg.__wrapped__(100)  # past the functools cache
+            bell = bell_fully_deg(100)
         finally:
             sys.setrecursionlimit(limit)
         # U_l(100, 1) = U_l(100, 100) = (1)_{100,l}, and l = 0 gives phi_100(x)
@@ -236,32 +262,27 @@ class TestUnitRows:
 
     N = 14
 
-    def test_rows_are_the_weighted_stirling_entries(self, monkeypatch):
-        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
-        for n in (*range(1, self.N + 1), 3, self.N, 1):  # up, then below the top
-            row = sequences._unit_row(n)
-            assert len(row) == n
-            for k, coeffs in enumerate(row, 1):
+    def test_rows_are_the_weighted_stirling_entries(self, cold_rows):
+        for n in (*range(self.N + 1), 3, self.N, 0, 1):  # up, then below the top
+            row = sequences._row(1, n)
+            assert len(row) == n + 1
+            for k, coeffs in enumerate(row):
                 u = Poly({(d, 0, 0, 0): c for d, c in enumerate(coeffs)})
                 assert u == unit_falling_factorial_deg(k) * stirling2_deg(n, k), (n, k)
 
     @pytest.mark.parametrize("x_arg", [X, T, ONE, -LAM * T], ids=["x", "t", "one", "-lt"])
-    def test_bell_against_products_out_of_order(self, monkeypatch, x_arg):
-        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
-        bell_fully_deg.cache_clear()
-        # the top first, then descending: every later request restarts at row 1
+    def test_bell_against_products_out_of_order(self, cold_rows, x_arg):
+        # the top first, then descending: every later request restarts at row 0
         for n in range(self.N, -1, -1):
             assert bell_fully_deg(n, x_arg) == bell_fully_deg_products(n, x_arg), n
 
-    def test_bell_memory_from_cold_memos(self, monkeypatch):
+    def test_bell_memory_from_cold_memos(self, cold_rows):
         # a cold Bel_{40,l} keeps one row of U_l at a time: no S2_l rows and no
         # (1)_{k,l} list, whose Poly terms took 1.4 MiB on the product route
-        monkeypatch.setattr(sequences, "_UNIT_TOP", (1, ([1],)))
-        monkeypatch.setattr(sequences, "_STIRLING_DEG_ROWS", sequences._STIRLING_DEG_ROWS[:1])
         sequences._running.cache_clear()
         tracemalloc.start()
         try:
-            bell_fully_deg.__wrapped__(40)  # past the functools cache
+            bell_fully_deg(40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,6 +290,17 @@ class TestUnitRows:
 
 
 class TestBellFamilies:
+    @pytest.mark.parametrize(
+        "family",
+        [bell_deg, bell_fully_deg, fubini_deg, lambda n: fubini_two_var_alpha(n, 2)],
+        ids=["bell_deg", "bell_fully_deg", "fubini_deg", "fubini_two_var_alpha"],
+    )
+    def test_negative_n_rejected(self, family):
+        family(6)  # a warm memo must not answer either
+        for n in (-1, -3):
+            with pytest.raises(ValueError):
+                family(n)
+
     def test_bell_deg_values(self):
         assert bell_deg(0) == ONE
         assert bell_deg(2) == (ONE - LAM) * X + X**2
@@ -574,7 +606,7 @@ class TestTables:
 
     def test_memoization_transparent(self):
         first = fubini_two_var_alpha(5, 2)
-        second = fubini_two_var_alpha(5, 2)
-        assert first == second
-        assert first is second  # cached, same object
+        # move the top rows up, then below: the next reads restart from row 0
+        bell_fully_deg(9), stirling2_deg(9, 4), stirling2_deg(2, 1)
+        assert fubini_two_var_alpha(5, 2) == first
         assert stirling2_deg(6, 3) == stirling2_deg(6, 3)

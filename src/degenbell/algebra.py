@@ -498,11 +498,14 @@ class Poly:
 
 
 def _stored(out: dict[int, Scalar]) -> Poly:
-    """The product term map ``out`` in stored form; OverflowError if any key
-    in it, a cancelled one too, is past the range."""
+    """The product term map ``out``, brought to stored form in place and kept;
+    OverflowError if any key in it, a cancelled one too, is past the range."""
     if out and max(out) > _KEY_MAX:
         raise _past_range()
-    return Poly._trusted({k: c if type(c) is int else _canon(c) for k, c in out.items() if c})
+    for k in [k for k, c in out.items() if not c or type(c) is not int]:
+        if c := out.pop(k):  # zeros stay out, a Fraction goes back in stored form
+            out[k] = _canon(c)
+    return Poly._trusted(out)
 
 
 @cache

@@ -2,13 +2,14 @@
 
 Everything here is computed from textbook integer recurrences with no
 reference to the degenerate machinery, so these values can be used to
-check the l -> 0 specialization of every degenerate family.
+check the l -> 0 specialization of every degenerate family.  Only the
+Stirling rows and the Bell numbers are kept for the process.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial
+from math import comb, prod
 
 from .algebra import Poly, X, Y
 
@@ -43,18 +44,14 @@ def bell_number(n: int) -> int:
     return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
-_ORDERED_BELL: list[int] = [1]
-
-
 def ordered_bell_number(n: int) -> int:
-    """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1; memoized values
-    are extended in a loop, never by recursion, each assigned at its index
-    as in `_stirling_row`; ValueError for n < 0."""
+    """Fubini numbers a(n) = sum_{k>=1} C(n,k) a(n-k), a(0) = 1, in a loop over
+    a local list, never by recursion; ValueError for n < 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = _ORDERED_BELL
-    while (m := len(a)) <= n:
-        a[m : m + 1] = [sum(comb(m, k) * a[m - k] for k in range(1, m + 1))]
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
     return a[n]
 
 
@@ -63,27 +60,21 @@ def bell_poly(n: int) -> Poly:
     return Poly.sum_of_products((stirling2(n, k), X**k) for k in range(n + 1))
 
 
-def fubini_poly(n: int, x: Poly = X) -> Poly:
-    """F_n(x) = sum_k k! S(n,k) x^k at the argument x; F_n(1) is the ordered Bell number."""
-    return Poly.sum_of_products((factorial(k) * stirling2(n, k), x**k) for k in range(n + 1))
+def fubini_poly(n: int, x: Poly = X, alpha: int = 1) -> Poly:
+    """F^(alpha)_n(x) = sum_k <alpha>_k S(n,k) x^k at the argument x; alpha = 1
+    (<1>_k = k!) gives F_n(x), and F_n(1) is the ordered Bell number."""
+    weights = (rising_factorial_int(alpha, k) * stirling2(n, k) for k in range(n + 1))
+    return Poly.sum_of_products((w, x**k) for k, w in enumerate(weights))
 
 
 def rising_factorial_int(a: int, k: int) -> int:
     """<a>_k = a (a+1) ... (a+k-1), empty product 1."""
-    out = 1
-    for i in range(k):
-        out *= a + i
-    return out
+    return prod(range(a, a + k))
 
 
 def two_var_fubini_poly(n: int, alpha: int) -> Poly:
-    """Order-alpha two-variable Fubini polynomial in x and y.
-
-    EGF (1 - x(e^s - 1))^(-alpha) e^(y s); assembled here from the
-    Cauchy product of the two factors with classical Stirling weights.
-    """
+    """F^(alpha)_n(x, y) = sum_j C(n,j) F^(alpha)_j(x) y^(n-j), of EGF
+    (1 - x(e^s - 1))^(-alpha) e^(y s), the Cauchy product of its two factors."""
     return Poly.sum_of_products(
-        (comb(n, j) * rising_factorial_int(alpha, k) * stirling2(j, k), X**k, Y ** (n - j))
-        for j in range(n + 1)
-        for k in range(j + 1)
+        (comb(n, j), fubini_poly(j, X, alpha), Y ** (n - j)) for j in range(n + 1)
     )

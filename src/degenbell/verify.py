@@ -27,8 +27,8 @@ in which only the weights depend on m.  A classical tail k^j has no
 shift, so its right side is Q_m(n).  An identity is the choice of five
 parts: the outer family B, the weight W, the head A_k, the tail T_k and
 the shift P_m.  With S2_l / phi / Bel / F as in `sequences` and S, phi_j,
-F_j their classical (l = 0) forms from `classical` (a head "-" is the
-unit, so H_k = B, and a shift "-" is none):
+F_j, F^(k)_j their classical (l = 0) forms from `classical` (a head "-"
+is the unit, so H_k = B, and a shift "-" is none):
 
   identity             B_j           W(m, k)                  A_k(j)             T_k(j)     P_m(r)
   spivey-bell          phi_j(1)      S(m,k)                   -                  k^j        -
@@ -47,10 +47,11 @@ builds each H_k(i), K_k(s) and Q_m(s) once.  The grid runs m outer, so
 K_m is built when m is reached and kept to the end of the pass, and the
 Q_m(s) of one m are dropped when its cells are done.  Nothing outlives
 the pass but what the family builders keep themselves: each tail
-(k)_{j,l} is a ``falling_factorial_deg`` call, which reads the one running
-list of each k that four identities share.  Only fubini-spivey's
-classical head, the independent classical route, substitutes (y = 0,
-then x -> t), once per (j, k).
+(k)_{j,l} and each shift (-m*l)_{r,l} is a ``falling_factorial_deg``
+call, which reads the one running list of k, or of -m*l, that the four
+shifted identities share.  Only fubini-spivey's classical head, the
+independent classical route, substitutes: F^(k)_j(t) is the classical
+``fubini_poly(j, X, k)`` with x renamed t, once per (j, k).
 
 The other three have grids of their own:
 
@@ -89,7 +90,7 @@ import itertools
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, prod
+from math import comb, factorial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -197,14 +198,14 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
 
 
 # the arguments of the fully degenerate heads, one object each, so the
-# fubini_deg memo keys hash once
+# fubini_deg memo keys hash once; _NEG_LAM is the shifts' -l too
 _NEG_LAM = -LAM
 _NEG_LAM_T = -LAM * T
 
 
 def _classical_head(j: int, k: int) -> Poly:
-    """F^(k)_j(t), fubini-spivey's A_k(j), by substitution."""
-    return classical.two_var_fubini_poly(j, k).eval({Var.Y: 0}).substitute(Var.X, T)
+    """F^(k)_j(t), fubini-spivey's A_k(j): the classical F^(k)_j(x), renamed x -> t."""
+    return classical.fubini_poly(j, X, k).substitute(Var.X, T)
 
 
 def _deg_tail(j: int, k: int) -> Poly:
@@ -213,8 +214,8 @@ def _deg_tail(j: int, k: int) -> Poly:
 
 
 def _deg_shift(r: int, m: int) -> Poly:
-    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, one term."""
-    return _NEG_LAM**r * prod(range(m, m + r))
+    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, read from the one running list of m."""
+    return falling_factorial_deg(m * _NEG_LAM, r)
 
 
 # -- the other identities' grids -----------------------------------------------

@@ -1,11 +1,14 @@
 """Classical oracle families: frozen small values, standard recurrences."""
 
+import inspect
+import sys
 from math import factorial
 
 import pytest
 
 from degenbell import classical
-from degenbell.algebra import Poly, Var, X
+from degenbell.algebra import Poly, T, Var, X
+from degenbell.series import Series
 from oracles import const_value
 from test_sequences import _read_in_racing_threads
 
@@ -34,30 +37,29 @@ def test_bell_numbers_are_row_sums():
         )
 
 
-def test_ordered_bell_past_recursion_limit(monkeypatch):
-    # a(n) = sum_k k! S(n, k); a(400) is built from a cold memo (about 0.3 s)
-    monkeypatch.setattr(classical, "_ORDERED_BELL", [1])
+def test_ordered_bell_past_recursion_limit():
+    # a(n) = sum_k k! S(n, k); a(400) is built in a loop (about 0.3 s), so
+    # it needs no deep stack
     expected = sum(factorial(k) * classical.stirling2(400, k) for k in range(401))
-    assert classical.ordered_bell_number(400) == expected
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        value = classical.ordered_bell_number(400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == expected
 
 
 def test_memos_under_racing_threads(monkeypatch):
-    rows, values = [(1,)], [1]
+    rows = [(1,)]
     monkeypatch.setattr(classical, "_STIRLING_ROWS", rows)
-    monkeypatch.setattr(classical, "_ORDERED_BELL", values)
     n = 199
-
-    def read(j):
-        classical.stirling2(j, 1)
-        classical.ordered_bell_number(j)
-
-    _read_in_racing_threads(read, n)
-    # a doubled row or value would shift every one above it
-    assert len(rows) == len(values) == n + 1
+    _read_in_racing_threads(lambda j: classical.stirling2(j, 1), n)
+    # a doubled row would shift every one above it
+    assert len(rows) == n + 1
     monkeypatch.setattr(classical, "_STIRLING_ROWS", [(1,)])
-    monkeypatch.setattr(classical, "_ORDERED_BELL", [1])
     assert rows == [classical._stirling_row(m) for m in range(n + 1)]
-    assert values == [classical.ordered_bell_number(m) for m in range(n + 1)]
 
 
 def test_ordered_bell_numbers():
@@ -65,8 +67,7 @@ def test_ordered_bell_numbers():
 
 
 def test_ordered_bell_negative_n_rejected():
-    # not a read of the memo from its end: a[-1] is 4683 after a(6)
-    classical.ordered_bell_number(6)
+    # not a read of a list from its end
     for n in (-1, -3):
         with pytest.raises(ValueError):
             classical.ordered_bell_number(n)
@@ -81,6 +82,17 @@ def test_fubini_poly_at_one_is_ordered_bell():
     for n in range(9):
         value = const_value(classical.fubini_poly(n).eval({Var.X: 1}))
         assert value == classical.ordered_bell_number(n)
+
+
+@pytest.mark.parametrize("alpha", range(4))
+@pytest.mark.parametrize("x", [X, T], ids=["x", "t"])
+def test_fubini_poly_of_order_alpha_gf(x, alpha):
+    # EGF coefficient n of (1 - x(e^s - 1))^(-alpha), by the series route at l = 0
+    order = 8
+    unit = Series.unit(order)
+    gf = (unit - x * (Series.deg_exp(1, order) - unit)).int_pow(alpha).reciprocal()
+    for n in range(order + 1):
+        assert classical.fubini_poly(n, x, alpha) == gf.coeff(n).eval({Var.LAMBDA: 0})
 
 
 def test_rising_factorial_int():

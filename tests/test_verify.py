@@ -9,7 +9,7 @@ import pytest
 
 from degenbell import classical, sequences, verify
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, var_from_symbol
-from degenbell.cli import _json_text
+from degenbell.cli import _json_text, main
 from degenbell.sequences import (
     _DEG_STEP,
     _running,
@@ -455,11 +455,18 @@ class TestSharedMemos:
     # every m, Q_m(s) per (m, s), and one sum per cell when there is a shift
     N = 4
 
+    def _shift_bases(self):
+        # the lists of the tails (k)_{j,l}, one per k, and of the shifts
+        # (-m*l)_{r,l}, one per m >= 1: the base -0*l is the tail's base 0
+        tails = {Poly.const(k) for k, _ in _weighted_km(self.N)}
+        return tails, {m * -LAM for m in range(1, self.N + 1)}
+
     def test_one_falling_list_per_shifted_argument(self):
-        # the tail (k - m*l)_{j,l} is split into (k)_{j-r,l} and the one-term
-        # shift (-m*l)_{r,l}, so the lists read are one per k, none per k - m*l;
-        # k = 1 is (1)_{.,l}, which fully-deg-bell's weights read too
-        bases = {Poly.const(k) for k, _ in _weighted_km(self.N)}
+        # the tail (k - m*l)_{j,l} is split into (k)_{j-r,l} and the shift
+        # (-m*l)_{r,l}, so the lists read are one per k and one per -m*l, none
+        # per k - m*l; k = 1 is (1)_{.,l}, which fully-deg-bell's weights read too
+        tails, shifts = self._shift_bases()
+        bases = tails | shifts
         for identity in (Identity.DEG_BELL_SPIVEY, Identity.FULLY_DEG_BELL):
             _clear_memos()
             assert run_identity(identity, self.N, self.N).ok
@@ -471,6 +478,25 @@ class TestSharedMemos:
         # (k)_{j,l} for j <= n_max, and (1)_{k,l} for k <= m_max, as far as read
         for base in bases:
             assert len(_running(base, _DEG_STEP)) == self.N + 1
+        assert _running.cache_info().misses == info.misses
+
+    def test_shift_lists_shared_by_a_command(self, capsys):
+        # the four shifted identities of one `verify --all` read each P_m(r)
+        # from the one running list of -m*l, as each T_k(j) from that of k
+        _clear_memos()
+        argv = ["verify", "--all", "--n-max", str(self.N), "--m-max", str(self.N)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        tails, shifts = self._shift_bases()
+        info = _running.cache_info()
+        # exp-splitting's e_l(u) reads the list of 1 further
+        for base in tails:
+            assert len(_running(base, _DEG_STEP)) >= self.N + 1
+        for base in shifts:
+            assert len(_running(base, _DEG_STEP)) == self.N + 1
+        assert _running.cache_info().misses == info.misses
+        # run again, deg-fubini-spivey finds every list it reads
+        assert run_identity(Identity.DEG_FUBINI_SPIVEY, self.N, self.N).ok
         assert _running.cache_info().misses == info.misses
 
     def test_classical_head_substituted_once_per_jk(self, monkeypatch):

@@ -64,7 +64,6 @@ _W = 32  # bits per exponent field
 _MASK = (1 << _W) - 1
 _SHIFT = (3 * _W, 2 * _W, _W, 0)  # where the exponent of l, x, y, t sits
 _VAR_KEY = tuple((1 << 4 * _W) - (1 << s) for s in _SHIFT)  # the key of each variable
-_L_KEYS = [0]  # entry d is the key of l^d, for every d that `_l_keys` has met
 MAX_DEGREE = 1 << (_W - 1)
 # The largest key of total degree at most MAX_DEGREE.  A key is D*2^(4w) - E
 # with 0 <= E <= D*2^(3w), and MAX_DEGREE < 2^w - 1, so a key exceeds it
@@ -91,16 +90,34 @@ def _pack(mono: tuple[int, int, int, int]) -> int:
     return key
 
 
+@cache
+def _kept(key) -> dict:
+    """{i: entry i} of the sequence kept under ``key``, as far as read: every
+    sequence the package keeps across calls, so one cache_clear() resets all."""
+    return {}
+
+
+def _kept_entry(key, n: int, first, step):
+    """Entry n of the sequence kept under ``key``, whose entry 0 is ``first`` and
+    entry i + 1 is ``step(run, i)`` of its kept entries ``run``, extended in a
+    loop; ValueError for n < 0.  Each entry is written at its index, so a racing
+    extension only rewrites an equal entry."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    run = _kept(key)
+    run.setdefault(0, first)
+    for i in range(len(run) - 1, n):
+        run[i + 1] = step(run, i)
+    return run[n]
+
+
 def _l_keys(n: int) -> list[int]:
-    """The keys of l^0 .. l^(n-1) and maybe more, each int made once for the
-    process, so the S2_l entries built from rows share their key objects.
-    The list is extended by slice, so a racing extension rewrites equal keys
-    in place."""
-    keys = _L_KEYS
-    if n > (m := len(keys)):
-        step = _VAR_KEY[Var.LAMBDA]
-        keys[m:n] = range(m * step, n * step, step)
-    return keys
+    """The keys of l^0 .. l^(n-1) under "l-keys", each int made once so that the
+    S2_l entries built from rows share them; read from the dict found after the
+    extension, as racing first reads of a key may each make a dict."""
+    while len(keys := _kept("l-keys")) < n:
+        _kept_entry("l-keys", n - 1, 0, lambda run, d: run[d] + _VAR_KEY[Var.LAMBDA])
+    return [*map(keys.__getitem__, range(n))]
 
 
 def _unpack(key: int) -> tuple[int, int, int, int]:

@@ -3,45 +3,37 @@
 Everything here is computed from textbook integer recurrences with no
 reference to the degenerate machinery, so these values can be used to
 check the l -> 0 specialization of every degenerate family.  Only the
-Stirling rows and the Bell numbers are kept for the process.
+Stirling rows and the Bell numbers are kept for the process, in the one
+store `algebra._kept`.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb, prod
 
-from .algebra import Poly, X, Y
-
-
-_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
-
-
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of S(n, k); memoized rows are extended in a loop, never by
-    recursion.  Row m is assigned to the slice at index m, so a racing
-    extension rewrites an equal row where an append would add a second copy."""
-    rows = _STIRLING_ROWS
-    while (m := len(rows)) <= n:
-        prev = rows[m - 1]
-        # S(m, k) = S(m-1, k-1) + k * S(m-1, k); S(m, 0) = 0 and S(m, m) = 1
-        rows[m : m + 1] = [(0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, m)) + (1,)]
-    return rows[n]
+from .algebra import Poly, X, Y, _kept_entry
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, 0 outside 0 <= k <= n."""
+    """Stirling number of the second kind, 0 outside 0 <= k <= n, from the rows
+    kept under "stirling-rows", extended in a loop, never by recursion."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling_row(n)[k]
+    return _kept_entry("stirling-rows", n, (1,), _next_stirling_row)[k]
 
 
-@cache
+def _next_stirling_row(rows: dict[int, tuple[int, ...]], m: int) -> tuple[int, ...]:
+    # S(m+1, k) = S(m, k-1) + k * S(m, k); S(m+1, 0) = 0 and S(m+1, m+1) = 1
+    prev = rows[m]
+    return (0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, m + 1)) + (1,)
+
+
 def bell_number(n: int) -> int:
-    """Via the binomial recurrence B(n+1) = sum_k C(n,k) B(k)."""
-    if n == 0:
-        return 1
-    return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
+    """Via the binomial recurrence B(n+1) = sum_k C(n,k) B(k), kept under
+    "bell-numbers" and extended in a loop; ValueError for n < 0."""
+    return _kept_entry(
+        "bell-numbers", n, 1, lambda bell, m: sum(comb(m, k) * bell[k] for k in range(m + 1))
+    )
 
 
 def ordered_bell_number(n: int) -> int:

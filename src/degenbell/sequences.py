@@ -26,10 +26,10 @@ Bel_{n,l}(t) or F^(k)_{n,l}(-l*t) is built at its argument, never
 substituted into.  That argument must be one term (x, t, 1, -l and -l*t
 are the ones used), since x^k times l^d is then one term; any other
 raises ValueError.  Every factorial
-(w)_{n,l}, (w)_n and <w>_n is read from one running list of
-prod_{i<n} (w + i*step) per (w, step), kept for the process and extended
-in a loop.  Each other sum of products goes through
-`Poly.sum_of_products`.
+(w)_{n,l}, (w)_n and <w>_n is entry n of the running list
+prod_{i<n} (w + i*step) kept under the key (w, step) by
+`algebra._kept_entry`, which extends it in a loop.  Each other sum of
+products goes through `Poly.sum_of_products`.
 
 S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
 int coefficients, so their rows are plain int lists, entry d of a list the
@@ -72,29 +72,21 @@ from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Scalar, X, Y
+from .algebra import LAM, ONE, Poly, Scalar, X, Y, _kept, _kept_entry
 
 
-_DEG_STEP = -LAM  # the step of (w)_{n,l}, one object, so its cache keys hash once
-
-
-@cache
-def _running(base: Poly, step: Poly | int) -> dict[int, Poly]:
-    """{i: prod_{j<i} (base + j*step)} for i = 0, 1, ..., one running list per (base, step)."""
-    return {0: ONE}
+_DEG_STEP = -LAM  # the step of (w)_{n,l}, one object, so its store keys hash once
 
 
 def _product(base: Poly | Scalar, n: int, step: Poly | int) -> Poly:
-    """prod_{i<n} (base + i*step), the product behind every factorial here, read
-    from the running list of (base, step).  Its keys stay 0..len-1, and a racing
-    extension only rewrites an entry with the same value."""
-    if n < 0:
-        raise ValueError("count must be nonnegative")
-    base = base if isinstance(base, Poly) else Poly.const(base)
-    run = _running(base, step)
-    for i in range(len(run) - 1, n):
-        run[i + 1] = run[i] * (base + i * step)
-    return run[n]
+    """prod_{i<n} (base + i*step), the product behind every factorial here: entry
+    n of the sequence kept under (base, step).  An int base is the same key as
+    its constant, which is built only to extend the sequence."""
+    def extend(run: dict[int, Poly], i: int) -> Poly:
+        factor = base if isinstance(base, Poly) else Poly.const(base)
+        return run[i] * (factor + i * step)
+
+    return _kept_entry((base, step), n, ONE, extend)
 
 
 def falling_factorial_deg(base: Poly | Scalar, n: int) -> Poly:
@@ -117,19 +109,17 @@ def unit_falling_factorial_deg(n: int) -> Poly:
     return falling_factorial_deg(ONE, n)
 
 
-# Triangle c (0: S2_l, 1: U_l) as (n, row n): entry k of row n holds the
-# l-coefficients of T(n, k), k = 0..n, n - k + 1 of them for S2_l and n + 1
-# for U_l, the last 0 when n > 0.  Each pair is replaced whole and no row is
-# changed in place, so a racing step only costs a repeat of work.
-_TOP: list[tuple[int, tuple[list[int], ...]]] = [(0, ([1],)), (0, ([1],))]
-
-
+# Triangle c (0: S2_l, 1: U_l) keeps (n, row n) as entry 0 under ("top", c):
+# entry k of row n holds the l-coefficients of T(n, k), k = 0..n, n - k + 1 of
+# them for S2_l and n + 1 for U_l, the last 0 when n > 0.  Each pair is replaced
+# whole and no row is changed in place, so a racing step only repeats work.
 def _row(c: int, n: int) -> tuple[list[int], ...]:
     """Row n >= 0 of triangle c, stepped up in a loop from the top row, or
     from row 0 when n is below it; ValueError for n < 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    top, row = _TOP[c]
+    kept = _kept(("top", c))
+    top, row = kept.get(0, (0, ([1],)))
     if n < top:
         top, row = 0, ([1],)
     for top in range(top, n):
@@ -143,7 +133,7 @@ def _row(c: int, n: int) -> tuple[list[int], ...]:
                 for k, w, a, la, b, lb in zip(count(1), count(0, c), lo, hi, lo[1:], hi[1:])
             ),
         )
-    _TOP[c] = (n, row)
+    kept[0] = (n, row)
     return row
 
 

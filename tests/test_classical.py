@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from degenbell import classical
-from degenbell.algebra import Poly, T, Var, X
+from degenbell.algebra import Poly, T, Var, X, _kept
 from degenbell.series import Series
 from oracles import const_value
 from test_sequences import _read_in_racing_threads
@@ -20,14 +20,30 @@ def test_stirling_triangle():
     assert classical.stirling2(5, -1) == 0
 
 
-def test_stirling_row_past_recursion_limit(monkeypatch):
-    # S(n, 2) = 2^(n-1) - 1; row 1200 is built from a cold memo
-    monkeypatch.setattr(classical, "_STIRLING_ROWS", [(1,)])
+@pytest.fixture
+def cold_stirling_rows():
+    """The kept Stirling rows back at row 0 for one test, and dropped after it:
+    rows up to 1200 hold about 335 MiB."""
+    rows = _kept("stirling-rows")
+    rows.clear()
+    yield rows
+    rows.clear()
+
+
+def test_stirling_row_past_recursion_limit(cold_stirling_rows):
+    # S(n, 2) = 2^(n-1) - 1; row 1200 is built from cold rows
     assert classical.stirling2(1200, 2) == 2**1199 - 1
 
 
 def test_bell_numbers():
     assert [classical.bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+def test_bell_number_negative_n_rejected():
+    classical.bell_number(6)  # not a read of the kept numbers from their end
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            classical.bell_number(n)
 
 
 def test_bell_numbers_are_row_sums():
@@ -51,15 +67,15 @@ def test_ordered_bell_past_recursion_limit():
     assert value == expected
 
 
-def test_memos_under_racing_threads(monkeypatch):
-    rows = [(1,)]
-    monkeypatch.setattr(classical, "_STIRLING_ROWS", rows)
+def test_memos_under_racing_threads(cold_stirling_rows):
     n = 199
     _read_in_racing_threads(lambda j: classical.stirling2(j, 1), n)
-    # a doubled row would shift every one above it
-    assert len(rows) == n + 1
-    monkeypatch.setattr(classical, "_STIRLING_ROWS", [(1,)])
-    assert rows == [classical._stirling_row(m) for m in range(n + 1)]
+    # a row lost, doubled or written at the wrong index would show here
+    raced = dict(cold_stirling_rows)
+    assert list(raced) == list(range(n + 1))
+    cold_stirling_rows.clear()
+    classical.stirling2(n, 0)  # the same rows, stepped up in one thread
+    assert raced == cold_stirling_rows
 
 
 def test_ordered_bell_numbers():

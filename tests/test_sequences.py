@@ -1,5 +1,6 @@
 """Degenerate families: factorials, Stirling routes, Bell/Fubini polynomials."""
 
+import copy
 import inspect
 import sys
 import threading
@@ -9,8 +10,8 @@ from math import comb, factorial
 
 import pytest
 
-from degenbell import classical, sequences
-from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, var_from_symbol
+from degenbell import algebra, classical, sequences
+from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, _kept, var_from_symbol
 from degenbell.cli import main
 from degenbell.sequences import (
     KINDS,
@@ -46,7 +47,8 @@ from oracles import (
 @pytest.fixture
 def cold_rows(monkeypatch):
     """Both degenerate triangles back at row 0 for one test."""
-    monkeypatch.setattr(sequences, "_TOP", [(0, ([1],)), (0, ([1],))])
+    for c in (0, 1):
+        monkeypatch.delitem(_kept(("top", c)), 0, raising=False)
 
 
 def _read_in_racing_threads(read, n, workers=8):
@@ -104,7 +106,7 @@ class TestFactorials:
 
     def test_shared_list_reads_the_plain_product(self):
         factorials = ((falling_factorial_deg, -LAM), (falling_factorial, -1), (rising_factorial, 1))
-        sequences._running.cache_clear()  # so each list starts at its first read
+        _kept.cache_clear()  # so each list starts at its first read
         for base in (ONE, X, 3 - 2 * LAM, X + Y, 2, Fraction(1, 2)):
             for fn, step in factorials:
                 for n in (4, 0, 6, 2):  # out of order: a read below the list's end extends nothing
@@ -117,7 +119,7 @@ class TestFactorials:
             calls.append(other)
             return mul(self, other)
 
-        sequences._running.cache_clear()  # so (x)_{n,l} is built here, not read
+        _kept.cache_clear()  # so (x)_{n,l} is built here, not read
         monkeypatch.setattr(Poly, "__mul__", counted)
         monkeypatch.setattr(Poly, "__rmul__", counted)
         n_max = 30
@@ -131,7 +133,7 @@ class TestFactorials:
         n = 30
         _read_in_racing_threads(lambda j: falling_factorial_deg(base, j), n)
         # a lost or doubled extension would leave a wrong or missing entry
-        assert sequences._running(base, sequences._DEG_STEP) == {
+        assert _kept((base, sequences._DEG_STEP)) == {
             j: product_plain(base, j, -LAM) for j in range(n + 1)
         }
 
@@ -173,7 +175,8 @@ class TestStirlingDeg:
         assert first == expected
         assert top == ONE
 
-    def test_rows_under_racing_threads(self, cold_rows):
+    def test_rows_under_racing_threads(self):
+        _kept.cache_clear()  # the top rows and the keys of l^d: every first read races
         n = 60
         reads = []
         _read_in_racing_threads(
@@ -184,7 +187,7 @@ class TestStirlingDeg:
         assert len(reads) == 8 * (n + 1)
         for j, first, middle in reads:
             assert (first, middle) == ((plain[j] + [ZERO])[1], plain[j][j // 2]), j
-        top, row = sequences._TOP[0]
+        top, row = _kept(("top", 0))[0]
         assert [Poly._from_l_coeffs(coeffs) for coeffs in row] == plain[top]
 
     def test_rows_read_descending_then_ascending(self, cold_rows):
@@ -279,7 +282,7 @@ class TestUnitRows:
     def test_bell_memory_from_cold_memos(self, cold_rows):
         # a cold Bel_{40,l} keeps one row of U_l at a time: no S2_l rows and no
         # (1)_{k,l} list, whose Poly terms took 1.4 MiB on the product route
-        sequences._running.cache_clear()
+        _kept.cache_clear()
         tracemalloc.start()
         try:
             bell_fully_deg(40)
@@ -287,6 +290,51 @@ class TestUnitRows:
         finally:
             tracemalloc.stop()
         assert peak < 0.8 * 2**20
+
+
+class TestKeptStore:
+    """Every sequence kept across calls is an entry of `algebra._kept`, so no
+    module-level memo is left and one cache_clear() resets the process."""
+
+    def test_no_module_level_memo(self, monkeypatch, capsys):
+        def memo_globals():
+            return {
+                (module.__name__, name): copy.deepcopy(value)
+                for module in (algebra, sequences, classical)
+                for name, value in vars(module).items()
+                if isinstance(value, (list, dict)) and not name.startswith("__")
+            }
+
+        before = memo_globals()
+        assert main(["verify", "--all", "--n-max", "3", "--m-max", "3"]) == 0
+        assert main(["table", "--kind", "deg-stirling2", "--n-max", "10"]) == 0
+        capsys.readouterr()
+        assert memo_globals() == before
+        # every functools cache of the package, found as perfbench's scan finds them
+        package = [m for name, m in sys.modules.items() if name.split(".")[0] == "degenbell"]
+        caches = {
+            id(value): value
+            for module in package
+            for value in vars(module).values()
+            if callable(getattr(value, "cache_clear", None))
+            and callable(getattr(value, "cache_info", None))
+        }
+        names = sorted(fn.__name__ for fn in caches.values())
+        assert names == ["_fubini_deg", "_json_heads", "_kept"]
+        stirling2_deg(4, 1)  # the top row of S2_l is now row 4
+        for fn in caches.values():
+            fn.cache_clear()
+        assert _kept.cache_info().currsize == 0
+        reads = []
+
+        def spy(key):
+            reads.append((key, dict(_kept(key))))
+            return _kept(key)
+
+        monkeypatch.setattr(sequences, "_kept", spy)
+        assert stirling2_deg(6, 2) == stirling2_deg_rows_plain(6)[6][2]
+        # the top row was read empty, so S2_l(6, 2) stepped up from row 0, not row 4
+        assert reads == [(("top", 0), {})]
 
 
 class TestBellFamilies:

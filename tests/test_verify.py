@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from degenbell import classical, sequences, verify
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, var_from_symbol
+from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, _kept, var_from_symbol
 from degenbell.cli import _json_text, main
 from degenbell.sequences import (
     _DEG_STEP,
-    _running,
     bell_fully_deg,
     build_table,
     fubini_two_var_alpha,
@@ -465,20 +464,23 @@ class TestSharedMemos:
         # the tail (k - m*l)_{j,l} is split into (k)_{j-r,l} and the shift
         # (-m*l)_{r,l}, so the lists read are one per k and one per -m*l, none
         # per k - m*l; k = 1 is (1)_{.,l}, which fully-deg-bell's weights read too
+        # Besides the lists, the store keeps the keys of l^d ("l-keys") and the
+        # top row of S2_l (("top", 0)), and for fully-deg-bell that of U_l too
         tails, shifts = self._shift_bases()
         bases = tails | shifts
+        rows = {Identity.DEG_BELL_SPIVEY: 2, Identity.FULLY_DEG_BELL: 3}
         for identity in (Identity.DEG_BELL_SPIVEY, Identity.FULLY_DEG_BELL):
             _clear_memos()
             assert run_identity(identity, self.N, self.N).ok
-            assert _running.cache_info().currsize == len(bases)
+            assert _kept.cache_info().currsize == len(bases) + rows[identity]
         # run after fully-deg-bell, deg-bell-spivey finds every list it reads
         assert run_identity(Identity.DEG_BELL_SPIVEY, self.N, self.N).ok
-        info = _running.cache_info()
-        assert info.misses == info.currsize == len(bases)
+        info = _kept.cache_info()
+        assert info.misses == info.currsize == len(bases) + rows[Identity.FULLY_DEG_BELL]
         # (k)_{j,l} for j <= n_max, and (1)_{k,l} for k <= m_max, as far as read
         for base in bases:
-            assert len(_running(base, _DEG_STEP)) == self.N + 1
-        assert _running.cache_info().misses == info.misses
+            assert len(_kept((base, _DEG_STEP))) == self.N + 1
+        assert _kept.cache_info().misses == info.misses
 
     def test_shift_lists_shared_by_a_command(self, capsys):
         # the four shifted identities of one `verify --all` read each P_m(r)
@@ -488,16 +490,16 @@ class TestSharedMemos:
         assert main(argv) == 0
         capsys.readouterr()
         tails, shifts = self._shift_bases()
-        info = _running.cache_info()
+        info = _kept.cache_info()
         # exp-splitting's e_l(u) reads the list of 1 further
         for base in tails:
-            assert len(_running(base, _DEG_STEP)) >= self.N + 1
+            assert len(_kept((base, _DEG_STEP))) >= self.N + 1
         for base in shifts:
-            assert len(_running(base, _DEG_STEP)) == self.N + 1
-        assert _running.cache_info().misses == info.misses
+            assert len(_kept((base, _DEG_STEP))) == self.N + 1
+        assert _kept.cache_info().misses == info.misses
         # run again, deg-fubini-spivey finds every list it reads
         assert run_identity(Identity.DEG_FUBINI_SPIVEY, self.N, self.N).ok
-        assert _running.cache_info().misses == info.misses
+        assert _kept.cache_info().misses == info.misses
 
     def test_classical_head_substituted_once_per_jk(self, monkeypatch):
         calls = []
@@ -607,7 +609,7 @@ class TestScopedMemos:
         scanned = (*vars(verify).values(), *vars(sequences).values())
         memos = [v for v in scanned if hasattr(v, "cache_clear")]
         assert [v for v in memos if v.__module__ == verify.__name__] == []
-        assert sequences._running in memos
+        assert sequences._kept in memos
 
     def test_unshifted_y_arg_drops_the_shift(self):
         # without the shift (-m*l)_{r,l} the tail is (k)_{j,l}, so the inner

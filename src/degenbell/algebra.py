@@ -193,11 +193,6 @@ class Poly:
         return p
 
     @classmethod
-    def _from_l_coeffs(cls, coeffs: list[int]) -> "Poly":
-        # sum_d coeffs[d] * l^d from ints, zeros dropped
-        return cls._trusted({k: c for k, c in zip(_l_keys(len(coeffs)), coeffs) if c})
-
-    @classmethod
     def _from_l_rows(cls, rows, arg, weights=None) -> "Poly":
         """sum_k weights[k] * rows[k](l) * arg^k, where rows[k] lists the int
         coefficients of l^0, l^1, ... of entry k, weights are exact scalars
@@ -220,7 +215,7 @@ class Poly:
             base = k * key
             for l_key, v in zip(keys, row):
                 if v:
-                    # at base 0 the shared key object is stored, as in _from_l_coeffs
+                    # at base 0 the shared key object of l^d is stored
                     d_key = l_key + base if base else l_key
                     out[d_key] = get(d_key, 0) + scale * v
             power *= c

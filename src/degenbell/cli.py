@@ -13,12 +13,16 @@ All numbers are exact rationals; the deformation parameter is spelled
 variable that the output contains (for ``verify``, one that the identity
 contains; it then applies in either mode), or the command exits 2.  Exit
 codes: 0 success / all cells pass, 1 identity or limit violation, 2 usage
-error or failed write, of ``--output`` or of stdout.  Identical
-invocations produce identical bytes, and JSON output is exactly
+error or failed write, of ``--output`` or of stdout.  A ValueError from
+the library is a usage error too (exit 2, with the subcommand's usage
+line); any other exception still ends in a traceback and exit 1.
+Identical invocations produce identical bytes, and JSON output is exactly
 ``json.dumps(data, indent=2)`` of the library's ``to_json()`` data,
 although each polynomial in it is written straight from its term map.
 The only environment knob is DEGENBELL_WIDTH, a width hint for wrapping
-long polynomials in text output.
+long polynomials in text output; lines break only at spaces.  Each
+``_cmd_*`` returns its exit code and one zero-argument renderer per
+``--format``, and `main` renders and emits the one asked for.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json", "csv"), bind=True):
+    def add_common(p, run, formats=("text", "json", "csv"), bind=True):
         # usage errors found after parsing go through the subcommand's parser,
         # so they print its usage line, as argparse's own errors do
-        p.set_defaults(_parser=p)
+        p.set_defaults(_parser=p, _run=run)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
         if bind:
@@ -97,14 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-max", type=int, required=True)
     p_table.add_argument("--k-max", type=int, help="cap the column index of triangular kinds")
     p_table.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_table)
+    add_common(p_table, _cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one family polynomial")
     p_poly.add_argument("--kind", choices=TABLE_KINDS, required=True)
     p_poly.add_argument("-n", type=int, required=True)
     p_poly.add_argument("-k", type=int, help="second index for triangular kinds")
     p_poly.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_poly, formats=("text", "json"))
+    add_common(p_poly, _cmd_poly, formats=("text", "json"))
 
     p_series = sub.add_parser("series", help="dump EGF coefficients")
     p_series.add_argument(
@@ -114,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one of deg-exp, deg-bell, fully-deg-bell, deg-fubini, two-var-fubini:<alpha>",
     )
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    add_common(p_series, formats=("text", "json"))
+    add_common(p_series, _cmd_series, formats=("text", "json"))
 
     p_verify = sub.add_parser("verify", help="check identities")
     group = p_verify.add_mutually_exclusive_group(required=True)
@@ -123,13 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=6)
     p_verify.add_argument("--m-max", type=int, default=6)
     p_verify.add_argument("--mode", choices=("symbolic", "rational"), default="symbolic")
-    add_common(p_verify, formats=("text", "json"))
+    add_common(p_verify, _cmd_verify, formats=("text", "json"))
 
     p_limit = sub.add_parser("limit", help="compare l = 0 limits against classical families")
     p_limit.add_argument("--kind", choices=LIMIT_KINDS, required=True)
     p_limit.add_argument("--n-max", type=int, default=8)
     p_limit.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_limit, bind=False)  # the limit is l = 0; nothing else is bound
+    add_common(p_limit, _cmd_limit, bind=False)  # the limit is l = 0; nothing else is bound
 
     return parser
 
@@ -241,7 +245,11 @@ def _wrap_line(line: str) -> str:
     if len(line) <= width:
         return line
     import textwrap  # loaded only for a line that needs wrapping
-    return "\n".join(textwrap.wrap(line, width=width, subsequent_indent="    "))
+    # break at spaces only, so that no number or monomial is split
+    lines = textwrap.wrap(
+        line, width, subsequent_indent="    ", break_long_words=False, break_on_hyphens=False
+    )
+    return "\n".join(lines)
 
 
 def _csv_text(rows) -> str:
@@ -252,71 +260,56 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _check_bindings(parser, bindings, free, where: str) -> None:
-    """Exit 2 naming every bound variable not in ``free``, so no --bind is ignored."""
+def _check_bindings(bindings, free, where: str) -> None:
+    """ValueError naming every bound variable not in ``free``, so no --bind is ignored."""
     stray = ", ".join(v.symbol for v in bindings if v not in free)
     if stray:
-        parser.error(f"--bind {stray}: no such variable in {where}")
+        raise ValueError(f"--bind {stray}: no such variable in {where}")
 
 
-def _apply_bindings(table, bindings):
+def _bound(bindings, polys, where: str):
+    """``polys`` at ``bindings``; ValueError if a bound variable is in none of them."""
     if not bindings:
-        return table
-    bound = dict(bindings)
-    values = tuple((index, poly.eval(bound)) for index, poly in table.values)
-    return type(table)(table.kind, table.bounds, table.provenance, values)
+        return polys
+    _check_bindings(bindings, set().union(*(p.variables() for p in polys)), where)
+    return [p.eval(bindings) for p in polys]
 
 
 def _label(index) -> str:
     return " ".join(f"{name}={i}" for name, i in index_names(index).items())
 
 
-def _table_text(table) -> str:
-    lines = [_wrap_line(f"{_label(index)}: {poly}") for index, poly in table.values]
-    return "\n".join(lines) + "\n"
+def _lines(lines) -> str:
+    """Text output: each line wrapped, and a newline after each."""
+    return "".join(_wrap_line(line) + "\n" for line in lines)
 
 
-def _cmd_table(args, parser) -> int:
-    try:
-        table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.bind:
-        free = set().union(*(poly.variables() for _, poly in table.values))
-        _check_bindings(parser, args.bind, free, args.kind)
-    table = _apply_bindings(table, args.bind)
-    if args.format == "json":
-        _emit_json(table.to_json(leaf=_poly_leaf), args.output)
-    elif args.format == "csv":
-        _emit(_csv_text(table.to_csv_rows()), args.output)
-    else:
-        _emit(_table_text(table), args.output)
-    return 0
+def _cmd_table(args):
+    table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
+    polys = _bound(args.bind, [poly for _, poly in table.values], args.kind)
+    table = table._replace(values=tuple((i, p) for (i, _), p in zip(table.values, polys)))
+    return 0, {
+        "json": lambda: table.to_json(leaf=_poly_leaf),
+        "csv": lambda: _csv_text(table.to_csv_rows()),
+        "text": lambda: _lines(f"{_label(i)}: {poly}" for i, poly in table.values),
+    }
 
 
-def _cmd_poly(args, parser) -> int:
+def _cmd_poly(args):
     kind, n, k = KINDS[args.kind], args.n, args.k
     if n < 0:
-        parser.error("n must be nonnegative")
+        raise ValueError("n must be nonnegative")
     if k is not None and k < 0:
-        parser.error("-k must be nonnegative")
+        raise ValueError("-k must be nonnegative")
     if kind.triangular and k is None:
-        parser.error(f"kind {kind.name} needs -k")
+        raise ValueError(f"kind {kind.name} needs -k")
     if k is not None and not kind.triangular:
-        parser.error(f"-k applies only to triangular kinds, not {kind.name}")
-    try:
-        alpha = kind.order(args.alpha)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"-k applies only to triangular kinds, not {kind.name}")
+    alpha = kind.order(args.alpha)
     index = (n, k) if kind.triangular else (n,)
     poly = kind.build(n, k if kind.triangular else alpha)
-    _check_bindings(parser, args.bind, poly.variables(), f"{kind.name} {_label(index)}")
-    poly = poly.eval(args.bind)
-    if args.format == "json":
-        _emit_json(poly, args.output)
-    else:
-        _emit(_wrap_line(str(poly)) + "\n", args.output)
-    return 0
+    (poly,) = _bound(args.bind, [poly], f"{kind.name} {_label(index)}")
+    return 0, {"json": lambda: poly, "text": lambda: _lines([str(poly)])}
 
 
 def _named_series(name: str, order: int) -> Series:
@@ -344,21 +337,13 @@ def _named_series(name: str, order: int) -> Series:
     raise ValueError(f"unknown generating function {name!r}")
 
 
-def _cmd_series(args, parser) -> int:
-    try:
-        series = _named_series(args.gf, args.order)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.bind:
-        free = set().union(*(c.variables() for c in series.coeffs))
-        _check_bindings(parser, args.bind, free, args.gf)
-        series = Series([c.eval(args.bind) for c in series.coeffs])
-    if args.format == "json":
-        _emit_json(series.to_json(leaf=_poly_leaf), args.output)
-    else:
-        lines = [_wrap_line(f"{n}: {series.coeff(n)}") for n in range(series.order + 1)]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+def _cmd_series(args):
+    series = _named_series(args.gf, args.order)
+    series = Series(_bound(args.bind, series.coeffs, args.gf))
+    return 0, {
+        "json": lambda: series.to_json(leaf=_poly_leaf),
+        "text": lambda: _lines(f"{n}: {series.coeff(n)}" for n in range(series.order + 1)),
+    }
 
 
 def _report_text(report) -> str:
@@ -375,37 +360,41 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args):
     identities = list(Identity) if args.all else [Identity(args.identity)]
     # a binding must act somewhere: with --all, in at least one identity
     free = set().union(*map(free_vars, identities))
-    _check_bindings(parser, args.bind, free, args.identity or "any identity")
+    _check_bindings(args.bind, free, args.identity or "any identity")
     reports = [
         run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
         for ident in identities
     ]
-    if args.format == "json":
-        payload = [r.to_json() for r in reports]
-        _emit_json(payload[0] if not args.all else payload, args.output)
-    else:
-        _emit("".join(_report_text(r) for r in reports), args.output)
-    return 0 if all(r.ok for r in reports) else 1
+    return 0 if all(r.ok for r in reports) else 1, {
+        "json": lambda: [r.to_json() for r in reports] if args.all else reports[0].to_json(),
+        "text": lambda: "".join(_report_text(r) for r in reports),
+    }
 
 
-def _cmd_limit(args, parser) -> int:
-    try:
-        degenerate = build_table(args.kind, args.n_max, alpha=args.alpha)
-    except ValueError as exc:
-        parser.error(str(exc))
-    at_zero = _apply_bindings(degenerate, {Var.LAMBDA: 0})
+def _cmd_limit(args):
+    degenerate = build_table(args.kind, args.n_max, alpha=args.alpha)
     reference = classical_counterpart(args.kind, args.n_max, alpha=args.alpha)
-    rows = [
-        (index, limit, ref, limit == ref)
-        for (index, limit), (_, ref) in zip(at_zero.values, reference.values)
-    ]
+    limits = [poly.eval({Var.LAMBDA: 0}) for _, poly in degenerate.values]
+    rows = [(i, limit, ref, limit == ref) for limit, (i, ref) in zip(limits, reference.values)]
     all_match = all(match for *_, match in rows)
-    if args.format == "json":
-        payload = {
+
+    def csv_rows():
+        triangular = any(len(index) > 1 for index, *_ in rows)
+        yield (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]
+        for index, limit, ref, match in rows:
+            yield [str(i) for i in index] + [str(limit), str(ref), str(match).lower()]
+
+    def text_lines():
+        for i, limit, ref, ok in rows:
+            yield f"{_label(i)}: {limit} | classical: {ref} | {'ok' if ok else 'MISMATCH'}"
+        yield "all rows match" if all_match else "LIMIT MISMATCH"
+
+    return 0 if all_match else 1, {
+        "json": lambda: {
             "kind": args.kind,
             "n_max": args.n_max,
             "all_match": all_match,
@@ -413,24 +402,10 @@ def _cmd_limit(args, parser) -> int:
                 {**index_names(index), "limit": str(limit), "classical": str(ref), "match": match}
                 for index, limit, ref, match in rows
             ],
-        }
-        _emit_json(payload, args.output)
-    elif args.format == "csv":
-        triangular = any(len(index) > 1 for index, *_ in rows)
-        header = (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]
-        body = [
-            [str(i) for i in index] + [str(limit), str(ref), str(match).lower()]
-            for index, limit, ref, match in rows
-        ]
-        _emit(_csv_text([header] + body), args.output)
-    else:
-        lines = [
-            _wrap_line(f"{_label(i)}: {limit} | classical: {ref} | {'ok' if ok else 'MISMATCH'}")
-            for i, limit, ref, ok in rows
-        ]
-        lines.append("all rows match" if all_match else "LIMIT MISMATCH")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if all_match else 1
+        },
+        "csv": lambda: _csv_text(csv_rows()),
+        "text": lambda: _lines(text_lines()),
+    }
 
 
 def main(argv=None) -> int:
@@ -448,14 +423,13 @@ def main(argv=None) -> int:
         if repeated:
             parser.error(f"--bind {repeated}: bound more than once")
         args.bind = dict(args.bind)
-    commands = {
-        "table": _cmd_table,
-        "poly": _cmd_poly,
-        "series": _cmd_series,
-        "verify": _cmd_verify,
-        "limit": _cmd_limit,
-    }
-    return commands[args.command](args, parser)
+    try:  # the library's ValueError is a usage error; rendering is outside
+        code, renderers = args._run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    emit = _emit_json if args.format == "json" else _emit
+    emit(renderers[args.format](), args.output)
+    return code
 
 
 def run(argv=None) -> NoReturn:

@@ -142,7 +142,7 @@ def stirling2_deg(n: int, k: int) -> Poly:
 
     Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
     """
-    return Poly._from_l_coeffs(_row(0, n)[k]) if 0 <= k <= n else Poly.zero()
+    return Poly._from_l_rows((_row(0, n)[k],), ONE) if 0 <= k <= n else Poly.zero()
 
 
 def bell_deg(n: int) -> Poly:

@@ -169,12 +169,12 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
     m outer and n inner.
 
     The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k),
-    ``head(j, k)`` = A_k(j), ``tail(j, k)`` = T_k(j) and ``shift(r, m)`` =
-    P_m(r), each once per index; a head of None is the unit, so H_k = B,
-    and a shift of None is the unit, so the right side is Q_m(n).  K_k is
-    built when m reaches k and kept for the pass; Q_m lives for m's cells.
-    The sums go through `Poly.sum_of_products`, which takes int parts (the
-    classical numbers) as scalars.
+    ``head(j, k)`` = A_k(j) and ``tail(j, k)`` = T_k(j), each once per index,
+    and ``shift(m, rs)`` = [P_m(r) for r in rs], once per m.  A head of None
+    is the unit, so H_k = B, and a shift of None is the unit, so the right
+    side is Q_m(n).  K_k is built when m reaches k and kept for the pass;
+    Q_m lives for m's cells.  The sums go through `Poly.sum_of_products`,
+    which takes int parts (the classical numbers) as scalars.
     """
     js = range(n_max + 1)
     b = [outer(j) for j in range(n_max + m_max + 1)]
@@ -190,7 +190,7 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
         # a zero weight, W(m, 0) for m > 0, adds nothing
         w = [weight(m, k) for k in range(m + 1)]
         q = [Poly.sum_of_products((w[k], tail_sums[k][s]) for k in range(m, -1, -1)) for s in js]
-        p = None if shift is None else [shift(r, m) for r in js]
+        p = None if shift is None else shift(m, js)
         for n in js:
             rhs = q[n] if p is None else _convolve(p, q, n)
             # adding the zero polynomial makes an int side a Poly
@@ -213,9 +213,11 @@ def _deg_tail(j: int, k: int) -> Poly:
     return falling_factorial_deg(k, j)
 
 
-def _deg_shift(r: int, m: int) -> Poly:
-    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r, read from the one running list of m."""
-    return falling_factorial_deg(m * _NEG_LAM, r)
+def _deg_shifts(m: int, rs) -> list[Poly]:
+    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r for each r in rs, read from the
+    one running list of -m*l, whose base is formed once per m."""
+    base = m * _NEG_LAM
+    return [falling_factorial_deg(base, r) for r in rs]
 
 
 # -- the other identities' grids -----------------------------------------------
@@ -289,7 +291,7 @@ _SPECS = {
         outer=lambda j: bell_deg(j),
         weight=lambda m, k: stirling2_deg(m, k) * X**k,
         tail=_deg_tail,
-        shift=_deg_shift,
+        shift=_deg_shifts,
     ),
     Identity.FULLY_DEG_BELL: _spivey(
         (Var.LAMBDA,),
@@ -297,7 +299,7 @@ _SPECS = {
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
         head=lambda j, k: fubini_deg(j, k, _NEG_LAM),
         tail=_deg_tail,
-        shift=_deg_shift,
+        shift=_deg_shifts,
         mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
     ),
     Identity.FULLY_DEG_BELL_POLY: _spivey(
@@ -306,7 +308,7 @@ _SPECS = {
         weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
         head=lambda j, k: fubini_deg(j, k, _NEG_LAM_T),
         tail=_deg_tail,
-        shift=_deg_shift,
+        shift=_deg_shifts,
     ),
     Identity.DEG_FUBINI_SPIVEY: _spivey(
         (Var.LAMBDA, Var.T),
@@ -314,7 +316,7 @@ _SPECS = {
         weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
         head=lambda j, k: fubini_deg(j, k, T),
         tail=_deg_tail,
-        shift=_deg_shift,
+        shift=_deg_shifts,
         mutations={"unshifted-y-arg": {"shift": None}},
     ),
     Identity.FUBINI_SPIVEY: _spivey(

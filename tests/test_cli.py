@@ -469,6 +469,35 @@ class TestUsageLine:
         assert "Traceback" not in captured.err
 
 
+class TestLibraryValueError:
+    # a ValueError from the library, wherever a command meets it, is a usage
+    # error: the subcommand's usage line and the message, exit 2, no traceback
+    @pytest.mark.parametrize(
+        "argv,module,builder",
+        [
+            ("table --kind deg-bell --n-max 2", "cli", "build_table"),
+            ("poly --kind deg-stirling2 -n 3 -k 1", "sequences", "stirling2_deg"),
+            ("series --gf deg-exp --order 3", "cli", "_named_series"),
+            ("verify --id spivey-bell --n-max 1 --m-max 1", "cli", "run_identity"),
+            ("limit --kind deg-bell --n-max 2", "cli", "classical_counterpart"),
+        ],
+    )
+    def test_exits_2_with_the_subcommand_usage(self, capsys, monkeypatch, argv, module, builder):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(f"degenbell.{module}.{builder}", boom)
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: degenbell {argv.split()[0]} ")
+        assert lines[-1].endswith("boom")
+        assert "Traceback" not in captured.err
+
+
 class TestLimit:
     @pytest.mark.parametrize(
         "kind", ["deg-stirling2", "deg-bell", "fully-deg-bell", "deg-fubini",
@@ -624,6 +653,19 @@ class TestDeterminism:
                 "poly --kind two-var-deg-fubini -n 5 --alpha 2 --bind y=0",
                 "fe086c7edbdb74692529d0b5a5b9f73355f1a4e18021c56ae616defe568a67ae",
             ),
+            # the text render of table, series and limit, wrapped lines included
+            (
+                "table --kind fully-deg-bell --n-max 9",
+                "9886f920bce7079fc6c466fb727769eebf726ac92120772708bb4086fb097b4f",
+            ),
+            (
+                "series --gf fully-deg-bell --order 9",
+                "5e9fd60d9a7d81fd258028466c15d401ded8db2af022d4830f565aa0dd3cbd96",
+            ),
+            (
+                "limit --kind two-var-deg-fubini --alpha 2 --n-max 7",
+                "da4ea32893c3a27e75e446ed656966b55249aeec7fb7b46b73a2a4602087e7e2",
+            ),
         ],
     )
     def test_golden_stdout(self, capsys, monkeypatch, argv, digest):
@@ -637,6 +679,17 @@ class TestDeterminism:
         code, out = run_cli(capsys, "poly", "--kind", "deg-fubini", "-n", "6")
         assert code == 0
         assert all(len(line) <= 30 for line in out.splitlines())
+
+    @pytest.mark.parametrize("width", [100, 20])
+    def test_wrapping_splits_no_token(self, capsys, monkeypatch, width):
+        # S2_l(140, 1) = (1)_{139,l} has coefficients longer than either width;
+        # a line breaks only at a space, so joining the lines gives the polynomial
+        poly = KINDS["deg-stirling2"].build(140, 1)
+        assert max(map(len, str(poly).split())) > 100
+        monkeypatch.setenv("DEGENBELL_WIDTH", str(width))
+        code, out = run_cli(capsys, "poly", "--kind", "deg-stirling2", "-n", "140", "-k", "1")
+        assert code == 0
+        assert " ".join(line.strip() for line in out.splitlines()) == str(poly)
 
 
 # Strings that exercise every escape: quotes, backslashes, control, DEL and

@@ -188,7 +188,7 @@ class TestStirlingDeg:
         for j, first, middle in reads:
             assert (first, middle) == ((plain[j] + [ZERO])[1], plain[j][j // 2]), j
         top, row = _kept(("top", 0))[0]
-        assert [Poly._from_l_coeffs(coeffs) for coeffs in row] == plain[top]
+        assert [Poly._from_l_rows((coeffs,), ONE) for coeffs in row] == plain[top]
 
     def test_rows_read_descending_then_ascending(self, cold_rows):
         # every read below the top row restarts the stepper at row 0

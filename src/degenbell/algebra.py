@@ -34,7 +34,9 @@ tuple's factors straight into one accumulating term map and brings it to
 stored form in one final pass, so no product or partial sum is built per
 term.  ``*`` on its own shifts keys when one side is a single monomial and
 scales when it is a constant, and ``**`` of a single term multiplies its
-key.
+key.  A family's int rows in l take `Poly._from_l_rows`, one comprehension
+per row over the stored keys of l^d.  Constants are built one way: by name
+(`ZERO`, `ONE`, `LAM`, `X`, `Y`, `T`), any other scalar by `Poly.const`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cache
+from itertools import count, zip_longest
+from operator import mul
 
 
 class Var(enum.IntEnum):
@@ -111,13 +115,13 @@ def _kept_entry(key, n: int, first, step):
     return run[n]
 
 
-def _l_keys(n: int) -> list[int]:
-    """The keys of l^0 .. l^(n-1) under "l-keys", each int made once so that the
-    S2_l entries built from rows share them; read from the dict found after the
-    extension, as racing first reads of a key may each make a dict."""
+def _l_keys(n: int) -> dict[int, int]:
+    """The store's own dict {d: key of l^d}, holding d < n, each key made once
+    and shared by the entries built from rows; the one found after the
+    extension, as racing first reads may each make one."""
     while len(keys := _kept("l-keys")) < n:
         _kept_entry("l-keys", n - 1, 0, lambda run, d: run[d] + _VAR_KEY[Var.LAMBDA])
-    return [*map(keys.__getitem__, range(n))]
+    return keys
 
 
 def _unpack(key: int) -> tuple[int, int, int, int]:
@@ -198,44 +202,38 @@ class Poly:
         coefficients of l^0, l^1, ... of entry k, weights are exact scalars
         (all 1 when None) and arg is one term.
 
-        One term times l^d is one key, so the whole sum is one pass over the
-        rows with no product of polynomials.  ValueError for an arg of any
-        other size: the families are built at a monomial argument only.
+        One term times l^d is one key, so each row is one dict comprehension
+        over the keys of l^d, indexed in place and shifted by k times arg's
+        key, with no product of polynomials: a row of scale 1 keeps its own
+        ints and one of scale 0 is skipped.  At arg = c*l^e with e below the
+        row length the rows share keys, so they are first folded into one list
+        in l, entry d of row k at index d + k*e.  ValueError for an arg of any
+        other size: the families are built at a one-term argument only.
         """
         p = cls._promote(arg)
         if p is None or len(p._terms) != 1:
             raise ValueError(f"not a one-term argument: {arg}")
         ((key, c),) = p._terms.items()
-        keys = _l_keys(max(map(len, rows), default=0))
-        out: dict[int, Scalar] = {}
-        get = out.get
-        power = 1  # c^k
-        for k, row in enumerate(rows):
-            scale = power if weights is None else weights[k] * power
-            base = k * key
-            for l_key, v in zip(keys, row):
-                if v:
-                    # at base 0 the shared key object of l^d is stored
-                    d_key = l_key + base if base else l_key
-                    out[d_key] = get(d_key, 0) + scale * v
-            power *= c
-        return _stored(out)
+        scales = [c**k if weights is None else weights[k] * c**k for k in range(len(rows))]
+        width = max(map(len, rows), default=0)
+        e, rest = divmod(key, _VAR_KEY[Var.LAMBDA])
+        if len(rows) > 1 and not rest and e < width:
+            shifted = ([0] * (k * e) + row for k, row in enumerate(rows))
+            rows = ([_canon(sum(map(mul, scales, col))) for col in zip_longest(*shifted, fillvalue=0)],)
+            scales, key, width = (1,), 0, len(rows[0])
+        keys = _l_keys(width)  # indexed, not iterated: a racing read may extend it
+        terms = {  # at base 0 the shared key object of l^d is stored
+            keys[d] + base if base else keys[d]: v if s == 1 else _canon(s * v)
+            for base, s, row in zip(count(0, key), scales, rows) if s
+            for d, v in enumerate(row) if v
+        }
+        if terms and max(terms) > _KEY_MAX:  # the largest key built: rows may end in zeros
+            raise _past_range()
+        return cls._trusted(terms)
 
     @classmethod
     def const(cls, c: Scalar | str) -> "Poly":
         return cls({(0, 0, 0, 0): c})
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls._trusted({})
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls._trusted({0: 1})
-
-    @classmethod
-    def variable(cls, var: Var) -> "Poly":
-        return cls._trusted({_VAR_KEY[var]: 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -386,7 +384,7 @@ class Poly:
             if key > _KEY_MAX:
                 raise _past_range()
             return Poly._trusted({key: c**e})
-        result = Poly.one()
+        result = ONE
         base = self
         while e:
             if e & 1:
@@ -540,12 +538,8 @@ def _mono_str(mono: tuple[int, int, int, int]) -> str:
     return "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(_SYMBOLS, mono) if e)
 
 
-ZERO = Poly.zero()
-ONE = Poly.one()
-LAM = Poly.variable(Var.LAMBDA)
-X = Poly.variable(Var.X)
-Y = Poly.variable(Var.Y)
-T = Poly.variable(Var.T)
+ZERO, ONE = Poly._trusted({}), Poly._trusted({0: 1})
+LAM, X, Y, T = (Poly._trusted({_VAR_KEY[v]: 1}) for v in Var)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -40,7 +40,7 @@ try:  # the stdlib's C escaper, without loading the json package
 except ImportError:  # an interpreter without the C accelerator
     from json.encoder import py_encode_basestring_ascii as _quote
 
-from .algebra import Poly, Var, parse_rational, var_from_symbol
+from .algebra import Poly, Var, X, Y, parse_rational, var_from_symbol
 from .sequences import (
     KINDS,
     LIMIT_KINDS,
@@ -313,16 +313,15 @@ def _cmd_poly(args):
 
 
 def _named_series(name: str, order: int) -> Series:
-    x = Poly.variable(Var.X)
     if name == "deg-exp":
         return Series.deg_exp(1, order)
     em1 = Series.deg_exp(1, order) - Series.unit(order)
     if name == "deg-bell":
-        return exp_of(x * em1)
+        return exp_of(X * em1)
     if name == "fully-deg-bell":
-        return deg_exp_of(x * em1)
+        return deg_exp_of(X * em1)
     if name == "deg-fubini":
-        return (Series.unit(order) - x * em1).reciprocal()
+        return (Series.unit(order) - X * em1).reciprocal()
     if name.startswith("two-var-fubini:"):
         raw = name.split(":", 1)[1]
         try:  # what int() takes, as for --alpha
@@ -332,8 +331,8 @@ def _named_series(name: str, order: int) -> Series:
         if alpha < 0:
             raise ValueError(f"two-var-fubini: alpha must be a nonnegative integer, got {raw!r}")
         # (f^alpha)^-1, not (f^-1)^alpha: see the `series` module docstring
-        power = (Series.unit(order) - x * em1).int_pow(alpha)
-        return power.reciprocal() * Series.deg_exp(Poly.variable(Var.Y), order)
+        power = (Series.unit(order) - X * em1).int_pow(alpha)
+        return power.reciprocal() * Series.deg_exp(Y, order)
     raise ValueError(f"unknown generating function {name!r}")
 
 
@@ -365,10 +364,11 @@ def _cmd_verify(args):
     # a binding must act somewhere: with --all, in at least one identity
     free = set().union(*map(free_vars, identities))
     _check_bindings(args.bind, free, args.identity or "any identity")
-    reports = [
-        run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=args.bind)
-        for ident in identities
-    ]
+    reports = []
+    for ident in identities:
+        # the bindings of the identity's own variables, and None without --bind
+        own = {v: c for v, c in args.bind.items() if v in free_vars(ident)} if args.bind else None
+        reports.append(run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=own))
     return 0 if all(r.ok for r in reports) else 1, {
         "json": lambda: [r.to_json() for r in reports] if args.all else reports[0].to_json(),
         "text": lambda: "".join(_report_text(r) for r in reports),

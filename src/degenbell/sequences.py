@@ -16,20 +16,20 @@ parameter stays symbolic as the variable ``l``.  Definitions:
                                                  two-variable, order a
 
 Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
-w(k) = 1, (1)_{k,l} and <a>_k.  phi, Bel and F^(a) are built straight
-from a row of l-coefficients, of S2_l for phi and F^(a) and of
-U_l(n,k) = (1)_{k,l} S2_l(n,k) for Bel, by `Poly._from_l_rows`, with no
-product of polynomials; the two-variable family sums the order-a Fubini
-polynomials against (y)_{n-j,l}.  Bel and F^(a) take the polynomial
-argument they are evaluated at (x when not given), so a value such as
-Bel_{n,l}(t) or F^(k)_{n,l}(-l*t) is built at its argument, never
-substituted into.  That argument must be one term (x, t, 1, -l and -l*t
-are the ones used), since x^k times l^d is then one term; any other
-raises ValueError.  Every factorial
-(w)_{n,l}, (w)_n and <w>_n is entry n of the running list
-prod_{i<n} (w + i*step) kept under the key (w, step) by
-`algebra._kept_entry`, which extends it in a loop.  Each other sum of
-products goes through `Poly.sum_of_products`.
+w(k) = 1, (1)_{k,l} and <a>_k.  S2_l, phi, Bel and F^(a) are built
+straight from rows of l-coefficients, of S2_l and of U_l(n,k) =
+(1)_{k,l} S2_l(n,k) for Bel, by `Poly._from_l_rows`: one comprehension
+per row, with no product of polynomials.  Bel and F^(a) take the
+argument they are evaluated at (x when not given), so Bel_{n,l}(t) or
+F^(k)_{n,l}(-l*t) is built at its argument, never substituted into.  It
+must be one term, so that x^k times l^d is one term (ValueError
+otherwise).  At x, t and -l*t each row has keys of its own; at 1 and -l,
+fully-deg-bell's B_j and heads, the rows are folded into one list in l
+first.  The two-variable family sums the order-a Fubini polynomials
+against (y)_{n-j,l}.  Every factorial (w)_{n,l}, (w)_n and <w>_n is
+entry n of the running list prod_{i<n} (w + i*step) kept under the key
+(w, step) by `algebra._kept_entry`, which extends it in a loop.  Each
+other sum of products goes through `Poly.sum_of_products`.
 
 S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
 int coefficients, so their rows are plain int lists, entry d of a list the
@@ -72,7 +72,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, Scalar, X, Y, _kept, _kept_entry
+from .algebra import LAM, ONE, ZERO, Poly, Scalar, X, Y, _kept, _kept_entry
 
 
 _DEG_STEP = -LAM  # the step of (w)_{n,l}, one object, so its store keys hash once
@@ -142,7 +142,7 @@ def stirling2_deg(n: int, k: int) -> Poly:
 
     Zero outside the triangle 0 <= k <= n; degree in l is at most n - k.
     """
-    return Poly._from_l_rows((_row(0, n)[k],), ONE) if 0 <= k <= n else Poly.zero()
+    return Poly._from_l_rows((_row(0, n)[k],), ONE) if 0 <= k <= n else ZERO
 
 
 def bell_deg(n: int) -> Poly:

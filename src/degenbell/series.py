@@ -40,7 +40,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .algebra import LAM, ONE, Poly
+from .algebra import LAM, ONE, ZERO, Poly
 from .sequences import falling_factorial_deg
 
 DEFAULT_ORDER = 16
@@ -86,7 +86,7 @@ class Series:
 
     @classmethod
     def unit(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([Poly.one()] + [Poly.zero()] * order)
+        return cls([ONE] + [ZERO] * order)
 
     @classmethod
     def deg_exp(cls, exponent, order: int = DEFAULT_ORDER) -> "Series":
@@ -140,7 +140,7 @@ class Series:
         if self._coeffs[0] != ONE:
             raise NotInvertibleError(f"constant term {self._coeffs[0]} is not 1")
         a = self._coeffs
-        b = [Poly.one()]
+        b = [ONE]
         for n in range(1, self.order + 1):
             b.append(Poly.sum_of_products((-comb(n, j), a[j], b[n - j]) for j in range(1, n + 1)))
         return Series(b)

@@ -70,13 +70,14 @@ tail is (k)_{j,l} and its G becomes F^(k)_{j,l}(t, k).
 `run_identity` is the single entry point.  It walks the identity's grid
 once and checks each cell at every binding pass as the cell is built;
 of the sides it keeps only those of the first counterexample.  Bindings
-given to it are evaluated in either mode; without them, ``rational`` mode
-evaluates the difference at every point of `spot_grid` and ``symbolic``
-mode compares the exact polynomials.  A point where a nonzero difference
-vanishes counts as a pass there.  fubini-x-zero's grid sweeps only
-(l, y), so in rational mode without a binding of x its y = 0 difference
-is still a polynomial in x at each point: for that side the check stays
-symbolic in x, not a point check.
+given to it, ``{}`` too, are one pass in either mode and may name only the
+identity's variables; without them (None), ``rational`` mode evaluates the
+difference at every point of `spot_grid` and ``symbolic`` mode compares
+the exact polynomials.  A point where a nonzero difference vanishes counts
+as a pass there.  fubini-x-zero's grid sweeps only (l, y), so in rational
+mode without a binding of x its y = 0 difference is still a polynomial in
+x at each point: for that side the check stays symbolic in x, not a point
+check.
 
 A failing cell is reported, never raised: the harness must also be able
 to demonstrate that a wrong identity fails, which ``run_identity(...,
@@ -95,7 +96,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
     bell_deg,
     bell_fully_deg,
@@ -194,7 +195,7 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
         for n in js:
             rhs = q[n] if p is None else _convolve(p, q, n)
             # adding the zero polynomial makes an int side a Poly
-            yield {"n": n, "m": m}, b[n + m] + Poly.zero(), rhs
+            yield {"n": n, "m": m}, b[n + m] + ZERO, rhs
 
 
 # the arguments of the fully degenerate heads, one object each, so the
@@ -359,14 +360,16 @@ def run_identity(
 ) -> VerifyReport:
     """Check one identity over its grid; the single entry point.
 
-    Given bindings are evaluated in either mode; their values go through
-    `algebra.as_scalar`, so a float raises TypeError.  Without them, rational
-    mode sweeps the identity's `spot_grid` and symbolic mode compares the
-    exact polynomials.  The grid is walked once, and each cell is checked
-    at every binding pass as it is built: equal sides pass everywhere, and
-    otherwise their difference is evaluated at each pass and passes where
-    it is zero.  Only the sides of the first counterexample are kept, and
-    evaluated for its report; no cell is built twice.
+    Given bindings, ``{}`` too, are one pass in either mode.  Each must bind
+    a variable of `free_vars` (identity), or ValueError names the stray ones,
+    and the values go through `algebra.as_scalar`, so a float raises
+    TypeError.  Without them (None), rational mode sweeps the identity's
+    `spot_grid` and symbolic mode compares the exact polynomials.  The grid
+    is walked once, and each cell is checked at every binding pass as it is
+    built: equal sides pass everywhere, and otherwise their difference is
+    evaluated at each pass and passes where it is zero.  Only the sides of
+    the first counterexample are kept, and evaluated for its report; no cell
+    is built twice.
     The two bounds bound (j, k) for exp-splitting and (n, alpha) for
     fubini-x-zero, and a negative bound raises ValueError.  ``corrupt``
     names one of the identity's mutations, which must make the check fail.
@@ -386,10 +389,12 @@ def run_identity(
             known = ", ".join(spec.mutations) or "none"
             raise ValueError(f"unknown mutation {corrupt!r} for {identity.value} (known: {known})")
         grid = partial(grid, **spec.mutations[corrupt])
-    if bindings:
-        given = {}
-        for key, value in bindings.items():
-            given[key if isinstance(key, Var) else var_from_symbol(key)] = as_scalar(value)
+    if bindings is not None:
+        given = {
+            k if isinstance(k, Var) else var_from_symbol(k): as_scalar(v) for k, v in bindings.items()
+        }
+        if stray := ", ".join(v.symbol for v in given if v not in free_vars(identity)):
+            raise ValueError(f"bindings {stray}: no such variable in {identity.value}")
         passes = [given]
     elif mode == "rational":
         passes = spot_grid(identity)

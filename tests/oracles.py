@@ -3,14 +3,15 @@ package's results: factorials as plain products, S2_l(n, k) by the change
 of basis, by the EGF route (e_l(s) - 1)^k / k! and by the plain
 recurrence, Bel_{n,l}(x) as a sum of products, `Poly.eval` term by term,
 the inverses of `Poly.to_json`, `SeqTable.to_json` and `Series.to_json`,
-the text of `str(Poly)`, views of a `Poly` through its public `terms`,
-and the Spivey-type identities as the plain double sum over (k, l)."""
+the text of `str(Poly)`, views of a `Poly` through its public `terms`, a
+check of its coefficients' stored form, and the Spivey-type identities as
+the plain double sum over (k, l)."""
 
 from fractions import Fraction
 from math import comb, factorial
 
 from degenbell import classical
-from degenbell.algebra import LAM, ONE, Poly, T, Var, X, var_from_symbol
+from degenbell.algebra import LAM, ONE, ZERO, Poly, T, Var, X, var_from_symbol
 from degenbell.sequences import (
     SeqTable,
     bell_deg,
@@ -25,6 +26,14 @@ from degenbell.sequences import (
 from degenbell.series import Series, ValuationError
 
 CONST_MONO = (0, 0, 0, 0)
+
+
+def assert_stored_form(p: Poly) -> None:
+    # every coefficient is a nonzero int, or a Fraction that is not integral;
+    # == cannot see it, since Fraction(2, 1) == 2
+    for c in p._terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
 
 
 def is_const(p: Poly) -> bool:
@@ -101,7 +110,7 @@ def poly_str(p: Poly) -> str:
 def product_plain(base, n: int, step) -> Poly:
     """prod_{i<n} (base + i*step) written with ring operators, keeping nothing:
     the reference for every factorial of `sequences`."""
-    out = Poly.one()
+    out = ONE
     for i in range(n):
         out = out * (base + i * step)
     return out
@@ -110,11 +119,11 @@ def product_plain(base, n: int, step) -> Poly:
 def stirling2_deg_rows_plain(n_max: int) -> list[list[Poly]]:
     """Rows 0..n_max of S2_l by the triangular recurrence written with ring
     operators, its factor (k - (m-1) l) built as a polynomial."""
-    rows = [[Poly.one()]]
+    rows = [[ONE]]
     for m in range(1, n_max + 1):
         prev = rows[-1]
         inner = [prev[k - 1] + (k - (m - 1) * LAM) * prev[k] for k in range(1, m)]
-        rows.append([Poly.zero(), *inner, Poly.one()])
+        rows.append([ZERO, *inner, ONE])
     return rows
 
 
@@ -136,7 +145,7 @@ def stirling2_deg_basis_table(n_max: int) -> SeqTable:
     basis = [falling_factorial(X, k) for k in range(n_max + 1)]
     for n in range(n_max + 1):
         residual = falling_factorial_deg(X, n)
-        row = [Poly.zero()] * (n + 1)
+        row = [ZERO] * (n + 1)
         for d in range(n, -1, -1):
             c = coefficient_of(residual, Var.X, d)
             row[d] = c
@@ -240,8 +249,8 @@ def spivey_double_sum(identity: str, n: int, m: int) -> tuple[Poly, Poly]:
     `SPIVEY_PARTS`: each term a product written with ring operators, its
     inner factor G built whole, and nothing shared between terms."""
     outer, weight, inner = SPIVEY_PARTS[identity]
-    rhs = Poly.zero()
+    rhs = ZERO
     for k in range(m + 1):
         for l in range(n + 1):
             rhs = rhs + comb(n, l) * weight(m, k) * outer(l) * inner(n - l, k, m)
-    return outer(n + m) + Poly.zero(), rhs
+    return outer(n + m) + ZERO, rhs

@@ -20,6 +20,7 @@ from degenbell.algebra import (
     parse_rational,
 )
 from oracles import (
+    assert_stored_form,
     coefficient_of,
     const_value,
     eval_term_by_term,
@@ -28,13 +29,6 @@ from oracles import (
     poly_str,
 )
 from strategies import full_bindings, polys, rationals
-
-
-def assert_stored_form(p):
-    # every coefficient is a nonzero int, or a Fraction that is not integral
-    for c in p._terms.values():
-        assert c
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
 
 
 class TestArithmetic:

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from degenbell import classical
-from degenbell.algebra import Poly, T, Var, X, _kept
+from degenbell.algebra import ONE, T, Var, X, Y, _kept
 from degenbell.series import Series
 from oracles import const_value
 from test_sequences import _read_in_racing_threads
@@ -91,7 +91,7 @@ def test_ordered_bell_negative_n_rejected():
 
 def test_bell_poly():
     assert classical.bell_poly(3) == X + 3 * X**2 + X**3
-    assert classical.bell_poly(0) == Poly.one()
+    assert classical.bell_poly(0) == ONE
 
 
 def test_fubini_poly_at_one_is_ordered_bell():
@@ -119,9 +119,8 @@ def test_rising_factorial_int():
 
 
 def test_two_var_fubini_reductions():
-    y = Poly.variable(Var.Y)
     # alpha = 0 leaves only the exponential factor
-    assert classical.two_var_fubini_poly(3, 0) == y**3
+    assert classical.two_var_fubini_poly(3, 0) == Y**3
     # y = 0, alpha = 1 recovers the ordinary Fubini polynomial
     for n in range(7):
         reduced = classical.two_var_fubini_poly(n, 1).eval({Var.Y: 0})

@@ -33,6 +33,7 @@ from degenbell.sequences import (
 )
 from degenbell.series import Series
 from oracles import (
+    assert_stored_form,
     bell_fully_deg_products,
     coefficient_of,
     const_value,
@@ -415,7 +416,7 @@ class TestFubiniFamilies:
         for n in range(7):
             for alpha in range(4):
                 reduced = fubini_two_var_alpha(n, alpha).eval({Var.Y: 0})
-                expected = Poly.zero()
+                expected = ZERO
                 for k in range(n + 1):
                     expected = expected + (
                         const_value(rising_factorial(alpha, k))
@@ -495,24 +496,50 @@ class TestSpecialize:
             bell_fully_deg(2).eval({Var.LAMBDA: 0.1})
 
 
-# the arguments the Spivey sums evaluate the families at
-X_ARGS = (ONE, T, -LAM, -LAM * T)
+# the arguments the Spivey sums evaluate the families at, then c*l^e with a
+# Fraction c or e = 2, whose rows are folded into one list in l, and Fraction
+# multiples of t and l*t, whose rows keep keys of their own
+X_ARGS = (
+    ONE,
+    T,
+    -LAM,
+    -LAM * T,
+    Fraction(1, 2) * LAM,
+    2 * LAM**2,
+    Fraction(1, 2) * T,
+    Fraction(2, 3) * LAM * T,
+)
 
 
 class TestFamiliesAtArguments:
     # a builder taken at an argument equals the plain family with the
-    # argument substituted, which stays the reference
+    # argument substituted, which stays the reference, and keeps every
+    # coefficient in stored form
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_bell_fully_deg(self, x_arg):
         for j in range(7):
-            assert bell_fully_deg(j, x_arg) == bell_fully_deg(j).substitute(Var.X, x_arg)
+            bell = bell_fully_deg(j, x_arg)
+            assert bell == bell_fully_deg(j).substitute(Var.X, x_arg)
+            assert_stored_form(bell)
 
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_fubini_deg(self, x_arg):
         for j in range(7):
             for alpha in range(4):
-                expected = fubini_deg(j, alpha).substitute(Var.X, x_arg)
-                assert fubini_deg(j, alpha, x_arg) == expected
+                fubini = fubini_deg(j, alpha, x_arg)
+                assert fubini == fubini_deg(j, alpha).substitute(Var.X, x_arg)
+                assert_stored_form(fubini)
+
+    def test_argument_past_the_degree_range_overflows(self):
+        with pytest.raises(OverflowError):
+            bell_fully_deg(2, X ** (2**30 + 1))
+
+    def test_argument_at_the_degree_range_builds(self):
+        # the top row's l^0 term reaches degree MAX_DEGREE exactly; the rows'
+        # lengths alone would put a term at MAX_DEGREE + 2
+        fubini = fubini_deg(2, 1, X ** (2**30))
+        assert fubini == fubini_deg(2).substitute(Var.X, X ** (2**30))
+        assert fubini.degree_in(Var.X) == algebra.MAX_DEGREE
 
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_fubini_two_var_alpha(self, x_arg):
@@ -529,7 +556,7 @@ class TestFamiliesAtArguments:
                             comb(j, i) * fubini_deg(i, k, x_arg) * falling_factorial_deg(y, j - i)
                             for i in range(j + 1)
                         ),
-                        Poly.zero(),
+                        ZERO,
                     )
                     assert plain.substitute(Var.Y, y) == convolution
 
@@ -602,7 +629,7 @@ class TestTables:
         # an empty table would pass vacuously, as the CLI's --k-max check says
         with pytest.raises(ValueError, match="k_max must be nonnegative"):
             build_table("deg-stirling2", 3, k_max=-1)
-        assert build_table("deg-stirling2", 3, k_max=0).values[-1] == ((3, 0), Poly.zero())
+        assert build_table("deg-stirling2", 3, k_max=0).values[-1] == ((3, 0), ZERO)
 
     def test_negative_alpha_rejected_by_both_routes(self):
         # the degenerate table and its classical counterpart reject the same order

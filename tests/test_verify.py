@@ -749,6 +749,21 @@ class TestDispatch:
         assert report.ok
         assert len(report.grid) == 9
 
+    @pytest.mark.parametrize(
+        "identity,bindings,stray",
+        [(Identity.SPIVEY_BELL, {"x": 1, "l": 2}, "x, l"), (Identity.DEG_BELL_SPIVEY, {"t": 1}, "t")],
+    )
+    def test_stray_bindings_rejected(self, identity, bindings, stray):
+        # a variable that is in neither side would label every cell and act on none
+        with pytest.raises(ValueError, match=f"bindings {stray}: no such variable in {identity.value}"):
+            run_identity(identity, 1, 1, bindings=bindings)
+
+    @pytest.mark.parametrize("mode", ["symbolic", "rational"])
+    def test_empty_bindings_are_one_exact_pass(self, mode):
+        report = run_identity(Identity.DEG_BELL_SPIVEY, 2, 2, mode=mode, bindings={})
+        assert report.ok
+        assert list(report.grid) == [cell for cell, _, _ in _SPECS[Identity.DEG_BELL_SPIVEY].grid(2, 2)]
+
     def test_rational_spot_layer_up_to_nm_ten(self):
         # symbolic cells cover n+m <= 10 under the default spot values
         report = run_identity(Identity.FULLY_DEG_BELL, 5, 5, mode="rational")

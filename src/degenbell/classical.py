@@ -2,9 +2,10 @@
 
 Everything here is computed from textbook integer recurrences with no
 reference to the degenerate machinery, so these values can be used to
-check the l -> 0 specialization of every degenerate family.  Only the
-Stirling rows and the Bell numbers are kept for the process, in the one
-store `algebra._kept`.
+check the l -> 0 specialization of every degenerate family.  A negative n
+raises ValueError, as in the degenerate builders, except in `stirling2`,
+which is 0 outside its triangle.  Only the Stirling rows and the Bell
+numbers are kept for the process, in the one store `algebra._kept`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from .algebra import Poly, X, Y, _kept_entry
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, 0 outside 0 <= k <= n, from the rows
-    kept under "stirling-rows", extended in a loop, never by recursion."""
+    """Stirling number of the second kind, 0 outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _kept_entry("stirling-rows", n, (1,), _next_stirling_row)[k]
+    return _stirling_row(n)[k]
+
+
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)), kept and extended in a loop; ValueError for n < 0."""
+    return _kept_entry("stirling-rows", n, (1,), _next_stirling_row)
 
 
 def _next_stirling_row(rows: dict[int, tuple[int, ...]], m: int) -> tuple[int, ...]:
@@ -49,13 +54,13 @@ def ordered_bell_number(n: int) -> int:
 
 def bell_poly(n: int) -> Poly:
     """phi_n(x) = sum_k S(n,k) x^k."""
-    return Poly.sum_of_products((stirling2(n, k), X**k) for k in range(n + 1))
+    return Poly.sum_of_products((s, X**k) for k, s in enumerate(_stirling_row(n)))
 
 
 def fubini_poly(n: int, x: Poly = X, alpha: int = 1) -> Poly:
     """F^(alpha)_n(x) = sum_k <alpha>_k S(n,k) x^k at the argument x; alpha = 1
     (<1>_k = k!) gives F_n(x), and F_n(1) is the ordered Bell number."""
-    weights = (rising_factorial_int(alpha, k) * stirling2(n, k) for k in range(n + 1))
+    weights = (rising_factorial_int(alpha, k) * s for k, s in enumerate(_stirling_row(n)))
     return Poly.sum_of_products((w, x**k) for k, w in enumerate(weights))
 
 
@@ -67,6 +72,8 @@ def rising_factorial_int(a: int, k: int) -> int:
 def two_var_fubini_poly(n: int, alpha: int) -> Poly:
     """F^(alpha)_n(x, y) = sum_j C(n,j) F^(alpha)_j(x) y^(n-j), of EGF
     (1 - x(e^s - 1))^(-alpha) e^(y s), the Cauchy product of its two factors."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return Poly.sum_of_products(
         (comb(n, j), fubini_poly(j, X, alpha), Y ** (n - j)) for j in range(n + 1)
     )

@@ -16,13 +16,13 @@ codes: 0 success / all cells pass, 1 identity or limit violation, 2 usage
 error or failed write, of ``--output`` or of stdout.  A ValueError from
 the library is a usage error too (exit 2, with the subcommand's usage
 line); any other exception still ends in a traceback and exit 1.
-Identical invocations produce identical bytes, and JSON output is exactly
-``json.dumps(data, indent=2)`` of the library's ``to_json()`` data,
-although each polynomial in it is written straight from its term map.
-The only environment knob is DEGENBELL_WIDTH, a width hint for wrapping
-long polynomials in text output; lines break only at spaces.  Each
-``_cmd_*`` returns its exit code and one zero-argument renderer per
-``--format``, and `main` renders and emits the one asked for.
+Identical invocations produce identical bytes.  JSON output is exactly
+``json.dumps(data, indent=2)`` and a newline of the library's ``to_json()``
+data, from the one writer `_json_text`, with every polynomial, a
+counterexample's sides too, written straight from its term map.  The only
+environment knob, DEGENBELL_WIDTH, wraps long polynomials in text output at
+spaces (see `_wrap_width`).  Each ``_cmd_*`` returns its exit code and one
+renderer of the text per ``--format``; `main` emits the one asked for.
 """
 
 from __future__ import annotations
@@ -160,26 +160,25 @@ def _emit(text: str, output: str | None) -> None:
         sys.exit(_write_failed(output or "stdout", exc))
 
 
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(data, indent=2)``, byte for byte, for the JSON data the CLI
-    emits: dicts with str keys, lists, tuples, str, int, bool and None, with
-    `Poly` leaves standing for their ``to_json()``.  Anything else, a float
-    included, raises TypeError.
+def _json_text(data) -> str:
+    """``json.dumps(data, indent=2)`` and a newline, byte for byte: the whole
+    JSON document the CLI writes.  ``data`` is dicts with str keys, lists,
+    tuples, str, int, bool and None, with `Poly` leaves standing for their
+    ``to_json()``.  Anything else, a float included, raises TypeError.
 
     The stdlib encoder runs its C speedup only without an indent; this is
     one recursive pass that appends str pieces to one list, joined once, so
     no level copies the text of the levels below it.  A `Poly` appends its
     terms straight from its term map, so no dict is built per term.
-    ``indent`` is the newline and indentation that precede the value's own
-    line.
     """
     out: list[str] = []
-    _json_parts(obj, indent, out)
+    _json_parts(data, "\n", out)
+    out.append("\n")
     return "".join(out)
 
 
 def _json_parts(obj, indent: str, out: list[str]) -> None:
-    """Append the pieces of `_json_text` (obj, indent) to ``out``."""
+    """Append the pieces of ``json.dumps(obj, indent=2)``, nested at ``indent``, to ``out``."""
     if type(obj) is Poly:
         obj._json_parts(indent, out)
     elif isinstance(obj, str):
@@ -219,25 +218,20 @@ def _json_parts(obj, indent: str, out: list[str]) -> None:
         raise TypeError(f"not JSON data: {obj!r} ({type(obj).__name__})")
 
 
-def _emit_json(data, output: str | None) -> None:
-    """`_emit` of `_json_text` (data) and a newline, joined in one pass."""
-    out: list[str] = []
-    _json_parts(data, "\n", out)
-    out.append("\n")
-    _emit("".join(out), output)
-
-
 def _poly_leaf(poly: Poly) -> Poly:
-    """The ``leaf`` for `to_json` that keeps each `Poly` for `_json_text`."""
+    """The ``leaf`` for every `to_json` that keeps each `Poly` for `_json_text`."""
     return poly
 
 
 def _wrap_width() -> int:
-    raw = os.environ.get("DEGENBELL_WIDTH", "")
-    try:
-        return max(int(raw), 20)
+    """DEGENBELL_WIDTH, 100 if unset or empty; ValueError unless an integer >= 20."""
+    raw = os.environ.get("DEGENBELL_WIDTH") or "100"
+    try:  # what int() takes, as for --alpha
+        if (width := int(raw)) >= 20:
+            return width
     except ValueError:
-        return 100
+        pass
+    raise ValueError(f"DEGENBELL_WIDTH must be an integer of at least 20, got {raw!r}")
 
 
 def _wrap_line(line: str) -> str:
@@ -289,7 +283,7 @@ def _cmd_table(args):
     polys = _bound(args.bind, [poly for _, poly in table.values], args.kind)
     table = table._replace(values=tuple((i, p) for (i, _), p in zip(table.values, polys)))
     return 0, {
-        "json": lambda: table.to_json(leaf=_poly_leaf),
+        "json": lambda: _json_text(table.to_json(leaf=_poly_leaf)),
         "csv": lambda: _csv_text(table.to_csv_rows()),
         "text": lambda: _lines(f"{_label(i)}: {poly}" for i, poly in table.values),
     }
@@ -309,7 +303,7 @@ def _cmd_poly(args):
     index = (n, k) if kind.triangular else (n,)
     poly = kind.build(n, k if kind.triangular else alpha)
     (poly,) = _bound(args.bind, [poly], f"{kind.name} {_label(index)}")
-    return 0, {"json": lambda: poly, "text": lambda: _lines([str(poly)])}
+    return 0, {"json": lambda: _json_text(poly), "text": lambda: _lines([str(poly)])}
 
 
 def _named_series(name: str, order: int) -> Series:
@@ -340,7 +334,7 @@ def _cmd_series(args):
     series = _named_series(args.gf, args.order)
     series = Series(_bound(args.bind, series.coeffs, args.gf))
     return 0, {
-        "json": lambda: series.to_json(leaf=_poly_leaf),
+        "json": lambda: _json_text(series.to_json(leaf=_poly_leaf)),
         "text": lambda: _lines(f"{n}: {series.coeff(n)}" for n in range(series.order + 1)),
     }
 
@@ -369,8 +363,9 @@ def _cmd_verify(args):
         # the bindings of the identity's own variables, and None without --bind
         own = {v: c for v, c in args.bind.items() if v in free_vars(ident)} if args.bind else None
         reports.append(run_identity(ident, args.n_max, args.m_max, mode=args.mode, bindings=own))
+    docs = [r.to_json(leaf=_poly_leaf) for r in reports]  # small: the sides stay Polys
     return 0 if all(r.ok for r in reports) else 1, {
-        "json": lambda: [r.to_json() for r in reports] if args.all else reports[0].to_json(),
+        "json": lambda: _json_text(docs if args.all else docs[0]),
         "text": lambda: "".join(_report_text(r) for r in reports),
     }
 
@@ -394,7 +389,7 @@ def _cmd_limit(args):
         yield "all rows match" if all_match else "LIMIT MISMATCH"
 
     return 0 if all_match else 1, {
-        "json": lambda: {
+        "json": lambda: _json_text({
             "kind": args.kind,
             "n_max": args.n_max,
             "all_match": all_match,
@@ -402,7 +397,7 @@ def _cmd_limit(args):
                 {**index_names(index), "limit": str(limit), "classical": str(ref), "match": match}
                 for index, limit, ref, match in rows
             ],
-        },
+        }),
         "csv": lambda: _csv_text(csv_rows()),
         "text": lambda: _lines(text_lines()),
     }
@@ -424,11 +419,11 @@ def main(argv=None) -> int:
             parser.error(f"--bind {repeated}: bound more than once")
         args.bind = dict(args.bind)
     try:  # the library's ValueError is a usage error; rendering is outside
+        _wrap_width()  # a bad DEGENBELL_WIDTH is a usage error before any output
         code, renderers = args._run(args)
     except ValueError as exc:
         parser.error(str(exc))
-    emit = _emit_json if args.format == "json" else _emit
-    emit(renderers[args.format](), args.output)
+    _emit(renderers[args.format](), args.output)
     return code
 
 

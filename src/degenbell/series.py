@@ -68,7 +68,7 @@ class Series:
     def __init__(self, coeffs):
         self._coeffs = tuple(_as_coeff(c) for c in coeffs)
         if not self._coeffs:
-            raise ValueError("a series needs at least the order-0 coefficient")
+            raise ValueError("order must be nonnegative")  # no a_0: order -1
 
     @property
     def order(self) -> int:
@@ -86,7 +86,7 @@ class Series:
 
     @classmethod
     def unit(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls([ONE] + [ZERO] * order)
+        return cls([ZERO if n else ONE for n in range(order + 1)])
 
     @classmethod
     def deg_exp(cls, exponent, order: int = DEFAULT_ORDER) -> "Series":

@@ -96,7 +96,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import classical
-from .algebra import LAM, ONE, ZERO, Poly, T, Var, X, Y, as_scalar, var_from_symbol
+from .algebra import LAM, ONE, Poly, T, Var, X, Y, as_scalar, var_from_symbol
 from .sequences import (
     bell_deg,
     bell_fully_deg,
@@ -139,11 +139,12 @@ class VerifyReport(NamedTuple):
     def ok(self) -> bool:
         return self.fail_count == 0
 
-    def to_json(self) -> dict:
+    def to_json(self, leaf: Callable[[Poly], object] = Poly.to_json) -> dict:
+        """The report as JSON data, each side of the counterexample as ``leaf(side)``."""
         ce = None
         if self.first_counterexample is not None:
             c = self.first_counterexample
-            ce = {"bindings": c.bindings, "lhs": c.lhs.to_json(), "rhs": c.rhs.to_json()}
+            ce = {"bindings": c.bindings, "lhs": leaf(c.lhs), "rhs": leaf(c.rhs)}
         return {
             "identity": self.identity.value,
             "grid_size": len(self.grid),
@@ -169,13 +170,13 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
     """Each cell (n, m) with both sides of B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
     m outer and n inner.
 
-    The parts are called as ``outer(j)`` = B_j, ``weight(m, k)`` = W(m, k),
-    ``head(j, k)`` = A_k(j) and ``tail(j, k)`` = T_k(j), each once per index,
-    and ``shift(m, rs)`` = [P_m(r) for r in rs], once per m.  A head of None
-    is the unit, so H_k = B, and a shift of None is the unit, so the right
-    side is Q_m(n).  K_k is built when m reaches k and kept for the pass;
-    Q_m lives for m's cells.  The sums go through `Poly.sum_of_products`,
-    which takes int parts (the classical numbers) as scalars.
+    The parts are called as ``outer(j)`` = B_j, a `Poly` that is the left
+    side as built, ``weight(m, k)`` = W(m, k), ``head(j, k)`` = A_k(j) and
+    ``tail(j, k)`` = T_k(j), each once per index, and ``shift(m, rs)`` =
+    [P_m(r) for r in rs], once per m.  A head of None is the unit, so H_k =
+    B, and a shift of None is the unit, so the right side is Q_m(n).  K_k is
+    built when m reaches k and kept for the pass; Q_m lives for m's cells.
+    The sums take int weights and tails (the classical numbers) as scalars.
     """
     js = range(n_max + 1)
     b = [outer(j) for j in range(n_max + m_max + 1)]
@@ -194,8 +195,7 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
         p = None if shift is None else shift(m, js)
         for n in js:
             rhs = q[n] if p is None else _convolve(p, q, n)
-            # adding the zero polynomial makes an int side a Poly
-            yield {"n": n, "m": m}, b[n + m] + ZERO, rhs
+            yield {"n": n, "m": m}, b[n + m], rhs
 
 
 # the arguments of the fully degenerate heads, one object each, so the
@@ -277,7 +277,7 @@ def _spivey(spot_vars, outer, weight, tail, head=None, shift=None, **fields) -> 
 _SPECS = {
     Identity.SPIVEY_BELL: _spivey(
         (),
-        outer=lambda j: classical.bell_number(j),
+        outer=lambda j: Poly.const(classical.bell_number(j)),
         weight=lambda m, k: classical.stirling2(m, k),
         tail=lambda j, k: k**j,
     ),

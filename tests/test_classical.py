@@ -89,6 +89,24 @@ def test_ordered_bell_negative_n_rejected():
             classical.ordered_bell_number(n)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: classical.bell_poly(-1),
+        lambda: classical.fubini_poly(-2),
+        lambda: classical.fubini_poly(-1, X, 3),
+        lambda: classical.two_var_fubini_poly(-1, 1),
+    ],
+    ids=["bell_poly", "fubini_poly", "fubini_poly-alpha", "two_var_fubini_poly"],
+)
+def test_polynomial_oracles_reject_negative_n(build):
+    # as bell_number and every degenerate builder do, rather than returning 0
+    classical.stirling2(6, 2)  # not a read of the kept rows from their end
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        build()
+    assert classical.stirling2(-1, 0) == 0  # outside the triangle, as documented
+
+
 def test_bell_poly():
     assert classical.bell_poly(3) == X + 3 * X**2 + X**3
     assert classical.bell_poly(0) == ONE

@@ -691,6 +691,31 @@ class TestDeterminism:
         assert code == 0
         assert " ".join(line.strip() for line in out.splitlines()) == str(poly)
 
+    @pytest.mark.parametrize("width", ["abc", "5", "-3", "1.5"])
+    def test_bad_width_is_a_usage_error(self, capsys, monkeypatch, width):
+        # found before anything is written, in every format
+        monkeypatch.setenv("DEGENBELL_WIDTH", width)
+        for fmt in ("text", "json"):
+            with pytest.raises(SystemExit) as exc:
+                main(["poly", "--kind", "deg-fubini", "-n", "6", "--format", fmt])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: degenbell poly ")
+            assert f"DEGENBELL_WIDTH must be an integer of at least 20, got {width!r}" in captured.err
+
+    @pytest.mark.parametrize("width", ["", "20", "100"])
+    def test_width_20_and_up_or_empty(self, capsys, monkeypatch, width):
+        # deg-fubini n=6 wraps at the width, and at 100 if the value is empty
+        argv = ("poly", "--kind", "deg-fubini", "-n", "6")
+        monkeypatch.delenv("DEGENBELL_WIDTH", raising=False)
+        _, unset = run_cli(capsys, *argv)
+        monkeypatch.setenv("DEGENBELL_WIDTH", width)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert (out == unset) == (width != "20")
+        assert max(map(len, out.splitlines())) <= int(width or 100)
+
 
 # Strings that exercise every escape: quotes, backslashes, control, DEL and
 # non-ASCII characters, including one outside the basic multilingual plane.
@@ -733,12 +758,12 @@ class TestJsonText:
     @given(data=json_data)
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps_indent_2(self, data):
-        assert _json_text(data) == json.dumps(data, indent=2)
+        assert _json_text(data) == json.dumps(data, indent=2) + "\n"
 
     @given(data=poly_trees)
     @settings(max_examples=300, deadline=None)
     def test_poly_leaf_equals_its_to_json(self, data):
-        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2)
+        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2) + "\n"
 
     def test_library_to_json_is_unchanged(self):
         # the default leaf is Poly.to_json, so library callers get plain JSON data
@@ -783,11 +808,11 @@ class TestJsonText:
         algebra._json_heads.cache_clear()
         p = Poly({(0, 0, 0, 0): Fraction(-1, 2), (1, 2, 0, 3): 5, (2, 0, 1, 0): 1})
         data = {"top": p, "nested": [{"deeper": [p, Poly()]}], "again": p}
-        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2)
+        assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2) + "\n"
 
     def test_empty_and_nested_containers(self):
         data = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": None}]}
-        assert _json_text(data) == json.dumps(data, indent=2)
+        assert _json_text(data) == json.dumps(data, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "data",

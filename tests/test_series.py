@@ -159,6 +159,14 @@ class TestPowers:
 
 
 class TestDegExp:
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_order_rejected(self, order):
+        # a negative order is an error, never a shorter series
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            Series.unit(order)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            Series.deg_exp(X, order)
+
     def test_unit_exponent_coefficients(self):
         s = Series.deg_exp(1, 4)
         assert s.coeff(0) == ONE

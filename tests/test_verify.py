@@ -9,7 +9,7 @@ import pytest
 
 from degenbell import classical, sequences, verify
 from degenbell.algebra import LAM, ONE, Poly, T, Var, X, Y, _kept, var_from_symbol
-from degenbell.cli import _json_text, main
+from degenbell.cli import _json_text, _poly_leaf, main
 from degenbell.sequences import (
     _DEG_STEP,
     bell_fully_deg,
@@ -65,7 +65,8 @@ class TestReportShape:
         assert poly_from_json(ce["lhs"]) == 2 - 2 * LAM
         assert poly_from_json(ce["rhs"]) == 2 - LAM
 
-    # no CLI command emits a counterexample, so the golden digests miss this shape
+    # no golden command emits a counterexample; the CLI writes its sides as
+    # Poly leaves, which must give the bytes of the library's plain JSON data
     @pytest.mark.parametrize(
         "identity,corrupt,mode,bindings",
         [
@@ -81,7 +82,7 @@ class TestReportShape:
         report = run_identity(identity, 3, 3, mode, bindings, corrupt=corrupt)
         data = report.to_json()
         assert data["first_counterexample"] is not None
-        assert _json_text(data) == json.dumps(data, indent=2)
+        assert _json_text(report.to_json(leaf=_poly_leaf)) == json.dumps(data, indent=2) + "\n"
 
 
 def _failing_report():
@@ -396,6 +397,12 @@ class TestAssociativeSums:
         for cell, lhs, rhs in grid:
             n, m = cell["n"], cell["m"]
             assert (lhs, rhs) == spivey_double_sum(identity.value, n, m), (n, m)
+
+    @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
+    def test_outer_part_builds_a_poly(self, identity):
+        # the left side is B_{n+m} as the outer part built it, with no lift
+        outer = _SPECS[identity].grid.keywords["outer"]
+        assert all(type(outer(j)) is Poly for j in range(5))
 
     @pytest.mark.parametrize(
         "identity,mutation",

@@ -96,8 +96,9 @@ def _pack(mono: tuple[int, int, int, int]) -> int:
 
 @cache
 def _kept(key) -> dict:
-    """{i: entry i} of the sequence kept under ``key``, as far as read: every
-    sequence the package keeps across calls, so one cache_clear() resets all."""
+    """The map kept under ``key`` across calls: {i: entry i} of a sequence, as
+    far as read, or the JSON term heads of one indent.  The package keeps
+    nothing else across calls, so one cache_clear() resets all."""
     return {}
 
 
@@ -488,14 +489,14 @@ class Poly:
         this value's own line.
 
         Each term is three pieces: the separator before it, its monomial's
-        text up to the coefficient from `_json_heads`, and ``str(c)``; none
-        needs escaping.
+        text up to the coefficient, kept per indent by `_kept`, and ``str(c)``;
+        none needs escaping.
         """
         terms = self._terms
         if not terms:
             out.append("[]")
             return
-        heads = _json_heads(indent)
+        heads = _kept(("json-heads", indent))
         row = indent + "  "  # before each term's "{"
         tail = '"' + row + "}"
         sep, between = "[" + row, tail + "," + row
@@ -516,13 +517,6 @@ def _stored(out: dict[int, Scalar]) -> Poly:
         if c := out.pop(k):  # zeros stay out, a Fraction goes back in stored form
             out[k] = _canon(c)
     return Poly._trusted(out)
-
-
-@cache
-def _json_heads(indent: str) -> dict[int, str]:
-    """The `_json_head` of each monomial key written so far at ``indent``.
-    Kept for the process, one short string per monomial and indent written."""
-    return {}
 
 
 def _json_head(key: int, indent: str) -> str:

@@ -20,9 +20,9 @@ Identical invocations produce identical bytes.  JSON output is exactly
 ``json.dumps(data, indent=2)`` and a newline of the library's ``to_json()``
 data, from the one writer `_json_text`, with every polynomial, a
 counterexample's sides too, written straight from its term map.  The only
-environment knob, DEGENBELL_WIDTH, wraps long polynomials in text output at
-spaces (see `_wrap_width`).  Each ``_cmd_*`` returns its exit code and one
-renderer of the text per ``--format``; `main` emits the one asked for.
+environment knob, DEGENBELL_WIDTH, read once per command as ``args.width``,
+wraps long polynomials in text output at spaces.  Each ``_cmd_*`` returns
+its exit code and a renderer per ``--format``; `main` emits the one asked for.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _write_failed(target: str, exc: OSError) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     try:
-        if output:
+        if output is not None:  # "" too: no file has that name
             with open(output, "w") as fh:
                 fh.write(text)
         elif sys.stdout is None:  # the process started with fd 1 closed
@@ -157,7 +157,7 @@ def _emit(text: str, output: str | None) -> None:
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        sys.exit(_write_failed(output or "stdout", exc))
+        sys.exit(_write_failed("stdout" if output is None else output or '""', exc))
 
 
 def _json_text(data) -> str:
@@ -234,8 +234,7 @@ def _wrap_width() -> int:
     raise ValueError(f"DEGENBELL_WIDTH must be an integer of at least 20, got {raw!r}")
 
 
-def _wrap_line(line: str) -> str:
-    width = _wrap_width()
+def _wrap_line(line: str, width: int) -> str:
     if len(line) <= width:
         return line
     import textwrap  # loaded only for a line that needs wrapping
@@ -273,9 +272,9 @@ def _label(index) -> str:
     return " ".join(f"{name}={i}" for name, i in index_names(index).items())
 
 
-def _lines(lines) -> str:
-    """Text output: each line wrapped, and a newline after each."""
-    return "".join(_wrap_line(line) + "\n" for line in lines)
+def _lines(lines, width: int) -> str:
+    """Text output: each line wrapped at width, and a newline after each."""
+    return "".join(_wrap_line(line, width) + "\n" for line in lines)
 
 
 def _cmd_table(args):
@@ -285,7 +284,7 @@ def _cmd_table(args):
     return 0, {
         "json": lambda: _json_text(table.to_json(leaf=_poly_leaf)),
         "csv": lambda: _csv_text(table.to_csv_rows()),
-        "text": lambda: _lines(f"{_label(i)}: {poly}" for i, poly in table.values),
+        "text": lambda: _lines((f"{_label(i)}: {poly}" for i, poly in table.values), args.width),
     }
 
 
@@ -303,7 +302,7 @@ def _cmd_poly(args):
     index = (n, k) if kind.triangular else (n,)
     poly = kind.build(n, k if kind.triangular else alpha)
     (poly,) = _bound(args.bind, [poly], f"{kind.name} {_label(index)}")
-    return 0, {"json": lambda: _json_text(poly), "text": lambda: _lines([str(poly)])}
+    return 0, {"json": lambda: _json_text(poly), "text": lambda: _lines([str(poly)], args.width)}
 
 
 def _named_series(name: str, order: int) -> Series:
@@ -335,11 +334,11 @@ def _cmd_series(args):
     series = Series(_bound(args.bind, series.coeffs, args.gf))
     return 0, {
         "json": lambda: _json_text(series.to_json(leaf=_poly_leaf)),
-        "text": lambda: _lines(f"{n}: {series.coeff(n)}" for n in range(series.order + 1)),
+        "text": lambda: _lines((f"{n}: {c}" for n, c in enumerate(series.coeffs)), args.width),
     }
 
 
-def _report_text(report) -> str:
+def _report_text(report, width: int) -> str:
     lines = [
         f"identity: {report.identity.value}",
         f"grid: {len(report.grid)}  pass: {report.pass_count}  fail: {report.fail_count}",
@@ -348,8 +347,8 @@ def _report_text(report) -> str:
         ce = report.first_counterexample
         cell = " ".join(f"{k}={v}" for k, v in ce.bindings.items())
         lines.append(f"first counterexample: {cell}")
-        lines.append(_wrap_line(f"  lhs: {ce.lhs}"))
-        lines.append(_wrap_line(f"  rhs: {ce.rhs}"))
+        lines.append(_wrap_line(f"  lhs: {ce.lhs}", width))
+        lines.append(_wrap_line(f"  rhs: {ce.rhs}", width))
     return "\n".join(lines) + "\n"
 
 
@@ -366,7 +365,7 @@ def _cmd_verify(args):
     docs = [r.to_json(leaf=_poly_leaf) for r in reports]  # small: the sides stay Polys
     return 0 if all(r.ok for r in reports) else 1, {
         "json": lambda: _json_text(docs if args.all else docs[0]),
-        "text": lambda: "".join(_report_text(r) for r in reports),
+        "text": lambda: "".join(_report_text(r, args.width) for r in reports),
     }
 
 
@@ -399,7 +398,7 @@ def _cmd_limit(args):
             ],
         }),
         "csv": lambda: _csv_text(csv_rows()),
-        "text": lambda: _lines(text_lines()),
+        "text": lambda: _lines(text_lines(), args.width),
     }
 
 
@@ -419,7 +418,8 @@ def main(argv=None) -> int:
             parser.error(f"--bind {repeated}: bound more than once")
         args.bind = dict(args.bind)
     try:  # the library's ValueError is a usage error; rendering is outside
-        _wrap_width()  # a bad DEGENBELL_WIDTH is a usage error before any output
+        # read once, so a bad DEGENBELL_WIDTH is a usage error before any output
+        args.width = _wrap_width()
         code, renderers = args._run(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -26,10 +26,12 @@ must be one term, so that x^k times l^d is one term (ValueError
 otherwise).  At x, t and -l*t each row has keys of its own; at 1 and -l,
 fully-deg-bell's B_j and heads, the rows are folded into one list in l
 first.  The two-variable family sums the order-a Fubini polynomials
-against (y)_{n-j,l}.  Every factorial (w)_{n,l}, (w)_n and <w>_n is
-entry n of the running list prod_{i<n} (w + i*step) kept under the key
-(w, step) by `algebra._kept_entry`, which extends it in a loop.  Each
-other sum of products goes through `Poly.sum_of_products`.
+against (y)_{n-j,l}; it reads F^(a)_{j,l}(x) from one running list per
+a, kept under ("fubini", a).  Every factorial (w)_{n,l}, (w)_n and <w>_n
+is entry n of the running list prod_{i<n} (w + i*step) kept under the key
+(w, step).  Both lists are kept by `algebra._kept_entry`, which extends
+each in a loop.  Each other sum of products goes through
+`Poly.sum_of_products`.
 
 S2_l and U_l(n,k) = (1)_{k,l} S2_l(n,k) are polynomials in l alone with
 int coefficients, so their rows are plain int lists, entry d of a list the
@@ -42,9 +44,9 @@ x (x)_k = (x)_{k+1} + k (x)_k, and c = 1 for U_l, the S2_l step times
 (1)_{k,l} = (1 - (k-1) l) (1)_{k-1,l}.  One stepper takes both, each entry
 of a step one list comprehension.  Each triangle keeps only its top row,
 Theta(n^2) ints; a request below it steps up again from row 0, and
-S2_l(n,k), phi and Bel build their `Poly` on each call.  The test suite
-checks S2_l by two independent routes: the change-of-basis solve of its
-definition and the EGF coefficients of (e_l(s) - 1)^k / k! from the
+S2_l(n,k), phi, Bel and F^(a) build their `Poly` on each call.  The test
+suite checks S2_l by two independent routes: the change-of-basis solve of
+its definition and the EGF coefficients of (e_l(s) - 1)^k / k! from the
 series engine.  As
 Bel_{n,l}(x) = sum_k U_l(n,k) x^k, a table of Bel_0..Bel_N takes
 Theta(N^3) int operations and no product of polynomials (a sum of
@@ -65,7 +67,6 @@ read it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cache
 from itertools import accumulate, count
 from math import comb
 from operator import mul
@@ -158,17 +159,12 @@ def bell_fully_deg(n: int, x: Poly = X) -> Poly:
 
 
 def fubini_deg(n: int, alpha: int = 1, x: Poly = X) -> Poly:
-    """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k.
+    """Degenerate Fubini polynomial of order alpha, sum_k <alpha>_k S2_l(n,k) x^k,
+    built on each call.
 
     alpha = 1 (<1>_k = k!) is F_{n,l}(x); at y = 0 this is F^(alpha)_{n,l}(x, 0).
-    x must be one term and n nonnegative (ValueError otherwise).  Both
-    spellings of alpha = 1 share one memo entry, keyed (n, alpha, x).
+    x must be one term and n nonnegative (ValueError otherwise).
     """
-    return _fubini_deg(n, alpha, x)
-
-
-@cache
-def _fubini_deg(n: int, alpha: int, x: Poly) -> Poly:
     rising = list(accumulate(range(alpha, alpha + n), mul, initial=1))  # <alpha>_0..<alpha>_n
     return Poly._from_l_rows(_row(0, n), x, rising)
 
@@ -180,8 +176,12 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
         raise ValueError("order must be a nonnegative integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+    def head(j: int) -> Poly:  # F^(alpha)_{j,l}(x), kept: 1, then fubini_deg once each
+        return _kept_entry(("fubini", alpha), j, ONE, lambda run, i: fubini_deg(i + 1, alpha))
+
     return Poly.sum_of_products(
-        (comb(n, j), fubini_deg(j, alpha), falling_factorial_deg(Y, n - j)) for j in range(n + 1)
+        (comb(n, j), head(j), falling_factorial_deg(Y, n - j)) for j in range(n + 1)
     )
 
 

@@ -46,11 +46,11 @@ each B_j, A_k(j), T_k(j), W(m, k) and P_m(r) once, into local lists, and
 builds each H_k(i), K_k(s) and Q_m(s) once.  The grid runs m outer, so
 K_m is built when m is reached and kept to the end of the pass, and the
 Q_m(s) of one m are dropped when its cells are done.  Nothing outlives
-the pass but what the family builders keep themselves: each tail
-(k)_{j,l} and each shift (-m*l)_{r,l} is a ``falling_factorial_deg``
-call, which reads the one running list of k, or of -m*l, that the four
-shifted identities share.  Only fubini-spivey's classical head, the
-independent classical route, substitutes: F^(k)_j(t) is the classical
+the pass but what the builders keep in `algebra._kept`: a head F^(k)_{j,l}
+is built when read, and each tail (k)_{j,l} and shift (-m*l)_{r,l} is read
+from the one running list of k, or of -m*l, that the four shifted
+identities share.  Only fubini-spivey's classical head, the independent
+classical route, substitutes: F^(k)_j(t) is the classical
 ``fubini_poly(j, X, k)`` with x renamed t, once per (j, k).
 
 The other three have grids of their own:
@@ -198,8 +198,8 @@ def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=N
             yield {"n": n, "m": m}, b[n + m], rhs
 
 
-# the arguments of the fully degenerate heads, one object each, so the
-# fubini_deg memo keys hash once; _NEG_LAM is the shifts' -l too
+# the arguments of the fully degenerate heads, each formed once; _NEG_LAM is
+# the shifts' -l too
 _NEG_LAM = -LAM
 _NEG_LAM_T = -LAM * T
 

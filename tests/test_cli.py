@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbell import algebra
+from degenbell import algebra, cli
 from degenbell.algebra import Poly
 from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
 from degenbell.sequences import (
@@ -139,6 +139,15 @@ class TestTable:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(path) in captured.err
+
+    def test_empty_output_path_is_a_failed_write(self, capsys):
+        # no file is named "", and the text does not fall back to stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--kind", "deg-bell", "-n", "2", "--output", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'degenbell: error: cannot write "": {os.strerror(errno.ENOENT)}\n'
 
 
 class TestPoly:
@@ -680,6 +689,21 @@ class TestDeterminism:
         assert code == 0
         assert all(len(line) <= 30 for line in out.splitlines())
 
+    def test_width_read_once_per_command(self, capsys, monkeypatch):
+        # main's validating read is the width every text line is wrapped at
+        calls, read = [], cli._wrap_width
+
+        def counted():
+            calls.append(None)
+            return read()
+
+        monkeypatch.setenv("DEGENBELL_WIDTH", "20")
+        monkeypatch.setattr(cli, "_wrap_width", counted)
+        code, out = run_cli(capsys, "table", "--kind", "deg-stirling2", "--n-max", "20")
+        assert code == 0
+        assert out.count("\n") > 231  # 231 entries, the long ones wrapped
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("width", [100, 20])
     def test_wrapping_splits_no_token(self, capsys, monkeypatch, width):
         # S2_l(140, 1) = (1)_{139,l} has coefficients longer than either width;
@@ -804,8 +828,8 @@ class TestJsonText:
         assert out == json.dumps(document().to_json(), indent=2) + "\n"
 
     def test_one_poly_at_two_depths(self):
-        # the term heads are memoised per indent, so each depth gets its own
-        algebra._json_heads.cache_clear()
+        # the term heads are kept per indent in the store, so each depth gets its own
+        algebra._kept.cache_clear()
         p = Poly({(0, 0, 0, 0): Fraction(-1, 2), (1, 2, 0, 3): 5, (2, 0, 1, 0): 1})
         data = {"top": p, "nested": [{"deeper": [p, Poly()]}], "again": p}
         assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2) + "\n"
@@ -922,8 +946,9 @@ class TestEntryPoint:
             ["verify", "--id", "deg-vandermonde", "--n-max", "2"],
             ["verify", "--id", "no-such-identity"],
             ["table", "--kind", "deg-bell", "--n-max", "2", "--output", "missing/out.txt"],
+            ["poly", "--kind", "deg-bell", "-n", "2", "--output", ""],
         ],
-        ids=["help", "json-table", "verify-text", "usage-error", "failed-output"],
+        ids=["help", "json-table", "verify-text", "usage-error", "failed-output", "empty-output"],
     )
     def test_child_matches_in_process_main(self, argv, tmp_path, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

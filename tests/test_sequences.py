@@ -294,8 +294,8 @@ class TestUnitRows:
 
 
 class TestKeptStore:
-    """Every sequence kept across calls is an entry of `algebra._kept`, so no
-    module-level memo is left and one cache_clear() resets the process."""
+    """Everything kept across calls is an entry of `algebra._kept`, so no
+    other cache is left and one cache_clear() resets the process."""
 
     def test_no_module_level_memo(self, monkeypatch, capsys):
         def memo_globals():
@@ -321,7 +321,7 @@ class TestKeptStore:
             and callable(getattr(value, "cache_info", None))
         }
         names = sorted(fn.__name__ for fn in caches.values())
-        assert names == ["_fubini_deg", "_json_heads", "_kept"]
+        assert names == ["_kept"]
         stirling2_deg(4, 1)  # the top row of S2_l is now row 4
         for fn in caches.values():
             fn.cache_clear()
@@ -395,14 +395,6 @@ class TestFubiniFamilies:
                 (factorial(k) * stirling2_deg(n, k) * X**k for k in range(n + 1)), ZERO
             )
 
-    def test_order_one_spellings_share_one_memo_entry(self):
-        # the deg-fubini kind calls fubini_deg(j), fubini_two_var_alpha fubini_deg(j, 1)
-        sequences._fubini_deg.cache_clear()
-        for j in range(6):
-            first = fubini_deg(j)
-            assert first is fubini_deg(j, 1) is fubini_deg(j, alpha=1) is fubini_deg(j, 1, X)
-        assert sequences._fubini_deg.cache_info().currsize == 6
-
     def test_two_var_at_x_zero(self):
         for n in range(7):
             for alpha in range(4):
@@ -411,6 +403,34 @@ class TestFubiniFamilies:
 
     def test_two_var_small(self):
         assert fubini_two_var_alpha(1, 1) == X + Y
+
+    def test_two_var_builds_each_head_once(self, monkeypatch):
+        # F^(2)_j(x) is entry j of one kept list: F^(2)_0 = 1 is its first
+        # entry, and each later one is built by one fubini_deg call
+        def plain(n):
+            return sum(
+                (comb(n, j) * fubini_deg(j, 2) * falling_factorial_deg(Y, n - j) for j in range(n + 1)),
+                ZERO,
+            )
+
+        expected = [plain(n) for n in range(7)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fubini_deg(*args)
+
+        _kept.cache_clear()
+        monkeypatch.setattr(sequences, "fubini_deg", counted)
+        for _ in range(2):  # the second pass reads every head from the list
+            assert [fubini_two_var_alpha(n, 2) for n in range(7)] == expected
+        assert calls == [(j, 2) for j in range(1, 7)]
+
+    def test_two_var_heads_under_racing_threads(self):
+        alpha, n = 7, 12
+        _kept.cache_clear()  # so the list starts at its first read, in every thread at once
+        _read_in_racing_threads(lambda j: fubini_two_var_alpha(j, alpha), n)
+        assert _kept(("fubini", alpha)) == {j: fubini_deg(j, alpha) for j in range(n + 1)}
 
     def test_two_var_at_y_zero(self):
         for n in range(7):

@@ -30,11 +30,12 @@ as 4-tuples of exponents.
 
 Nearly all the work downstream is sums of products, sum c*p*q.  They go
 through one entry point, `Poly.sum_of_products`, which multiplies each
-tuple's factors straight into one accumulating term map and brings it to
-stored form in one final pass, so no product or partial sum is built per
-term.  ``*`` on its own shifts keys when one side is a single monomial and
-scales when it is a constant, and ``**`` of a single term multiplies its
-key.  A family's int rows in l take `Poly._from_l_rows`, one comprehension
+tuple's factors straight into one accumulating term map in one loop, so no
+product or partial sum is built per term.  That map, and those of ``+`` and
+`Poly.eval`, reach stored form in one pass, `_stored`.  ``*`` on its own
+shifts keys when one side is a single monomial and scales when it is a
+constant, ``/`` scales through it, and ``**`` of a single term multiplies
+its key.  A family's int rows in l take `Poly._from_l_rows`, one comprehension
 per row over the stored keys of l^d.  Constants are built one way: by name
 (`ZERO`, `ONE`, `LAM`, `X`, `Y`, `T`), any other scalar by `Poly.const`.
 """
@@ -272,12 +273,8 @@ class Poly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = _canon(s)
-            else:
-                del out[key]
-        return Poly._trusted(out)
+            out[key] = out.get(key, 0) + c
+        return _stored(out)
 
     __radd__ = __add__
 
@@ -324,39 +321,28 @@ class Poly:
 
         A factor is a `Poly` or an exact scalar (int, bool or Fraction).  The
         scalars of a tuple fold into one coefficient; its `Poly` factors
-        before the last are multiplied with ``*`` and the result times the
-        last goes straight into one accumulating term map.  So a sum of
-        c*p*q terms builds no product and no partial sum, and the stored
-        form comes from one final pass.
+        before the last are multiplied with ``*`` into a head, and one loop
+        adds the head times the last, either `ONE` when missing, straight into
+        one accumulating term map.  So a sum of c*p*q terms builds no product
+        and no partial sum, and `_stored` is the one final pass.
         """
         out: dict[int, Scalar] = {}
         get = out.get
         for factors in products:
-            scale, head, last = 1, None, None  # head: the product of the Polys before last
+            scale, head, last = 1, ONE, ONE  # head: the product of the Polys before last
             for f in factors:
                 kind = type(f)
                 if kind is int or kind is Fraction:
                     scale *= f
                 elif kind is Poly or isinstance(f, Poly):
-                    if last is not None:
-                        head = last if head is None else head * last
+                    if last is not ONE:
+                        head = last if head is ONE else head * last
                     last = f
                 elif isinstance(f, (int, Fraction)):
                     scale *= f
                 else:
                     raise TypeError(f"not a Poly or an exact scalar: {f!r}")
             if not scale:
-                continue
-            if last is None:
-                out[0] = get(0, 0) + scale
-                continue
-            if head is None:
-                if scale == 1:
-                    for k, c in last._terms.items():
-                        out[k] = get(k, 0) + c
-                else:
-                    for k, c in last._terms.items():
-                        out[k] = get(k, 0) + scale * c
                 continue
             short, long = head._terms, last._terms
             if len(short) > len(long):
@@ -371,8 +357,7 @@ class Poly:
     def __truediv__(self, other) -> "Poly":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        inv = Fraction(1) / other
-        return Poly._trusted({k: _canon(c * inv) for k, c in self._terms.items()})
+        return self * (Fraction(1) / other)
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -437,7 +422,7 @@ class Poly:
                     c = c * powers[e]
                     key -= e * var_key
             out[key] = out.get(key, 0) + c
-        return Poly._trusted({k: _canon(c) for k, c in out.items() if c})
+        return _stored(out)
 
     def substitute(self, var: Var, replacement: "Poly") -> "Poly":
         """Replace var by an arbitrary polynomial and re-expand."""
@@ -509,8 +494,10 @@ class Poly:
 
 
 def _stored(out: dict[int, Scalar]) -> Poly:
-    """The product term map ``out``, brought to stored form in place and kept;
-    OverflowError if any key in it, a cancelled one too, is past the range."""
+    """The accumulated term map ``out`` of ``+``, `Poly.eval` or a sum of
+    products in stored form, in place and kept: the one pass that drops zeros
+    and makes integral Fractions ints.  OverflowError if any key in it, a
+    cancelled one too, is past the range."""
     if out and max(out) > _KEY_MAX:
         raise _past_range()
     for k in [k for k, c in out.items() if not c or type(c) is not int]:

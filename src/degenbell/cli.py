@@ -407,10 +407,6 @@ def main(argv=None) -> int:
     parser = args._parser
     if unknown:  # argparse would report these with the top-level usage line
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    for attr in ("n_max", "m_max", "k_max", "alpha", "order"):
-        value = getattr(args, attr, None)
-        if value is not None and value < 0:
-            parser.error(f"--{attr.replace('_', '-')} must be nonnegative")
     if hasattr(args, "bind"):  # limit takes no --bind
         symbols = [var.symbol for var, _ in args.bind]
         repeated = ", ".join(dict.fromkeys(s for s in symbols if symbols.count(s) > 1))
@@ -437,8 +433,12 @@ def run(argv=None) -> NoReturn:
     0, an int to itself, anything else is printed to stderr and gives 1.  A
     failed flush of stdout exits 2, as a failed write does.  Any other
     exception propagates, with its traceback and normal teardown.  Never
-    call it in-process: it ends the process; call `main` there.
+    call it in-process: it ends the process; call `main` there.  It lifts
+    the interpreter's limit on int <-> str conversion, so an exact number
+    of any length parses and prints; `main` leaves that setting to its host.
     """
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit, where there is one
+        sys.set_int_max_str_digits(0)
     try:
         code = main(argv)
     except SystemExit as exc:

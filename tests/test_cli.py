@@ -442,6 +442,8 @@ class TestUsageLine:
             "series --gf deg-exp --order 3 --bind x=1",
             "verify --id fully-deg-bell-poly --n-max 1 --m-max 1 --bind t=1 --bind t=2",
             "limit --kind deg-bell --alpha 7",
+            "verify --all --n-max -1",
+            "series --gf deg-exp --order -1",
         ],
     )
     def test_first_stderr_line_is_the_subcommand_usage(self, capsys, argv):
@@ -961,6 +963,30 @@ class TestEntryPoint:
                 code = exc.code
         proc = run_child(argv, capture_output=True, text=True, cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
+
+    def test_numbers_past_the_int_digit_limit_parse_and_print(self):
+        # CPython refuses int <-> str past 4,300 digits by default, and run
+        # lifts that limit: x parses from 4,400 digits, and x*(x - 1) for an
+        # x of 2,200 digits prints its 4,400, in text and in JSON
+        sevens = "7" * 4400
+        x = int(sevens[:2200])
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:  # lifted here too, to spell out x*(x - 1)
+            sys.set_int_max_str_digits(0)
+        try:
+            value = str(x * (x - 1))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        two = ["-n", "2", "--bind", f"x={x}"]
+        for argv, out in (
+            (["-n", "1", "--bind", f"x={sevens}"], sevens + "\n"),
+            (two, value + "\n"),
+            ([*two, "--format", "json"], json.dumps([{"m": {}, "c": value}], indent=2) + "\n"),
+        ):
+            argv = ["poly", "--kind", "falling-factorial", *argv]
+            proc = run_child(argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_teardown_is_skipped(self):
         code = (

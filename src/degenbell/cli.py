@@ -23,6 +23,11 @@ counterexample's sides too, written straight from its term map.  The only
 environment knob, DEGENBELL_WIDTH, read once per command as ``args.width``,
 wraps long polynomials in text output at spaces.  Each ``_cmd_*`` returns
 its exit code and a renderer per ``--format``; `main` emits the one asked for.
+
+Importing this module loads no library module: `main` gives arguments only
+to the subparser named on its command line, and that subparser and its
+``_cmd_*`` import the library names they use.  So ``--help`` loads none, and
+``table``, ``poly`` and ``limit`` load neither series nor verify.
 """
 
 from __future__ import annotations
@@ -32,28 +37,21 @@ import errno
 import io
 import os
 import sys
-from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 try:  # the stdlib's C escaper, without loading the json package
     from _json import encode_basestring_ascii as _quote
 except ImportError:  # an interpreter without the C accelerator
     from json.encoder import py_encode_basestring_ascii as _quote
 
-from .algebra import Poly, Var, X, Y, parse_rational, var_from_symbol
-from .sequences import (
-    KINDS,
-    LIMIT_KINDS,
-    TABLE_KINDS,
-    build_table,
-    classical_counterpart,
-    index_names,
-)
-from .series import DEFAULT_ORDER, Series, deg_exp_of, exp_of
-from .verify import Identity, free_vars, run_identity
+if TYPE_CHECKING:  # the library loads per subcommand, in the functions that use it
+    from fractions import Fraction
+    from .algebra import Poly, Var
+    from .series import Series
 
 
 def _bind_pair(text: str) -> tuple[Var, Fraction]:
+    from .algebra import parse_rational, var_from_symbol
     try:
         name, _, raw = text.partition("=")
         return var_from_symbol(name.strip()), parse_rational(raw.strip())
@@ -73,7 +71,10 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Argparse dispatches to a subcommand only when
+    a token is its exact name, so only such subparsers get their arguments and
+    import the library names they need; the others keep just their help."""
     parser = _Parser(
         prog="degenbell",
         description="Exact tables and identity checks for degenerate Bell/Fubini families.",
@@ -96,45 +97,60 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="bind a variable (l, x, y, t) to an exact rational, e.g. l=1/2",
             )
 
-    p_table = sub.add_parser("table", help="render a family table")
-    p_table.add_argument("--kind", choices=TABLE_KINDS, required=True)
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--k-max", type=int, help="cap the column index of triangular kinds")
-    p_table.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_table, _cmd_table)
+    def table(p):
+        from .sequences import TABLE_KINDS
+        p.add_argument("--kind", choices=TABLE_KINDS, required=True)
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--k-max", type=int, help="cap the column index of triangular kinds")
+        p.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
+        add_common(p, _cmd_table)
 
-    p_poly = sub.add_parser("poly", help="print one family polynomial")
-    p_poly.add_argument("--kind", choices=TABLE_KINDS, required=True)
-    p_poly.add_argument("-n", type=int, required=True)
-    p_poly.add_argument("-k", type=int, help="second index for triangular kinds")
-    p_poly.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_poly, _cmd_poly, formats=("text", "json"))
+    def poly(p):
+        from .sequences import TABLE_KINDS
+        p.add_argument("--kind", choices=TABLE_KINDS, required=True)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-k", type=int, help="second index for triangular kinds")
+        p.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
+        add_common(p, _cmd_poly, formats=("text", "json"))
 
-    p_series = sub.add_parser("series", help="dump EGF coefficients")
-    p_series.add_argument(
-        "--gf",
-        required=True,
-        metavar="NAME",
-        help="one of deg-exp, deg-bell, fully-deg-bell, deg-fubini, two-var-fubini:<alpha>",
-    )
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    add_common(p_series, _cmd_series, formats=("text", "json"))
+    def series(p):
+        from .series import DEFAULT_ORDER
+        p.add_argument(
+            "--gf",
+            required=True,
+            metavar="NAME",
+            help="one of deg-exp, deg-bell, fully-deg-bell, deg-fubini, two-var-fubini:<alpha>",
+        )
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        add_common(p, _cmd_series, formats=("text", "json"))
 
-    p_verify = sub.add_parser("verify", help="check identities")
-    group = p_verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", choices=[i.value for i in Identity], dest="identity")
-    group.add_argument("--all", action="store_true", help="run every identity")
-    p_verify.add_argument("--n-max", type=int, default=6)
-    p_verify.add_argument("--m-max", type=int, default=6)
-    p_verify.add_argument("--mode", choices=("symbolic", "rational"), default="symbolic")
-    add_common(p_verify, _cmd_verify, formats=("text", "json"))
+    def verify(p):
+        from .verify import Identity
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--id", choices=[i.value for i in Identity], dest="identity")
+        group.add_argument("--all", action="store_true", help="run every identity")
+        p.add_argument("--n-max", type=int, default=6)
+        p.add_argument("--m-max", type=int, default=6)
+        p.add_argument("--mode", choices=("symbolic", "rational"), default="symbolic")
+        add_common(p, _cmd_verify, formats=("text", "json"))
 
-    p_limit = sub.add_parser("limit", help="compare l = 0 limits against classical families")
-    p_limit.add_argument("--kind", choices=LIMIT_KINDS, required=True)
-    p_limit.add_argument("--n-max", type=int, default=8)
-    p_limit.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
-    add_common(p_limit, _cmd_limit, bind=False)  # the limit is l = 0; nothing else is bound
+    def limit(p):
+        from .sequences import LIMIT_KINDS
+        p.add_argument("--kind", choices=LIMIT_KINDS, required=True)
+        p.add_argument("--n-max", type=int, default=8)
+        p.add_argument("--alpha", type=int, help="order for two-var-deg-fubini (default 1)")
+        add_common(p, _cmd_limit, bind=False)  # the limit is l = 0; nothing else is bound
 
+    for name, populate, text in (
+        ("table", table, "render a family table"),
+        ("poly", poly, "print one family polynomial"),
+        ("series", series, "dump EGF coefficients"),
+        ("verify", verify, "check identities"),
+        ("limit", limit, "compare l = 0 limits against classical families"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if name in argv:
+            populate(p)
     return parser
 
 
@@ -179,6 +195,7 @@ def _json_text(data) -> str:
 
 def _json_parts(obj, indent: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2)``, nested at ``indent``, to ``out``."""
+    from .algebra import Poly
     if type(obj) is Poly:
         obj._json_parts(indent, out)
     elif isinstance(obj, str):
@@ -269,6 +286,7 @@ def _bound(bindings, polys, where: str):
 
 
 def _label(index) -> str:
+    from .sequences import index_names
     return " ".join(f"{name}={i}" for name, i in index_names(index).items())
 
 
@@ -278,6 +296,7 @@ def _lines(lines, width: int) -> str:
 
 
 def _cmd_table(args):
+    from .sequences import build_table
     table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
     polys = _bound(args.bind, [poly for _, poly in table.values], args.kind)
     table = table._replace(values=tuple((i, p) for (i, _), p in zip(table.values, polys)))
@@ -289,6 +308,7 @@ def _cmd_table(args):
 
 
 def _cmd_poly(args):
+    from .sequences import KINDS
     kind, n, k = KINDS[args.kind], args.n, args.k
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -306,6 +326,8 @@ def _cmd_poly(args):
 
 
 def _named_series(name: str, order: int) -> Series:
+    from .algebra import X, Y
+    from .series import Series, deg_exp_of, exp_of
     if name == "deg-exp":
         return Series.deg_exp(1, order)
     em1 = Series.deg_exp(1, order) - Series.unit(order)
@@ -330,6 +352,7 @@ def _named_series(name: str, order: int) -> Series:
 
 
 def _cmd_series(args):
+    from .series import Series
     series = _named_series(args.gf, args.order)
     series = Series(_bound(args.bind, series.coeffs, args.gf))
     return 0, {
@@ -353,6 +376,7 @@ def _report_text(report, width: int) -> str:
 
 
 def _cmd_verify(args):
+    from .verify import Identity, free_vars, run_identity
     identities = list(Identity) if args.all else [Identity(args.identity)]
     # a binding must act somewhere: with --all, in at least one identity
     free = set().union(*map(free_vars, identities))
@@ -370,6 +394,8 @@ def _cmd_verify(args):
 
 
 def _cmd_limit(args):
+    from .algebra import Var
+    from .sequences import build_table, classical_counterpart, index_names
     degenerate = build_table(args.kind, args.n_max, alpha=args.alpha)
     reference = classical_counterpart(args.kind, args.n_max, alpha=args.alpha)
     limits = [poly.eval({Var.LAMBDA: 0}) for _, poly in degenerate.values]
@@ -403,7 +429,8 @@ def _cmd_limit(args):
 
 
 def main(argv=None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, unknown = _build_parser(argv).parse_known_args(argv)
     parser = args._parser
     if unknown:  # argparse would report these with the top-level usage line
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")

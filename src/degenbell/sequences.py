@@ -72,8 +72,8 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from . import classical
 from .algebra import LAM, ONE, ZERO, Poly, Scalar, X, Y, _kept, _kept_entry
+from . import classical  # after algebra: a first import loads fractions a level up
 
 
 _DEG_STEP = -LAM  # the step of (w)_{n,l}, one object, so its store keys hash once

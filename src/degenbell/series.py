@@ -179,12 +179,12 @@ def _weighted_exp(a: Series, weights) -> Series:
     """sum_k weights[k] a^k / k! for a with zero constant term."""
     if not a.coeffs[0].is_zero():
         raise ValuationError("series has nonzero constant term")
-    total = Series.unit(a.order)
-    power = Series.unit(a.order)  # a^k / k!, built incrementally
+    powers = [Series.unit(a.order)]  # a^k / k!, with no term below s^k
     for k in range(1, a.order + 1):
-        power = power * a * Fraction(1, k)
-        total = total + weights[k] * power
-    return total
+        powers.append(powers[-1] * a * Fraction(1, k))
+    # coefficient n: the sum over k <= n of weights[k] times coefficient n of a^k / k!
+    terms = (zip(weights, [p.coeffs[n] for p in powers[: n + 1]]) for n in range(a.order + 1))
+    return Series(map(Poly.sum_of_products, terms))
 
 
 def deg_exp_of(a: Series) -> Series:

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from degenbell import algebra, cli
 from degenbell.algebra import Poly
-from degenbell.cli import LIMIT_KINDS, _json_text, _named_series, main
+from degenbell.cli import _json_text, _named_series, main
 from degenbell.sequences import (
     KINDS,
+    LIMIT_KINDS,
     LINEAR_KINDS,
     TABLE_KINDS,
     build_table,
@@ -302,7 +303,7 @@ class TestVerify:
         }
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        import degenbell.cli as cli
+        from degenbell import verify
         from degenbell.verify import Identity, VerifyReport, Counterexample
         from degenbell.algebra import ONE, ZERO
 
@@ -313,7 +314,7 @@ class TestVerify:
             fail_count=1,
             first_counterexample=Counterexample({"n": 0, "m": 0}, ONE, ZERO),
         )
-        monkeypatch.setattr(cli, "run_identity", lambda *a, **k: broken)
+        monkeypatch.setattr(verify, "run_identity", lambda *a, **k: broken)
         code, out = run_cli(capsys, "verify", "--id", "spivey-bell")
         assert code == 1
         assert "first counterexample" in out
@@ -486,11 +487,11 @@ class TestLibraryValueError:
     @pytest.mark.parametrize(
         "argv,module,builder",
         [
-            ("table --kind deg-bell --n-max 2", "cli", "build_table"),
+            ("table --kind deg-bell --n-max 2", "sequences", "build_table"),
             ("poly --kind deg-stirling2 -n 3 -k 1", "sequences", "stirling2_deg"),
             ("series --gf deg-exp --order 3", "cli", "_named_series"),
-            ("verify --id spivey-bell --n-max 1 --m-max 1", "cli", "run_identity"),
-            ("limit --kind deg-bell --n-max 2", "cli", "classical_counterpart"),
+            ("verify --id spivey-bell --n-max 1 --m-max 1", "verify", "run_identity"),
+            ("limit --kind deg-bell --n-max 2", "sequences", "classical_counterpart"),
         ],
     )
     def test_exits_2_with_the_subcommand_usage(self, capsys, monkeypatch, argv, module, builder):
@@ -1052,16 +1053,81 @@ class TestEntryPoint:
             f"degenbell: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
         )
 
+    @staticmethod
+    def _loaded_in_child(modules, argv=None):
+        """Those of ``modules`` that a fresh child has loaded after importing
+        the CLI and, given ``argv``, running it in-process with stdout dropped."""
+        code = "import sys, degenbell.cli\n"
+        if argv is not None:
+            code += (
+                "import contextlib, io\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert degenbell.cli.main({argv!r}) == 0\n"
+            )
+        code += f"print(*[m for m in {modules!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
+        )
+        return proc.stdout.split()
+
     def test_import_loads_no_module_only_some_commands_use(self):
         # dataclasses pulls in inspect; csv and textwrap serve --format csv and long
         # lines; the JSON writer needs only the C escaper of _json, not json
         lazy = ("dataclasses", "inspect", "csv", "textwrap", "json")
-        code = f"import sys, degenbell.cli; print(*[m for m in {lazy!r} if m in sys.modules])"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        # the library loads per subcommand, once the command line names it
+        library = tuple(
+            f"degenbell.{name}" for name in ("algebra", "classical", "sequences", "series", "verify")
         )
-        assert proc.stdout == "\n"
+        assert self._loaded_in_child(lazy + library + ("fractions", "decimal")) == []
+        table = ["table", "--kind", "deg-bell", "--n-max", "1"]
+        assert self._loaded_in_child(("degenbell.series", "degenbell.verify"), table) == []
+        series = ["series", "--gf", "deg-exp", "--order", "1"]
+        assert self._loaded_in_child(("degenbell.verify",), series) == []
+
+    def test_every_public_name_resolves_from_a_fresh_import(self):
+        # the package namespace imports a submodule on first use of one of its
+        # names, and lists every name before any is used
+        submodules = ("algebra", "classical", "cli", "sequences", "series", "verify")
+        code = (
+            "import degenbell\n"
+            "listed = set(dir(degenbell))\n"
+            "names = {name: getattr(degenbell, name) for name in degenbell.__all__}\n"
+            f"modules = [getattr(degenbell, name) for name in {submodules!r}]\n"
+            "owned = [n for n, v in names.items() if any(vars(m).get(n) is v for m in modules)]\n"
+            "print(len(names), len(owned), *(m.__name__ for m in modules))\n"
+            f"print(hasattr(degenbell, 'no_such_name'), listed.issuperset([*names, *{submodules!r}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
+        )
+        expected = " ".join(f"degenbell.{name}" for name in submodules)
+        assert proc.stdout == f"24 24 {expected}\nFalse True\n"
+
+    def test_whole_commands_run_at_a_low_recursion_limit(self):
+        # a fresh child, so that each lazy import of the library runs inside a
+        # command.  The first one reaches the stdlib's fractions -> decimal chain
+        # there: the five need a limit of 58 on 3.10, 54 on 3.11 and 44 on 3.12
+        # and 3.13 (3.10 and 3.11 count C calls too).  A builder that recursed
+        # once per n would not fit: n is 80 for the poly, and 60 for the table.
+        runs = [
+            "poly --kind fully-deg-bell -n 80",
+            "table --kind deg-fubini --n-max 60",
+            "verify --all --n-max 8 --m-max 8",
+            "series --gf two-var-fubini:2 --order 12",
+            "limit --kind deg-bell --n-max 20",
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from degenbell.cli import main\n"
+            "sys.setrecursionlimit(60)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv.split()) for argv in {runs!r}]\n"
+            "print(*codes)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0 0\n", "")
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -52,9 +52,9 @@ def ordered_bell_number(n: int) -> int:
     return a[n]
 
 
-def bell_poly(n: int) -> Poly:
-    """phi_n(x) = sum_k S(n,k) x^k."""
-    return Poly.sum_of_products((s, X**k) for k, s in enumerate(_stirling_row(n)))
+def bell_poly(n: int, x: Poly = X) -> Poly:
+    """phi_n(x) = sum_k S(n,k) x^k at the argument x; phi_n(1) is the Bell number."""
+    return Poly.sum_of_products((s, x**k) for k, s in enumerate(_stirling_row(n)))
 
 
 def fubini_poly(n: int, x: Poly = X, alpha: int = 1) -> Poly:

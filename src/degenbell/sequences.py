@@ -19,7 +19,7 @@ Each family is a Stirling-weighted sum  sum_k w(k) S2_l(n,k) x^k,  with
 w(k) = 1, (1)_{k,l} and <a>_k.  S2_l, phi, Bel and F^(a) are built
 straight from rows of l-coefficients, of S2_l and of U_l(n,k) =
 (1)_{k,l} S2_l(n,k) for Bel, by `Poly._from_l_rows`: one comprehension
-per row, with no product of polynomials.  Bel and F^(a) take the
+per row, with no product of polynomials.  phi, Bel and F^(a) take the
 argument they are evaluated at (x when not given), so Bel_{n,l}(t) or
 F^(k)_{n,l}(-l*t) is built at its argument, never substituted into.  It
 must be one term, so that x^k times l^d is one term (ValueError
@@ -146,10 +146,10 @@ def stirling2_deg(n: int, k: int) -> Poly:
     return Poly._from_l_rows((_row(0, n)[k],), ONE) if 0 <= k <= n else ZERO
 
 
-def bell_deg(n: int) -> Poly:
-    """Degenerate Bell polynomial phi_{n,l}(x) = sum_k S2_l(n,k) x^k; ValueError
-    for n < 0."""
-    return Poly._from_l_rows(_row(0, n), X)
+def bell_deg(n: int, x: Poly = X) -> Poly:
+    """Degenerate Bell polynomial phi_{n,l}(x) = sum_k S2_l(n,k) x^k, at the
+    one-term argument x (ValueError for any other, and for n < 0)."""
+    return Poly._from_l_rows(_row(0, n), x)
 
 
 def bell_fully_deg(n: int, x: Poly = X) -> Poly:

@@ -23,35 +23,32 @@ the sum is taken as
     B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
     Q_m = sum_{k<=m} W(m,k) K_k,   K_k = H_k <*> T_k,   H_k = B <*> A_k,
 
-in which only the weights depend on m.  A classical tail k^j has no
-shift, so its right side is Q_m(n).  An identity is the choice of five
-parts: the outer family B, the weight W, the head A_k, the tail T_k and
-the shift P_m.  With S2_l / phi / Bel / F as in `sequences` and S, phi_j,
-F_j, F^(k)_j their classical (l = 0) forms from `classical` (a head "-"
-is the unit, so H_k = B, and a shift "-" is none):
+in which only the weights depend on m.  Each of the seven is a record,
+`_Spivey`, of three facts: its family B_j(z) = sum_k c(k) S(j,k) z^k, its
+argument z and its form.  With S2_l / phi / Bel / F as in `sequences` and
+S, phi_j, F_j their classical (l = 0) forms from `classical`:
 
-  identity             B_j           W(m, k)                  A_k(j)             T_k(j)     P_m(r)
-  spivey-bell          phi_j(1)      S(m,k)                   -                  k^j        -
-  spivey-bell-poly     phi_j(x)      S(m,k) x^k               -                  k^j        -
-  deg-bell-spivey      phi_{j,l}(x)  S2_l(m,k) x^k            -                  (k)_{j,l}  (-m*l)_{r,l}
-  fully-deg-bell       Bel_{j,l}(1)  (1)_{k,l} S2_l(m,k)      F^(k)_{j,l}(-l)    (k)_{j,l}  (-m*l)_{r,l}
-  fully-deg-bell-poly  Bel_{j,l}(t)  (1)_{k,l} S2_l(m,k) t^k  F^(k)_{j,l}(-l*t)  (k)_{j,l}  (-m*l)_{r,l}
-  deg-fubini-spivey    F_{j,l}(t)    k! S2_l(m,k) t^k         F^(k)_{j,l}(t)     (k)_{j,l}  (-m*l)_{r,l}
-  fubini-spivey        F_j(t)        k! S(m,k) t^k            F^(k)_j(t)         k^j        -
+  identity             family, c(k)     z  form
+  spivey-bell          phi, 1           1  classical
+  spivey-bell-poly     phi, 1           x  classical
+  deg-bell-spivey      phi, 1           x  degenerate
+  fully-deg-bell       Bel, (1)_{k,l}   1  degenerate
+  fully-deg-bell-poly  Bel, (1)_{k,l}   t  degenerate
+  deg-fubini-spivey    F, k!            t  degenerate
+  fubini-spivey        F, k!            t  classical
 
-Each family in the table is built at its argument by its own builder, the
-one the tables use: Bel_{j,l}(t) is ``bell_fully_deg(j, T)`` and
-F^(k)_{j,l}(-l*t) is ``fubini_deg(j, k, -LAM * T)``.  One grid pass reads
-each B_j, A_k(j), T_k(j), W(m, k) and P_m(r) once, into local lists, and
-builds each H_k(i), K_k(s) and Q_m(s) once.  The grid runs m outer, so
-K_m is built when m is reached and kept to the end of the pass, and the
-Q_m(s) of one m are dropped when its cells are done.  Nothing outlives
-the pass but what the builders keep in `algebra._kept`: a head F^(k)_{j,l}
-is built when read, and each tail (k)_{j,l} and shift (-m*l)_{r,l} is read
-from the one running list of k, or of -m*l, that the four shifted
-identities share.  Only fubini-spivey's classical head, the independent
-classical route, substitutes: F^(k)_j(t) is the classical
-``fubini_poly(j, X, k)`` with x renamed t, once per (j, k).
+One function per part derives it from the record: B_j is the family's
+own builder (the tables') at z; W(m, k) is B_m's term k, c(k) S(m,k) z^k;
+A_k(j) = F^(k)_j(h), at h = -l*z for Bel and h = z for F, and phi has the
+unit head, so H_k = B.  The degenerate form reads S2_l, T_k(j) = (k)_{j,l}
+and P_m(r) = (-m*l)_{r,l}; the classical one reads S, k^j and no shift,
+so its right side is Q_m(n), and its head, the independent route, is
+``fubini_poly(j, X, k)`` with t substituted for x.  A grid pass builds
+each H_k(i), K_k(s) and Q_m(s) once, m outer, so K_m is kept to its end
+and Q_m for m's cells.  Nothing else outlives it but what the builders
+keep in `algebra._kept`: each tail (k)_{j,l} and shift (-m*l)_{r,l} is
+read from the one running list of k, or of -m*l, that the four shifted
+identities share.
 
 The other three have grids of their own:
 
@@ -63,20 +60,15 @@ The other three have grids of their own:
 Each identity has one entry in a registry: its grid, which yields each
 cell with its two sides, the variables its sides contain (all swept by
 its rational spot grid, except x of fubini-x-zero) and its named
-mutations.  A mutation is data: it swaps one part of the grid.
-``drop-unit-weight`` replaces W of fully-deg-bell by S2_l(m,k), and
-``unshifted-y-arg`` drops the shift P of deg-fubini-spivey, so that its
-tail is (k)_{j,l} and its G becomes F^(k)_{j,l}(t, k).
-`run_identity` is the single entry point.  It walks the identity's grid
-once and checks each cell at every binding pass as the cell is built;
-of the sides it keeps only those of the first counterexample.  Bindings
-given to it, ``{}`` too, are one pass in either mode and may name only the
-identity's variables; without them (None), ``rational`` mode evaluates the
-difference at every point of `spot_grid` and ``symbolic`` mode compares
-the exact polynomials.  A point where a nonzero difference vanishes counts
-as a pass there.  fubini-x-zero's grid sweeps only (l, y), so in rational
-mode without a binding of x its y = 0 difference is still a polynomial in
-x at each point: for that side the check stays symbolic in x, not a point
+mutations.  A mutation is data, the fields of the record that it
+replaces: ``drop-unit-weight`` clears fully-deg-bell's ``factor``, so W is
+S2_l(m,k), and ``unshifted-y-arg`` clears deg-fubini-spivey's ``shifted``,
+so that its tail is (k)_{j,l} and its G becomes F^(k)_{j,l}(t, k).
+`run_identity`, the single entry point, walks the grid once and checks
+each cell at every binding pass as it is built (its docstring gives the
+modes).  fubini-x-zero's grid sweeps only (l, y), so in rational mode
+without a binding of x its y = 0 difference is still a polynomial in x at
+each point: for that side the check stays symbolic in x, not a point
 check.
 
 A failing cell is reported, never raised: the harness must also be able
@@ -90,7 +82,6 @@ import enum
 import itertools
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
 from types import MappingProxyType
 from typing import NamedTuple
@@ -161,62 +152,94 @@ Cell = tuple[dict, Poly, Poly]  # a grid cell's record and its two sides
 # -- the Spivey-type double sum and its parts ----------------------------------
 
 
+class _Spivey(NamedTuple):
+    """A Spivey-type identity as data, one field per named mutation too; called
+    as ``grid(n_max, m_max)``, it is the identity's `_spivey_grid`."""
+
+    family: str  # "bell" phi (c = 1), "fully-bell" Bel (c = (1)_{k,l}), "fubini" F (c = k!)
+    z: Poly  # the argument: ONE, X or T
+    degenerate: bool  # S2_l, (k)_{j,l} and the shift; else S, k^j and no shift
+    factor: bool = True  # W carries c(k); drop-unit-weight clears it
+    shifted: bool = True  # a degenerate tail is shifted; unshifted-y-arg clears it
+
+    def __call__(self, n_max: int, m_max: int) -> Iterator[Cell]:
+        return _spivey_grid(n_max, m_max, self)
+
+
 def _convolve(a, b, n: int) -> Poly:
     """(a <*> b)(n) = sum_{i<=n} C(n,i) a(i) b(n-i), for lists a and b."""
     return Poly.sum_of_products((comb(n, i), a[i], b[n - i]) for i in range(n, -1, -1))
 
 
-def _spivey_grid(n_max: int, m_max: int, outer, weight, tail, head=None, shift=None):
-    """Each cell (n, m) with both sides of B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
-    m outer and n inner.
-
-    The parts are called as ``outer(j)`` = B_j, a `Poly` that is the left
-    side as built, ``weight(m, k)`` = W(m, k), ``head(j, k)`` = A_k(j) and
-    ``tail(j, k)`` = T_k(j), each once per index, and ``shift(m, rs)`` =
-    [P_m(r) for r in rs], once per m.  A head of None is the unit, so H_k =
-    B, and a shift of None is the unit, so the right side is Q_m(n).  K_k is
-    built when m reaches k and kept for the pass; Q_m lives for m's cells.
-    The sums take int weights and tails (the classical numbers) as scalars.
-    """
+def _spivey_grid(n_max: int, m_max: int, s: _Spivey) -> Iterator[Cell]:
+    """Each cell (n, m) of record s, m outer and n inner, with both sides of
+    B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r).  The list of P_m(r) is read
+    once per m, each other part once per index, and the sums take the
+    classical int weights and tails as scalars."""
     js = range(n_max + 1)
-    b = [outer(j) for j in range(n_max + m_max + 1)]
-    tail_sums = []  # K_k(s) for k <= m: each m adds K_m, so its parts are read at k = m
+    b = [_outer(s, j) for j in range(n_max + m_max + 1)]
+    h = _NEG_LAM * s.z if s.family == "fully-bell" else s.z
+    tail_sums = []  # K_k(i) for k <= m: each m adds K_m, so its parts are read at k = m
     for m in range(m_max + 1):
-        if head is None:
-            h = b
-        else:
-            a = [head(j, m) for j in js]
-            h = [_convolve(b, a, i) for i in js]
-        t = [tail(j, m) for j in js]
-        tail_sums.append([_convolve(h, t, s) for s in js])
+        heads = b  # phi has the unit head, so H_m = B
+        if s.family != "bell":
+            a = [_head(s, h, j, m) for j in js]
+            heads = [_convolve(b, a, i) for i in js]
+        t = [_tail(s, j, m) for j in js]
+        tail_sums.append([_convolve(heads, t, i) for i in js])
         # a zero weight, W(m, 0) for m > 0, adds nothing
-        w = [weight(m, k) for k in range(m + 1)]
-        q = [Poly.sum_of_products((w[k], tail_sums[k][s]) for k in range(m, -1, -1)) for s in js]
-        p = None if shift is None else shift(m, js)
+        w = [_weight(s, m, k) for k in range(m + 1)]
+        q = [Poly.sum_of_products((w[k], tail_sums[k][i]) for k in range(m, -1, -1)) for i in js]
+        p = _shifts(s, m, js)
         for n in js:
             rhs = q[n] if p is None else _convolve(p, q, n)
             yield {"n": n, "m": m}, b[n + m], rhs
 
 
-# the arguments of the fully degenerate heads, each formed once; _NEG_LAM is
-# the shifts' -l too
-_NEG_LAM = -LAM
-_NEG_LAM_T = -LAM * T
+# Each part looks its builders up by their module-global names (which
+# perfbench's tracer patches).
+def _outer(s: _Spivey, j: int) -> Poly:
+    """B_j, built at z by the family's own builder, the one the tables use."""
+    if s.family == "bell":
+        return bell_deg(j, s.z) if s.degenerate else classical.bell_poly(j, s.z)
+    if s.family == "fubini":
+        return fubini_deg(j, 1, s.z) if s.degenerate else classical.fubini_poly(j, s.z)
+    return bell_fully_deg(j, s.z)  # Bel has only its degenerate form
 
 
-def _classical_head(j: int, k: int) -> Poly:
-    """F^(k)_j(t), fubini-spivey's A_k(j): the classical F^(k)_j(x), renamed x -> t."""
-    return classical.fubini_poly(j, X, k).substitute(Var.X, T)
+def _weight(s: _Spivey, m: int, k: int) -> Poly | int:
+    """W(m, k) = c(k) S(m, k) z^k, B_m's term k.  A factor of 1, c(k) at k <= 1
+    and z^k at k = 0 or z = 1, costs no product."""
+    w = stirling2_deg(m, k) if s.degenerate else classical.stirling2(m, k)
+    c = 1  # phi's, and each family's without its factor
+    if s.factor and s.family != "bell":
+        c = factorial(k) if s.family == "fubini" else unit_falling_factorial_deg(k)
+    for f in (c, s.z**k):
+        if f != 1:
+            w = w * f
+    return w
 
 
-def _deg_tail(j: int, k: int) -> Poly:
-    """T_k(j) = (k)_{j,l}, read from the one running list of each k."""
-    return falling_factorial_deg(k, j)
+def _head(s: _Spivey, h: Poly, j: int, k: int) -> Poly:
+    """A_k(j) = F^(k)_j(h); the classical one, the independent route, substitutes h for x."""
+    if s.degenerate:
+        return fubini_deg(j, k, h)
+    return classical.fubini_poly(j, X, k).substitute(Var.X, h)
 
 
-def _deg_shifts(m: int, rs) -> list[Poly]:
-    """P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r for each r in rs, read from the
-    one running list of -m*l, whose base is formed once per m."""
+def _tail(s: _Spivey, j: int, k: int) -> Poly | int:
+    """T_k(j) = (k)_{j,l}, read from the one running list of k, or k^j."""
+    return falling_factorial_deg(k, j) if s.degenerate else k**j
+
+
+_NEG_LAM = -LAM  # -l, the step of each shift's base and Bel's head argument
+
+
+def _shifts(s: _Spivey, m: int, rs) -> list[Poly] | None:
+    """[P_m(r) for r in rs], P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r from the one
+    running list of -m*l, its base formed once per m; None when unshifted."""
+    if not (s.degenerate and s.shifted):
+        return None
     base = m * _NEG_LAM
     return [falling_factorial_deg(base, r) for r in rs]
 
@@ -253,80 +276,27 @@ def _fubini_x_zero_grid(n_max: int, alpha_max: int) -> Iterator[Cell]:
 
 class _Spec(NamedTuple):
     """One identity's check: ``grid(n_max, m_max)`` yields each cell's record
-    and its two sides, in the documented order.  A mutation maps the keyword
-    parts of ``grid`` that it swaps to their replacements.
-    """
+    and its two sides, in the documented order.  A mutation maps the fields
+    of the `_Spivey` grid that it swaps to their replacements."""
 
     grid: Callable[[int, int], Iterator[Cell]]
     spot_vars: tuple[Var, ...]  # swept by the rational spot grid
-    mutations: Mapping[str, dict[str, Callable]] = MappingProxyType({})  # shared, so read-only
+    mutations: Mapping[str, dict[str, bool]] = MappingProxyType({})  # shared, so read-only
     unswept: tuple[Var, ...] = ()  # free in the sides but not swept
 
 
-def _spivey(spot_vars, outer, weight, tail, head=None, shift=None, **fields) -> _Spec:
-    """A Spivey-type identity from its parts B (outer), W (weight), T (tail),
-    A (head, None for the unit) and P (shift, None for the unit); further
-    `_Spec` fields (its mutations) pass through."""
-    grid = partial(_spivey_grid, outer=outer, weight=weight, tail=tail, head=head, shift=shift)
-    return _Spec(grid, spot_vars, **fields)
-
-
-# The parts and the grids are lambdas or module functions, so every call
-# looks the builders up by their module-global names (which perfbench's
-# tracer patches).
 _SPECS = {
-    Identity.SPIVEY_BELL: _spivey(
-        (),
-        outer=lambda j: Poly.const(classical.bell_number(j)),
-        weight=lambda m, k: classical.stirling2(m, k),
-        tail=lambda j, k: k**j,
+    Identity.SPIVEY_BELL: _Spec(_Spivey("bell", ONE, False), ()),
+    Identity.SPIVEY_BELL_POLY: _Spec(_Spivey("bell", X, False), (Var.X,)),
+    Identity.DEG_BELL_SPIVEY: _Spec(_Spivey("bell", X, True), (Var.LAMBDA, Var.X)),
+    Identity.FULLY_DEG_BELL: _Spec(
+        _Spivey("fully-bell", ONE, True), (Var.LAMBDA,), {"drop-unit-weight": {"factor": False}}
     ),
-    Identity.SPIVEY_BELL_POLY: _spivey(
-        (Var.X,),
-        outer=lambda j: classical.bell_poly(j),
-        weight=lambda m, k: classical.stirling2(m, k) * X**k,
-        tail=lambda j, k: k**j,
+    Identity.FULLY_DEG_BELL_POLY: _Spec(_Spivey("fully-bell", T, True), (Var.LAMBDA, Var.T)),
+    Identity.DEG_FUBINI_SPIVEY: _Spec(
+        _Spivey("fubini", T, True), (Var.LAMBDA, Var.T), {"unshifted-y-arg": {"shifted": False}}
     ),
-    Identity.DEG_BELL_SPIVEY: _spivey(
-        (Var.LAMBDA, Var.X),
-        outer=lambda j: bell_deg(j),
-        weight=lambda m, k: stirling2_deg(m, k) * X**k,
-        tail=_deg_tail,
-        shift=_deg_shifts,
-    ),
-    Identity.FULLY_DEG_BELL: _spivey(
-        (Var.LAMBDA,),
-        outer=lambda j: bell_fully_deg(j, ONE),
-        weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k),
-        head=lambda j, k: fubini_deg(j, k, _NEG_LAM),
-        tail=_deg_tail,
-        shift=_deg_shifts,
-        mutations={"drop-unit-weight": {"weight": lambda m, k: stirling2_deg(m, k)}},
-    ),
-    Identity.FULLY_DEG_BELL_POLY: _spivey(
-        (Var.LAMBDA, Var.T),
-        outer=lambda j: bell_fully_deg(j, T),
-        weight=lambda m, k: unit_falling_factorial_deg(k) * stirling2_deg(m, k) * T**k,
-        head=lambda j, k: fubini_deg(j, k, _NEG_LAM_T),
-        tail=_deg_tail,
-        shift=_deg_shifts,
-    ),
-    Identity.DEG_FUBINI_SPIVEY: _spivey(
-        (Var.LAMBDA, Var.T),
-        outer=lambda j: fubini_deg(j, 1, T),
-        weight=lambda m, k: factorial(k) * stirling2_deg(m, k) * T**k,
-        head=lambda j, k: fubini_deg(j, k, T),
-        tail=_deg_tail,
-        shift=_deg_shifts,
-        mutations={"unshifted-y-arg": {"shift": None}},
-    ),
-    Identity.FUBINI_SPIVEY: _spivey(
-        (Var.T,),
-        outer=lambda j: classical.fubini_poly(j, T),
-        weight=lambda m, k: factorial(k) * classical.stirling2(m, k) * T**k,
-        head=_classical_head,
-        tail=lambda j, k: k**j,
-    ),
+    Identity.FUBINI_SPIVEY: _Spec(_Spivey("fubini", T, False), (Var.T,)),
     Identity.DEG_VANDERMONDE: _Spec(_deg_vandermonde_grid, (Var.LAMBDA, Var.X, Var.Y)),
     Identity.EXP_SPLITTING: _Spec(_exp_splitting_grid, (Var.LAMBDA,)),
     # x occurs only on the y = 0 side; the spot grid has never swept it
@@ -388,7 +358,7 @@ def run_identity(
         if corrupt not in spec.mutations:
             known = ", ".join(spec.mutations) or "none"
             raise ValueError(f"unknown mutation {corrupt!r} for {identity.value} (known: {known})")
-        grid = partial(grid, **spec.mutations[corrupt])
+        grid = grid._replace(**spec.mutations[corrupt])
     if bindings is not None:
         given = {
             k if isinstance(k, Var) else var_from_symbol(k): as_scalar(v) for k, v in bindings.items()

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from degenbell import classical
-from degenbell.algebra import ONE, T, Var, X, Y, _kept
+from degenbell.algebra import ONE, Poly, T, Var, X, Y, _kept
 from degenbell.series import Series
 from oracles import const_value
 from test_sequences import _read_in_racing_threads
@@ -110,6 +110,11 @@ def test_polynomial_oracles_reject_negative_n(build):
 def test_bell_poly():
     assert classical.bell_poly(3) == X + 3 * X**2 + X**3
     assert classical.bell_poly(0) == ONE
+
+
+def test_bell_poly_at_one_is_bell_number():
+    for n in range(31):
+        assert classical.bell_poly(n, ONE) == Poly.const(classical.bell_number(n))
 
 
 def test_fubini_poly_at_one_is_ordered_bell():

@@ -536,6 +536,13 @@ class TestFamiliesAtArguments:
     # argument substituted, which stays the reference, and keeps every
     # coefficient in stored form
     @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_bell_deg(self, x_arg):
+        for j in range(7):
+            bell = bell_deg(j, x_arg)
+            assert bell == bell_deg(j).substitute(Var.X, x_arg)
+            assert_stored_form(bell)
+
+    @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_bell_fully_deg(self, x_arg):
         for j in range(7):
             bell = bell_fully_deg(j, x_arg)
@@ -584,16 +591,24 @@ class TestFamiliesAtArguments:
     @pytest.mark.parametrize(
         "build",
         [
+            lambda x: bell_deg(3, x),
             lambda x: bell_fully_deg(3, x),
             lambda x: bell_fully_deg(0, x),
             lambda x: fubini_deg(3, 2, x),
         ],
-        ids=["bell", "bell-0", "fubini"],
+        ids=["deg-bell", "bell", "bell-0", "fubini"],
     )
     def test_argument_of_other_than_one_term_rejected(self, build, x_arg):
         # a family is built from its rows at a one-term argument only
         with pytest.raises(ValueError, match="one-term argument"):
             build(x_arg)
+
+    @pytest.mark.parametrize("x_arg", X_ARGS)
+    def test_classical_bell_poly(self, x_arg):
+        for j in range(7):
+            bell = classical.bell_poly(j, x_arg)
+            assert bell == classical.bell_poly(j).substitute(Var.X, x_arg)
+            assert_stored_form(bell)
 
     @pytest.mark.parametrize("x_arg", X_ARGS)
     def test_classical_fubini_poly(self, x_arg):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,13 @@ HEAD_IDENTITIES = [
     Identity.FUBINI_SPIVEY,
 ]
 UNIT_HEAD_IDENTITIES = [i for i in SPIVEY_IDENTITIES if i not in HEAD_IDENTITIES]
+# the identities whose tail is shifted by P_m, so each cell is one more sum
+SHIFTED_IDENTITIES = [
+    Identity.DEG_BELL_SPIVEY,
+    Identity.FULLY_DEG_BELL,
+    Identity.FULLY_DEG_BELL_POLY,
+    Identity.DEG_FUBINI_SPIVEY,
+]
 
 
 class TestAssociativeSums:
@@ -399,10 +407,18 @@ class TestAssociativeSums:
             assert (lhs, rhs) == spivey_double_sum(identity.value, n, m), (n, m)
 
     @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
-    def test_outer_part_builds_a_poly(self, identity):
+    def test_outer_part_builds_a_poly(self, identity, monkeypatch):
         # the left side is B_{n+m} as the outer part built it, with no lift
-        outer = _SPECS[identity].grid.keywords["outer"]
-        assert all(type(outer(j)) is Poly for j in range(5))
+        built, outer = [], verify._outer
+
+        def counted(s, j):
+            built.append(outer(s, j))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "_outer", counted)
+        cells = list(_SPECS[identity].grid(2, 2))
+        assert all(type(b) is Poly for b in built)
+        assert all(any(lhs is b for b in built) for _, lhs, _ in cells)
 
     @pytest.mark.parametrize(
         "identity,mutation",
@@ -410,35 +426,68 @@ class TestAssociativeSums:
     )
     def test_mutated_sides_differ_from_plain_double_sum(self, identity, mutation):
         spec = _SPECS[identity]
-        grid = partial(spec.grid, **spec.mutations[mutation])
+        grid = spec.grid._replace(**spec.mutations[mutation])
         assert any(
             (lhs, rhs) != spivey_double_sum(identity.value, cell["n"], cell["m"])
             for cell, lhs, rhs in grid(5, 5)
         )
 
 
-PARTS = ("outer", "weight", "head", "tail", "shift")
+class TestSpiveyRecords:
+    # each Spivey identity is data: its grid is a record of its family, its
+    # argument z and its form, and each mutation swaps one of its fields
+    @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
+    def test_grid_is_a_record_with_no_callable_field(self, identity):
+        record = _SPECS[identity].grid
+        assert type(record) is verify._Spivey
+        assert [f for f in record._fields if callable(getattr(record, f))] == []
+        assert record.family in ("bell", "fully-bell", "fubini")
+        assert record.z in (ONE, X, T)
+
+    def test_mutations_are_replaces_of_the_record(self):
+        mutations = {i: _SPECS[i].mutations for i in Identity if _SPECS[i].mutations}
+        assert mutations == {
+            Identity.FULLY_DEG_BELL: {"drop-unit-weight": {"factor": False}},
+            Identity.DEG_FUBINI_SPIVEY: {"unshifted-y-arg": {"shifted": False}},
+        }
+        for identity, named in mutations.items():
+            record = _SPECS[identity].grid
+            for fields in named.values():
+                mutant = record._replace(**fields)
+                assert type(mutant) is verify._Spivey
+                assert [f for f in record._fields if getattr(mutant, f) != getattr(record, f)] == [
+                    *fields
+                ]
 
 
-def _counted_pass(identity, n_max, m_max):
+# each part of a Spivey grid by verify's module-global name for it, which the
+# grid looks up at each call
+PARTS = {
+    "outer": "_outer", "weight": "_weight", "head": "_head", "tail": "_tail", "shift": "_shifts"
+}
+
+
+def _counted_pass(identity, n_max, m_max, monkeypatch):
     """One grid pass with each part counted: ({part: [index, ...]}, replay), where
-    replay() walks the grid again with each part returning its recorded value,
-    so that the only arithmetic left is the grid's own sums."""
+    an index is the part's arguments after the record, and replay() walks the
+    grid again with each part returning its recorded value, so that the only
+    arithmetic left is the grid's own sums."""
     grid = _SPECS[identity].grid
-    calls, values, counted = {name: [] for name in PARTS}, {}, {}
-    for name in PARTS:
-        if (build := grid.keywords[name]) is None:
-            continue
+    calls, values = {name: [] for name in PARTS}, {}
 
-        def part(*index, name=name, build=build):
-            calls[name].append(index)
-            values[name, index] = build(*index)
-            return values[name, index]
+    def patched(part):
+        with monkeypatch.context() as patch:
+            for name, attr in PARTS.items():
+                patch.setattr(verify, attr, partial(part, name, getattr(verify, attr)))
+            list(grid(n_max, m_max))
 
-        counted[name] = part
-    list(grid(n_max, m_max, **counted))
-    recorded = {name: partial(lambda name, *index: values[name, index], name) for name in counted}
-    return calls, lambda: list(grid(n_max, m_max, **recorded))
+    def counted(name, build, s, *index):
+        calls[name].append(index)
+        values[name, index] = build(s, *index)
+        return values[name, index]
+
+    patched(counted)
+    return calls, lambda: patched(lambda name, build, s, *index: values[name, index])
 
 
 def _sums_in(monkeypatch, run):
@@ -527,38 +576,69 @@ class TestSharedMemos:
         # H_k(i) per (i, k) when the head is not the unit, K_k(s) per (s, k),
         # Q_m(s) per (m, s), and one sum per cell (n, m) when there is a shift
         per_index = (self.N + 1) ** 2
-        shifted = _SPECS[identity].grid.keywords["shift"] is not None
-        return per_index * (heads + 2 + shifted)
+        return per_index * (heads + 2 + (identity in SHIFTED_IDENTITIES))
 
     @pytest.mark.parametrize("identity", HEAD_IDENTITIES)
     def test_head_sum_built_once_per_ik_and_shared_over_m(self, identity, monkeypatch):
-        calls, replay = _counted_pass(identity, self.N, self.N)
+        calls, replay = _counted_pass(identity, self.N, self.N, monkeypatch)
         grid = range(self.N + 1)
-        assert sorted(calls["head"]) == [(j, k) for j in grid for k in grid]
+        assert sorted((j, k) for _, j, k in calls["head"]) == [(j, k) for j in grid for k in grid]
+        # all at one argument h, formed once per pass
+        assert len({id(h) for h, _, _ in calls["head"]}) == 1
         assert _sums_in(monkeypatch, replay) == self._expected_sums(identity, heads=1)
 
     @pytest.mark.parametrize("identity", UNIT_HEAD_IDENTITIES)
     def test_unit_head_reads_outer_family_directly(self, identity, monkeypatch):
-        calls, replay = _counted_pass(identity, self.N, self.N)
+        calls, replay = _counted_pass(identity, self.N, self.N, monkeypatch)
         # B_j once per j, for both sides, and no H_k = B <*> A_k is summed
         assert calls["outer"] == [(j,) for j in range(2 * self.N + 1)]
         assert calls["head"] == []
         assert _sums_in(monkeypatch, replay) == self._expected_sums(identity, heads=0)
 
+    def test_builder_calls_through_module_names(self, monkeypatch):
+        # the names perfbench's tracer patches: at 5x5 the seven identities
+        # read 36 tails (k)_{j,l} and 36 shifts each in four, 36 heads each in
+        # three plus deg-fubini-spivey's 11 B_j, 21 S2_l(m,k) each in four,
+        # 21 (1)_{k,l} each in two, and so on for the classical builders
+        calls = Counter()
+
+        def count(module, name):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or build(*a))
+
+        for name in ("falling_factorial_deg", "fubini_deg", "stirling2_deg"):
+            count(verify, name)
+        count(verify, "unit_falling_factorial_deg")
+        for name in ("bell_poly", "fubini_poly", "stirling2"):
+            count(classical, name)
+        for identity in SPIVEY_IDENTITIES:
+            assert run_identity(identity, 5, 5).ok
+        assert calls == {
+            "falling_factorial_deg": 288,
+            "fubini_deg": 119,
+            "stirling2_deg": 84,
+            "unit_falling_factorial_deg": 42,
+            "bell_poly": 22,
+            "fubini_poly": 47,
+            "stirling2": 63,
+        }
+
     @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
-    def test_weight_built_once_per_mk(self, identity):
-        calls, _ = _counted_pass(identity, self.N, self.N)
+    def test_weight_built_once_per_mk(self, identity, monkeypatch):
+        calls, _ = _counted_pass(identity, self.N, self.N, monkeypatch)
         grid = range(self.N + 1)
         assert sorted(calls["weight"]) == [(m, k) for m in grid for k in range(m + 1)]
 
     @pytest.mark.parametrize("identity", SPIVEY_IDENTITIES)
-    def test_tail_shift_and_outer_read_once_per_index(self, identity):
-        calls, _ = _counted_pass(identity, self.N, self.N)
+    def test_tail_shift_and_outer_read_once_per_index(self, identity, monkeypatch):
+        calls, _ = _counted_pass(identity, self.N, self.N, monkeypatch)
         grid = range(self.N + 1)
         assert sorted(calls["tail"]) == [(j, k) for j in grid for k in grid]
-        shifted = _SPECS[identity].grid.keywords["shift"] is not None
-        # P_m(r) for every r at once, so that -m*l is formed once per m
-        assert calls["shift"] == ([(m, grid) for m in grid] if shifted else [])
+        # P_m(r) for every r at once, so that -m*l is formed once per m; an
+        # unshifted identity's shift is None
+        assert calls["shift"] == [(m, grid) for m in grid]
+        shifted = verify._shifts(_SPECS[identity].grid, 1, grid) is not None
+        assert shifted == (identity in SHIFTED_IDENTITIES)
         assert calls["outer"] == [(j,) for j in range(2 * self.N + 1)]
 
 
@@ -593,21 +673,22 @@ class TestScopedMemos:
     )
     def test_no_memo_left_after_failing_run(self, identity, mutation, mode, monkeypatch):
         spec = _SPECS[identity]
-        passes, built = [], []
+        cells = [c for c, _, _ in spec.grid(self.N, self.N)]
+        passes, built, grid = [], [], verify._spivey_grid
 
-        def counted(n_max, m_max, **parts):
-            passes.append(parts)
-            for cell in spec.grid(n_max, m_max, **parts):
+        def counted(n_max, m_max, s):
+            passes.append(s)
+            for cell in grid(n_max, m_max, s):
                 built.append(cell)
                 yield cell
 
-        monkeypatch.setitem(verify._SPECS, identity, spec._replace(grid=counted))
+        monkeypatch.setattr(verify, "_spivey_grid", counted)
         report = run_identity(identity, self.N, self.N, mode=mode, corrupt=mutation)
         ce = report.first_counterexample
         assert ce is not None
         # one pass over the mutated grid, each cell built once: no rebuild
-        assert passes == [spec.mutations[mutation]]
-        assert [c for c, _, _ in built] == [c for c, _, _ in spec.grid(self.N, self.N)]
+        assert passes == [spec.grid._replace(**spec.mutations[mutation])]
+        assert [c for c, _, _ in built] == cells
         # the counterexample's sides are its cell's sides from that pass, at its point
         ((lhs, rhs),) = [(lhs, rhs) for c, lhs, rhs in built if c.items() <= ce.bindings.items()]
         labels = {v: c for v, c in ce.bindings.items() if v not in ("n", "m")}
@@ -624,9 +705,9 @@ class TestScopedMemos:
         # factor is F^(k)_{j,l}(t, k); the report's pinned counts and digests
         # (TestMutationDetection, TestRationalPointSemantics) are unchanged
         spec = _SPECS[Identity.DEG_FUBINI_SPIVEY]
-        assert spec.mutations == {"unshifted-y-arg": {"shift": None}}
+        assert spec.mutations == {"unshifted-y-arg": {"shifted": False}}
         outer, weight, _ = SPIVEY_PARTS[Identity.DEG_FUBINI_SPIVEY.value]
-        for cell, _, rhs in spec.grid(self.N, self.N, shift=None):
+        for cell, _, rhs in spec.grid._replace(shifted=False)(self.N, self.N):
             n, m = cell["n"], cell["m"]
             inner = lambda j, k: (
                 fubini_two_var_alpha(j, k).substitute(Var.X, T).substitute(Var.Y, Poly.const(k))

@@ -21,8 +21,15 @@ Identical invocations produce identical bytes.  JSON output is exactly
 data, from the one writer `_json_text`, with every polynomial, a
 counterexample's sides too, written straight from its term map.  The only
 environment knob, DEGENBELL_WIDTH, read once per command as ``args.width``,
-wraps long polynomials in text output at spaces.  Each ``_cmd_*`` returns
-its exit code and a renderer per ``--format``; `main` emits the one asked for.
+wraps long polynomials in text output at spaces, by a greedy fill
+(`_wrap_line`): each line takes as many space-separated tokens as fit,
+every line after the first starts with four spaces, and a token longer than
+the width has a line of its own.  On the lines the CLI builds (tokens joined
+by single spaces, at most a two-space lead before a short first token) that
+is ``textwrap.wrap(line, width, subsequent_indent="    ",
+break_long_words=False, break_on_hyphens=False)``, without loading textwrap.
+Each ``_cmd_*`` returns its exit code and a renderer per ``--format``;
+`main` emits the one asked for.
 
 Importing this module loads no library module: `main` gives arguments only
 to the subparser named on its command line, and that subparser and its
@@ -185,18 +192,20 @@ def _json_text(data) -> str:
     The stdlib encoder runs its C speedup only without an indent; this is
     one recursive pass that appends str pieces to one list, joined once, so
     no level copies the text of the levels below it.  A `Poly` appends its
-    terms straight from its term map, so no dict is built per term.
+    terms straight from its term map, so no dict is built per term.  `Poly`
+    is imported here, once per document, and handed down to every node.
     """
+    from .algebra import Poly
     out: list[str] = []
-    _json_parts(data, "\n", out)
+    _json_parts(data, "\n", out, Poly)
     out.append("\n")
     return "".join(out)
 
 
-def _json_parts(obj, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``json.dumps(obj, indent=2)``, nested at ``indent``, to ``out``."""
-    from .algebra import Poly
-    if type(obj) is Poly:
+def _json_parts(obj, indent: str, out: list[str], poly: type[Poly]) -> None:
+    """Append the pieces of ``json.dumps(obj, indent=2)``, nested at ``indent``,
+    to ``out``; ``poly`` is the `Poly` class, whose instances write themselves."""
+    if type(obj) is poly:
         obj._json_parts(indent, out)
     elif isinstance(obj, str):
         out.append(_quote(obj))
@@ -209,7 +218,7 @@ def _json_parts(obj, indent: str, out: list[str]) -> None:
         for key, value in obj.items():
             # _quote raises TypeError for a key that is not a str
             out += (sep, _quote(key), ": ")
-            _json_parts(value, inner, out)
+            _json_parts(value, inner, out, poly)
             sep = between
         out.append(indent + "}")
     elif isinstance(obj, (list, tuple)):
@@ -220,7 +229,7 @@ def _json_parts(obj, indent: str, out: list[str]) -> None:
         sep, between = "[" + inner, "," + inner
         for value in obj:
             out.append(sep)
-            _json_parts(value, inner, out)
+            _json_parts(value, inner, out, poly)
             sep = between
         out.append(indent + "]")
     elif obj is None:
@@ -252,13 +261,18 @@ def _wrap_width() -> int:
 
 
 def _wrap_line(line: str, width: int) -> str:
+    """``line`` filled greedily at ``width``, as the module docstring says."""
     if len(line) <= width:
         return line
-    import textwrap  # loaded only for a line that needs wrapping
-    # break at spaces only, so that no number or monomial is split
-    lines = textwrap.wrap(
-        line, width, subsequent_indent="    ", break_long_words=False, break_on_hyphens=False
-    )
+    words = line.split(" ")
+    lines, current = [], words[0]
+    for word in words[1:]:
+        if len(current) + 1 + len(word) <= width:
+            current += " " + word
+        else:
+            lines.append(current)
+            current = "    " + word
+    lines.append(current)
     return "\n".join(lines)
 
 
@@ -285,9 +299,9 @@ def _bound(bindings, polys, where: str):
     return [p.eval(bindings) for p in polys]
 
 
-def _label(index) -> str:
-    from .sequences import index_names
-    return " ".join(f"{name}={i}" for name, i in index_names(index).items())
+def _label(names: dict) -> str:
+    """A table index as text, from its ``index_names``: ``n=3 k=1``."""
+    return " ".join(f"{name}={i}" for name, i in names.items())
 
 
 def _lines(lines, width: int) -> str:
@@ -296,19 +310,21 @@ def _lines(lines, width: int) -> str:
 
 
 def _cmd_table(args):
-    from .sequences import build_table
+    from .sequences import build_table, index_names
     table = build_table(args.kind, args.n_max, k_max=args.k_max, alpha=args.alpha)
     polys = _bound(args.bind, [poly for _, poly in table.values], args.kind)
     table = table._replace(values=tuple((i, p) for (i, _), p in zip(table.values, polys)))
     return 0, {
         "json": lambda: _json_text(table.to_json(leaf=_poly_leaf)),
         "csv": lambda: _csv_text(table.to_csv_rows()),
-        "text": lambda: _lines((f"{_label(i)}: {poly}" for i, poly in table.values), args.width),
+        "text": lambda: _lines(
+            (f"{_label(index_names(i))}: {poly}" for i, poly in table.values), args.width
+        ),
     }
 
 
 def _cmd_poly(args):
-    from .sequences import KINDS
+    from .sequences import KINDS, index_names
     kind, n, k = KINDS[args.kind], args.n, args.k
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -321,7 +337,7 @@ def _cmd_poly(args):
     alpha = kind.order(args.alpha)
     index = (n, k) if kind.triangular else (n,)
     poly = kind.build(n, k if kind.triangular else alpha)
-    (poly,) = _bound(args.bind, [poly], f"{kind.name} {_label(index)}")
+    (poly,) = _bound(args.bind, [poly], f"{kind.name} {_label(index_names(index))}")
     return 0, {"json": lambda: _json_text(poly), "text": lambda: _lines([str(poly)], args.width)}
 
 
@@ -402,15 +418,22 @@ def _cmd_limit(args):
     rows = [(i, limit, ref, limit == ref) for limit, (i, ref) in zip(limits, reference.values)]
     all_match = all(match for *_, match in rows)
 
+    def rendered():
+        # equal term maps print alike, so a matching row renders one polynomial
+        for index, limit, ref, match in rows:
+            text = str(limit)
+            yield index, text, text if match else str(ref), match
+
     def csv_rows():
         triangular = any(len(index) > 1 for index, *_ in rows)
         yield (["n", "k"] if triangular else ["n"]) + ["limit", "classical", "match"]
-        for index, limit, ref, match in rows:
-            yield [str(i) for i in index] + [str(limit), str(ref), str(match).lower()]
+        for index, limit, ref, match in rendered():
+            yield [str(i) for i in index] + [limit, ref, str(match).lower()]
 
     def text_lines():
-        for i, limit, ref, ok in rows:
-            yield f"{_label(i)}: {limit} | classical: {ref} | {'ok' if ok else 'MISMATCH'}"
+        for index, limit, ref, ok in rendered():
+            label = _label(index_names(index))
+            yield f"{label}: {limit} | classical: {ref} | {'ok' if ok else 'MISMATCH'}"
         yield "all rows match" if all_match else "LIMIT MISMATCH"
 
     return 0 if all_match else 1, {
@@ -419,8 +442,8 @@ def _cmd_limit(args):
             "n_max": args.n_max,
             "all_match": all_match,
             "rows": [
-                {**index_names(index), "limit": str(limit), "classical": str(ref), "match": match}
-                for index, limit, ref, match in rows
+                {**index_names(index), "limit": limit, "classical": ref, "match": match}
+                for index, limit, ref, match in rendered()
             ],
         }),
         "csv": lambda: _csv_text(csv_rows()),

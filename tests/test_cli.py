@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic output, round-trips."""
 
+import builtins
 import contextlib
 import errno
 import hashlib
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbell import algebra, cli
-from degenbell.algebra import Poly
+from degenbell import algebra, cli, sequences
+from degenbell.algebra import Poly, Var, X
 from degenbell.cli import _json_text, _named_series, main
 from degenbell.sequences import (
     KINDS,
@@ -534,6 +536,43 @@ class TestLimit:
             main(["limit", "--kind", "deg-bell", "--n-max", "2", "--bind", "l=1/2"])
         assert exc.value.code == 2
 
+    def test_mismatched_row_in_every_format(self, capsys, monkeypatch):
+        # a classical row other than the l = 0 limit: that row, and only it, fails
+        real = sequences.classical_counterpart
+
+        def one_row_off(kind, n_max, alpha=None):
+            table = real(kind, n_max, alpha=alpha)
+            values = list(table.values)
+            index, ref = values[2]
+            values[2] = index, ref + X
+            return table._replace(values=tuple(values))
+
+        monkeypatch.setattr(sequences, "classical_counterpart", one_row_off)
+        argv = ["limit", "--kind", "deg-bell", "--n-max", "3"]
+        limit = KINDS["deg-bell"].build(2, None).eval({Var.LAMBDA: 0})
+        ref = real("deg-bell", 3).values[2][1] + X
+        assert limit != ref
+
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2] == f"n=2: {limit} | classical: {ref} | MISMATCH"
+        assert [line.rsplit(" | ", 1)[1] for line in lines[:4]] == ["ok", "ok", "MISMATCH", "ok"]
+        assert lines[4:] == ["LIMIT MISMATCH"]
+
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1
+        rows = out.splitlines()
+        assert rows[3] == f"2,{limit},{ref},false"
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["true", "true", "false", "true"]
+
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["all_match"] is False
+        assert data["rows"][2] == {"n": 2, "limit": str(limit), "classical": str(ref), "match": False}
+        assert [row["match"] for row in data["rows"]] == [True, True, False, True]
+
 
 class TestAlpha:
     @pytest.mark.parametrize(
@@ -744,6 +783,33 @@ class TestDeterminism:
         assert max(map(len, out.splitlines())) <= int(width or 100)
 
 
+# The line shapes the CLI wraps: tokens with no whitespace joined by single
+# spaces, some longer than any width, with at most a two-space lead before a
+# short first token (a counterexample's "  lhs: ..." lines).
+_no_space = st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
+_short_tokens = st.text(_no_space, min_size=1, max_size=8)
+_tokens = _short_tokens | st.integers(1, 160).map(lambda n: "9" * n)
+
+
+@st.composite
+def cli_lines(draw):
+    lead = draw(st.booleans())
+    first = draw(_short_tokens if lead else _tokens)
+    rest = draw(st.lists(_tokens, max_size=60))
+    return ("  " if lead else "") + " ".join([first, *rest])
+
+
+class TestWrapLine:
+    @given(line=cli_lines(), width=st.integers(20, 140))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_textwrap(self, line, width):
+        # textwrap is the reference here only: the CLI does not load it
+        reference = textwrap.wrap(
+            line, width, subsequent_indent="    ", break_long_words=False, break_on_hyphens=False
+        )
+        assert cli._wrap_line(line, width) == "\n".join(reference)
+
+
 # Strings that exercise every escape: quotes, backslashes, control, DEL and
 # non-ASCII characters, including one outside the basic multilingual plane.
 json_strings = st.text() | st.text(
@@ -836,6 +902,21 @@ class TestJsonText:
         p = Poly({(0, 0, 0, 0): Fraction(-1, 2), (1, 2, 0, 3): 5, (2, 0, 1, 0): 1})
         data = {"top": p, "nested": [{"deeper": [p, Poly()]}], "again": p}
         assert _json_text(data) == json.dumps(_to_json_leaves(data), indent=2) + "\n"
+
+    def test_no_import_per_node(self, monkeypatch):
+        # the writer resolves Poly once per document, not at each of its nodes
+        table = build_table("deg-stirling2", 23)
+        assert len(table.values) == 300
+        data, expected = table.to_json(leaf=cli._poly_leaf), json.dumps(table.to_json(), indent=2)
+        calls, real = [], builtins.__import__
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counted)
+        assert _json_text(data) == expected + "\n"
+        assert len(calls) <= 1
 
     def test_empty_and_nested_containers(self):
         data = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": None}]}
@@ -1071,8 +1152,8 @@ class TestEntryPoint:
         return proc.stdout.split()
 
     def test_import_loads_no_module_only_some_commands_use(self):
-        # dataclasses pulls in inspect; csv and textwrap serve --format csv and long
-        # lines; the JSON writer needs only the C escaper of _json, not json
+        # dataclasses pulls in inspect; csv serves --format csv, long lines wrap
+        # without textwrap, and the JSON writer needs only the C escaper of _json
         lazy = ("dataclasses", "inspect", "csv", "textwrap", "json")
         # the library loads per subcommand, once the command line names it
         library = tuple(
@@ -1083,6 +1164,9 @@ class TestEntryPoint:
         assert self._loaded_in_child(("degenbell.series", "degenbell.verify"), table) == []
         series = ["series", "--gf", "deg-exp", "--order", "1"]
         assert self._loaded_in_child(("degenbell.verify",), series) == []
+        # some of its lines are longer than the default width of 100
+        limit = ["limit", "--kind", "fully-deg-bell", "--n-max", "12"]
+        assert self._loaded_in_child(("textwrap",), limit) == []
 
     def test_every_public_name_resolves_from_a_fresh_import(self):
         # the package namespace imports a submodule on first use of one of its

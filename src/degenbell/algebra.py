@@ -28,16 +28,19 @@ OverflowError instead of wrapping into a neighbouring field.  The packed
 form stays inside this module: monomials enter `Poly` and leave `terms`
 as 4-tuples of exponents.
 
-Nearly all the work downstream is sums of products, sum c*p*q.  They go
-through one entry point, `Poly.sum_of_products`, which multiplies each
-tuple's factors straight into one accumulating term map in one loop, so no
-product or partial sum is built per term.  That map, and those of ``+`` and
-`Poly.eval`, reach stored form in one pass, `_stored`.  ``*`` on its own
-shifts keys when one side is a single monomial and scales when it is a
-constant, ``/`` scales through it, and ``**`` of a single term multiplies
-its key.  A family's int rows in l take `Poly._from_l_rows`, one comprehension
-per row over the stored keys of l^d.  Constants are built one way: by name
-(`ZERO`, `ONE`, `LAM`, `X`, `Y`, `T`), any other scalar by `Poly.const`.
+Nearly all the work downstream is sums of products, sum c*p*q, through two
+entry points.  `Poly.sum_of_products` multiplies each tuple's factors
+straight into one accumulating term map in one loop, so no product or
+partial sum is built per term; that map, and those of ``+`` and `Poly.eval`,
+reach stored form in one pass, `_stored`.  `Poly.convolve` is one such sum,
+the binomial convolution sum_i C(n,i) a[i] b[n-i], the EGF product; a square
+(``a is b``) takes each unordered pair a[i] a[n-i] once, weighted 2 C(n,i),
+and the middle term once.  ``*`` on its own shifts keys when one side is a
+single monomial and scales when it is a constant, ``/`` scales through it,
+and ``**`` of a single term multiplies its key.  A family's int rows in l
+take `Poly._from_l_rows`, one comprehension per row over the stored keys of
+l^d.  Constants are built one way: by name (`ZERO`, `ONE`, `LAM`, `X`, `Y`,
+`T`), any other scalar by `Poly.const`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import enum
 from fractions import Fraction
 from functools import cache
 from itertools import count, zip_longest
+from math import comb
 from operator import mul
 
 
@@ -353,6 +357,16 @@ class Poly:
                     key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
         return _stored(out)
+
+    @staticmethod
+    def convolve(a, b, n: int) -> "Poly":
+        """sum_{i<=n} C(n,i) a[i] b[n-i] for indexable a and b of `Poly`s or exact
+        scalars, i from n down, as one `sum_of_products`; a is b takes the square rule."""
+        sq = a is b
+        return Poly.sum_of_products(
+            ((1 + (sq and 2 * i > n)) * comb(n, i), a[i], b[n - i])
+            for i in range(n, (n - 1) // 2 if sq else -1, -1)
+        )
 
     def __truediv__(self, other) -> "Poly":
         if not isinstance(other, (int, Fraction)):

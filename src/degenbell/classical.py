@@ -74,6 +74,5 @@ def two_var_fubini_poly(n: int, alpha: int) -> Poly:
     (1 - x(e^s - 1))^(-alpha) e^(y s), the Cauchy product of its two factors."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Poly.sum_of_products(
-        (comb(n, j), fubini_poly(j, X, alpha), Y ** (n - j)) for j in range(n + 1)
-    )
+    js = range(n + 1)
+    return Poly.convolve([fubini_poly(j, X, alpha) for j in js], [Y**j for j in js], n)

@@ -25,9 +25,9 @@ F^(k)_{n,l}(-l*t) is built at its argument, never substituted into.  It
 must be one term, so that x^k times l^d is one term (ValueError
 otherwise).  At x, t and -l*t each row has keys of its own; at 1 and -l,
 fully-deg-bell's B_j and heads, the rows are folded into one list in l
-first.  The two-variable family sums the order-a Fubini polynomials
-against (y)_{n-j,l}; it reads F^(a)_{j,l}(x) from one running list per
-a, kept under ("fubini", a).  Every factorial (w)_{n,l}, (w)_n and <w>_n
+first.  The two-variable family is `Poly.convolve` of the order-a Fubini
+polynomials and (y)_{j,l}; it reads F^(a)_{j,l}(x) from one running list
+per a, kept under ("fubini", a).  Every factorial (w)_{n,l}, (w)_n and <w>_n
 is entry n of the running list prod_{i<n} (w + i*step) kept under the key
 (w, step).  Both lists are kept by `algebra._kept_entry`, which extends
 each in a loop.  Each other sum of products goes through
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from itertools import accumulate, count
-from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -180,9 +179,8 @@ def fubini_two_var_alpha(n: int, alpha: int) -> Poly:
     def head(j: int) -> Poly:  # F^(alpha)_{j,l}(x), kept: 1, then fubini_deg once each
         return _kept_entry(("fubini", alpha), j, ONE, lambda run, i: fubini_deg(i + 1, alpha))
 
-    return Poly.sum_of_products(
-        (comb(n, j), head(j), falling_factorial_deg(Y, n - j)) for j in range(n + 1)
-    )
+    js = range(n + 1)
+    return Poly.convolve([head(j) for j in js], [falling_factorial_deg(Y, j) for j in js], n)
 
 
 # -- tables ----------------------------------------------------------------

@@ -7,11 +7,11 @@ indeterminate ``t``: several identities use ``t`` as a polynomial
 argument at the same time as the generating variable.
 
 Under the EGF convention the product is the binomial convolution
-c_n = sum_j C(n,j) a_j b_{n-j}, which is what every generating-function
-manipulation in this package needs.  Series of different orders combine
-by truncating to the smaller order.  A square ``a * a`` takes each
-unordered pair a_j a_{n-j} once, weighted 2 C(n,j), and `Series.int_pow`
-powers by repeated squaring, never multiplying by the unit.
+c_n = sum_j C(n,j) a_j b_{n-j}, `Poly.convolve` of the coefficient tuples,
+which every generating-function manipulation here needs.  Series of
+different orders combine by truncating to the smaller order.  A square
+``a * a`` hands one tuple in twice, so it takes `Poly.convolve`'s square
+rule, and `Series.int_pow` powers by repeated squaring, never by the unit.
 
 A negative power f^(-a) of a series with constant term 1 is taken as
 ``f.int_pow(a).reciprocal()``, the same series as ``f.reciprocal().int_pow(a)``
@@ -36,9 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
-from operator import mul
 
 from .algebra import LAM, ONE, ZERO, Poly
 from .sequences import falling_factorial_deg
@@ -108,19 +106,9 @@ class Series:
         return Series([self._coeffs[i] - other._coeffs[i] for i in range(n + 1)])
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, Series):
+        if isinstance(other, Series):  # a square hands one tuple in twice
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            sq = other is self  # a square: each pair a_j a_{k-j} once, doubled unless j = k - j
-            return Series(
-                [
-                    Poly.sum_of_products(
-                        ((1 + (sq and 2 * j < k)) * comb(k, j), a[j], b[k - j])
-                        for j in range(k // 2 + 1 if sq else k + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-            )
+            return Series([Poly.convolve(self._coeffs, other._coeffs, k) for k in range(n + 1)])
         if isinstance(other, (Poly, int, Fraction)):
             c = _as_coeff(other)
             return Series([c * a for a in self._coeffs])
@@ -204,12 +192,10 @@ def exp_splitting_sides(j: int, k: int) -> tuple[Poly, Poly]:
     Left side: expanding (u+v)^n binomially inside sum_n (1)_{n,l} (u+v)^n / n!
     gives the entry (1)_{j+k,l}.  Right side: v^k / (1+l*u)^k expands as
     sum_i C(-k, i) l^i u^i v^k, and the product with e_l(u) gives the entry
-    (1)_{k,l} sum_i C(j,i) (-k)_i l^i (1)_{j-i,l}, with (-k)_i the falling
-    factorial of -k.  The left side needs no composition at all, so it
-    serves as the oracle.
+    (1)_{k,l} sum_i C(j,i) (-k)_i l^i (1)_{j-i,l}, with (-k)_i l^i =
+    (-k*l)_{i,l} read from the running list of -k*l.  The left side needs
+    no composition at all, so it serves as the oracle.
     """
-    falling = accumulate(range(-k, -k - j, -1), mul, initial=1)  # (-k)_0 .. (-k)_j
-    right = Poly.sum_of_products(
-        (comb(j, i), f, LAM**i, falling_factorial_deg(ONE, j - i)) for i, f in enumerate(falling)
-    )
+    ones, shifts = ([falling_factorial_deg(w, i) for i in range(j + 1)] for w in (ONE, k * -LAM))
+    right = Poly.convolve(shifts, ones, j)
     return falling_factorial_deg(ONE, j + k), falling_factorial_deg(ONE, k) * right

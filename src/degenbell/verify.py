@@ -12,13 +12,13 @@ Seven of the checked identities are Spivey-type, and one generator,
     B_{n+m} = sum_{k<=m} sum_{l<=n} C(n,l) W(m,k) G(n-l,k,m) B_l
 
 Its inner factor is a binomial convolution G(., k, m) = A_k <*> Y_{k,m},
-where (a <*> b)(n) = sum_i C(n,i) a(i) b(n-i), the factorisation
-D^m B(u) = sum_k W(m,k) B(u) A_k(u) e_l^{k-m*l}(u) of the generating
-functions.  Since e_l^{k-m*l}(u) = e_l^k(u) (1 + l*u)^{-m}, the degenerate
-tail splits as Y_{k,m} = T_k <*> P_m, with T_k(j) = (k)_{j,l} and the
-one-term shift P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r (deg-vandermonde
-at x = k, y = -m*l).  The convolution is associative and commutative, so
-the sum is taken as
+where (a <*> b)(n) = sum_i C(n,i) a(i) b(n-i) is `Poly.convolve`: the
+factorisation D^m B(u) = sum_k W(m,k) B(u) A_k(u) e_l^{k-m*l}(u) of the
+generating functions.  Since e_l^{k-m*l}(u) = e_l^k(u) (1 + l*u)^{-m}, the
+degenerate tail splits as Y_{k,m} = T_k <*> P_m, with T_k(j) = (k)_{j,l}
+and the one-term shift P_m(r) = (-m*l)_{r,l} = (-1)^r <m>_r l^r
+(deg-vandermonde at x = k, y = -m*l).  The convolution is associative and
+commutative, so the sum is taken as
 
     B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r),
     Q_m = sum_{k<=m} W(m,k) K_k,   K_k = H_k <*> T_k,   H_k = B <*> A_k,
@@ -48,7 +48,7 @@ each H_k(i), K_k(s) and Q_m(s) once, m outer, so K_m is kept to its end
 and Q_m for m's cells.  Nothing else outlives it but what the builders
 keep in `algebra._kept`: each tail (k)_{j,l} and shift (-m*l)_{r,l} is
 read from the one running list of k, or of -m*l, that the four shifted
-identities share.
+identities and exp-splitting share.
 
 The other three have grids of their own:
 
@@ -82,7 +82,7 @@ import enum
 import itertools
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -166,11 +166,6 @@ class _Spivey(NamedTuple):
         return _spivey_grid(n_max, m_max, self)
 
 
-def _convolve(a, b, n: int) -> Poly:
-    """(a <*> b)(n) = sum_{i<=n} C(n,i) a(i) b(n-i), for lists a and b."""
-    return Poly.sum_of_products((comb(n, i), a[i], b[n - i]) for i in range(n, -1, -1))
-
-
 def _spivey_grid(n_max: int, m_max: int, s: _Spivey) -> Iterator[Cell]:
     """Each cell (n, m) of record s, m outer and n inner, with both sides of
     B_{n+m} = sum_{r<=n} C(n,r) P_m(r) Q_m(n-r).  The list of P_m(r) is read
@@ -184,16 +179,15 @@ def _spivey_grid(n_max: int, m_max: int, s: _Spivey) -> Iterator[Cell]:
         heads = b  # phi has the unit head, so H_m = B
         if s.family != "bell":
             a = [_head(s, h, j, m) for j in js]
-            heads = [_convolve(b, a, i) for i in js]
+            heads = [Poly.convolve(b, a, i) for i in js]
         t = [_tail(s, j, m) for j in js]
-        tail_sums.append([_convolve(heads, t, i) for i in js])
+        tail_sums.append([Poly.convolve(heads, t, i) for i in js])
         # a zero weight, W(m, 0) for m > 0, adds nothing
         w = [_weight(s, m, k) for k in range(m + 1)]
         q = [Poly.sum_of_products((w[k], tail_sums[k][i]) for k in range(m, -1, -1)) for i in js]
         p = _shifts(s, m, js)
         for n in js:
-            rhs = q[n] if p is None else _convolve(p, q, n)
-            yield {"n": n, "m": m}, b[n + m], rhs
+            yield {"n": n, "m": m}, b[n + m], q[n] if p is None else Poly.convolve(p, q, n)
 
 
 # Each part looks its builders up by their module-global names (which
@@ -248,12 +242,9 @@ def _shifts(s: _Spivey, m: int, rs) -> list[Poly] | None:
 
 
 def _deg_vandermonde_grid(n_max: int, m_max: int) -> Iterator[Cell]:
+    xs, ys = ([falling_factorial_deg(v, j) for j in range(n_max + 1)] for v in (X, Y))
     for n in range(n_max + 1):
-        rhs = Poly.sum_of_products(
-            (comb(n, j), falling_factorial_deg(X, j), falling_factorial_deg(Y, n - j))
-            for j in range(n + 1)
-        )
-        yield {"n": n}, falling_factorial_deg(X + Y, n), rhs
+        yield {"n": n}, falling_factorial_deg(X + Y, n), Poly.convolve(xs, ys, n)
 
 
 def _exp_splitting_grid(j_max: int, k_max: int) -> Iterator[Cell]:
@@ -341,7 +332,8 @@ def run_identity(
     the first counterexample are kept, and evaluated for its report; no cell
     is built twice.
     The two bounds bound (j, k) for exp-splitting and (n, alpha) for
-    fubini-x-zero, and a negative bound raises ValueError.  ``corrupt``
+    fubini-x-zero; deg-vandermonde has the one index n, so m_max bounds
+    nothing there.  A negative bound raises ValueError.  ``corrupt``
     names one of the identity's mutations, which must make the check fail.
     The report lists the cells in a fixed order (bindings outer, then the
     grid), and the first counterexample is the first failure in that

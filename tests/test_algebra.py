@@ -1,6 +1,7 @@
 """Polynomial ring: arithmetic, canonical form, evaluation, serialization."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,6 +331,26 @@ class TestSumOfProducts:
     def test_refuses_inexact_factor(self):
         with pytest.raises(TypeError):
             Poly.sum_of_products([(X, 0.5)])
+
+
+class TestConvolve:
+    @given(
+        a=st.lists(factor, min_size=6, max_size=6),
+        b=st.lists(factor, min_size=6, max_size=6),
+        n=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=100)
+    def test_equals_the_naive_sum(self, a, b, n):
+        naive = ZERO
+        for i in range(n + 1):
+            naive = naive + comb(n, i) * a[i] * b[n - i]
+        out = Poly.convolve(a, b, n)
+        assert_stored_form(out)
+        assert out._terms == naive._terms
+        # a is a: the square path, each unordered pair once; a copy: the general one
+        square = Poly.convolve(a, a, n)
+        assert_stored_form(square)
+        assert square._terms == Poly.convolve(a, list(a), n)._terms
 
 
 class TestEval:

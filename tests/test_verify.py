@@ -258,6 +258,15 @@ class TestVandermondeAndSplitting:
         for cell, _, rhs in _SPECS[Identity.DEG_VANDERMONDE].grid(5, 0):
             assert rhs.eval({Var.Y: 0}) == falling_factorial_deg(X, cell["n"])
 
+    def test_vandermonde_reads_each_factorial_once(self, monkeypatch):
+        # (x)_{j,l} and (y)_{j,l} are read into two lists once per grid, and
+        # (x+y)_{n,l} once per cell: 7 + 7 + 7 reads at n_max = 6
+        calls = []
+        build = verify.falling_factorial_deg
+        monkeypatch.setattr(verify, "falling_factorial_deg", lambda *a: calls.append(a) or build(*a))
+        assert all(lhs == rhs for _, lhs, rhs in verify._deg_vandermonde_grid(6, 0))
+        assert len(calls) == 21
+
     def test_splitting_grid(self):
         report = run_identity(Identity.EXP_SPLITTING, 6, 6)
         assert report.ok
